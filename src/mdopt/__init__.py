@@ -7,10 +7,9 @@ from .objective import Objective, catalog_get, catalog_names, evaluate_batch, gr
 from .region import CompactRegion, GridMesh, MeasureEstimate, box
 from .schedule import ContinuationConfig, MinimizeResult, TraceRecord, run_continuation, trace_to_rows
 from .sets import (
-    BasinReport, SetKind, ShrinkRateSample, SignificantSet, basin_masses,
-    boundary_points, containment_check, descent_rate, equivalence_check_dtau,
-    extract_set, shrink_rate_empirical, shrink_rate_theoretical,
-    solve_boundary_move,
+    BasinReport, SetKind, SignificantSet, basin_masses, boundary_points,
+    containment_check, descent_rate, equivalence_check_dtau, extract_set,
+    shrink_rate_empirical, shrink_rate_theoretical, solve_boundary_move,
 )
 from .useq import UniformSeqState, useq_init, useq_run, useq_step
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import schedule, sets as sets_mod, useq as useq_mod
 from .integrate import IntegratorConfig, default_config
 from .nmd import Exponential, NascentMD, Rational
-from .objective import UnknownFunctionError, catalog_get, catalog_names, evaluate_batch
+from .objective import UnknownFunctionError, catalog_get, catalog_names, gradient
 
 
 def _fmt(v) -> str:
@@ -207,7 +207,6 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     d0 = sets_mod.extract_set(m, sets_mod.SetKind.D0, mesh)
     rows = []
     for x in sets_mod.boundary_points(d0):
-        from .objective import gradient
         gn = float(np.linalg.norm(gradient(obj, x)))
         if gn <= grad_min:
             continue
@@ -234,7 +233,17 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
 @click.option("--max-iter", type=int, default=64, show_default=True)
 @click.option("--rel-tol", type=float, default=1e-6, show_default=True)
 def useq_cmd(function, tau, p, grid, mc, seed, out, resolution, max_iter, rel_tol):
-    """Run the shrinking-average optimizer and write the iteration trace."""
+    """Run the shrinking-average optimizer and write the iteration trace.
+
+    useq evaluates f on its own mesh (--resolution) and uses no density, so
+    --tau, --p, --grid and --mc do not apply and are rejected.
+    """
+    given = {"--tau": tau != "exp", "--p": p != 1.0,
+             "--grid": grid is not None, "--mc": mc is not None}
+    unused = [name for name, is_set in given.items() if is_set]
+    if unused:
+        raise click.UsageError(f"useq does not take {', '.join(unused)}; "
+                               "set its mesh with --resolution")
     obj, region, _, _ = _resolve(function, tau, p, grid, mc, seed)
     res = resolution or (2 ** 16 if region.dim == 1 else 1024)
     states, fstar = useq_mod.useq_run(obj, region, res, max_iter=max_iter,
@@ -245,8 +254,8 @@ def useq_cmd(function, tau, p, grid, mc, seed, out, resolution, max_iter, rel_to
     _write_csv(out / "useq.csv",
                ["iteration", "threshold", "measure", "node_count", "best_value"], rows)
     _write_json(out / "config.json", _config_payload(
-        command="useq", function=function, resolution=res, max_iter=max_iter,
-        rel_tol=rel_tol))
+        command="useq", function=function, seed=seed, resolution=res,
+        max_iter=max_iter, rel_tol=rel_tol))
     click.echo(f"fstar_estimate={_fmt(fstar)} ({len(states)} states)")
 
 

@@ -4,8 +4,10 @@ tau is a positive, decreasing transform of f (exponential e^{-f} or the
 rational 1/(f - L + p)), so m^(k) concentrates on the global minimizers as k
 grows.  Everything is evaluated in log space: Z(k) is a max-shifted log-sum
 over the quadrature nodes, and expectations are softmax-weighted node
-averages.  Node sets, f values and log Z are cached and shared between
-``with_k`` clones so k-continuation runs pay the function evaluations once.
+averages.  Node sets, f values, log Z and the per-k ``Moments`` record are
+cached and shared between ``with_k`` clones, so a k-continuation run pays the
+function evaluations once and one softmax weight pass per level per k: that
+pass yields E f, E f^2, E log tau and E x together.
 """
 
 from __future__ import annotations
@@ -63,6 +65,17 @@ class Expectation:
     kind: str
 
 
+@dataclass(frozen=True)
+class Moments:
+    """The moments of m^(k) that a continuation stage needs, at one k."""
+
+    f: Expectation
+    f2: Expectation
+    log_tau: Expectation
+    x: np.ndarray
+    x_error: float
+
+
 class NascentMD:
     """The density m^(k) bound to (objective, region, tau kind, integrator).
 
@@ -81,8 +94,9 @@ class NascentMD:
         self.tau = tau if tau is not None else Exponential()
         self.k = float(k)
         self.integrator = integrator or default_config(region.dim)
-        # shared across with_k clones: node sets, f values, shift, measure, logZ
-        self._shared = _shared if _shared is not None else {"logZ": {}}
+        # shared across with_k clones: node sets, f values, shift, measure,
+        # and per-(k, tau kind) logZ and moments
+        self._shared = _shared if _shared is not None else {"logZ": {}, "moments": {}}
 
     def with_k(self, k: float) -> "NascentMD":
         """Same density family at a different k, sharing all node caches."""
@@ -110,14 +124,13 @@ class NascentMD:
         else:
             pts = self.region.sample_uniform(cfg.n, cfg.seed)
             f = evaluate_batch(self.objective, pts)
+            log_mu = np.log(self.region.measure(mc_n=max(cfg.n, 1000), seed=cfg.seed).value
+                            if self.region.constraints else self.region.box_volume)
             for m in (cfg.n // 2, cfg.n):
                 levels.append({
                     "nodes": pts[:m],
                     "f": f[:m],
-                    "log_node_weight": float(np.log(self.region.measure(mc_n=max(cfg.n, 1000),
-                                                                        seed=cfg.seed).value
-                                                    if self.region.constraints
-                                                    else self.region.box_volume) - np.log(m)),
+                    "log_node_weight": float(log_mu - np.log(m)),
                 })
         self._shared["levels"] = levels
         return levels
@@ -157,9 +170,12 @@ class NascentMD:
         """Normalized density weights at level i (they sum to 1)."""
         return softmax(self.k * self._level_log_tau(i))
 
+    def _key(self) -> tuple[float, str]:
+        return self.k, type(self.tau).__name__
+
     def log_Z(self) -> float:
         """log of the normalizer at the finest level, cached per k."""
-        key = (self.k, type(self.tau).__name__)
+        key = self._key()
         cache = self._shared["logZ"]
         if key not in cache:
             levels = self._levels()
@@ -195,10 +211,15 @@ class NascentMD:
     def density(self, x):
         return np.exp(self.log_density(x))
 
-    def grad_density(self, x) -> np.ndarray:
-        """Gradient of m^(k): k m^(k) grad(tau)/tau."""
+    def _one_point(self, x) -> np.ndarray:
         pts, _ = _as_points(x, self.region.dim)
-        x0 = pts[0]
+        if pts.shape[0] != 1:
+            raise ValueError(f"expected a single point, got a batch of {pts.shape[0]}")
+        return pts[0]
+
+    def grad_density(self, x) -> np.ndarray:
+        """Gradient of m^(k): k m^(k) grad(tau)/tau, at a single point."""
+        x0 = self._one_point(x)
         g = gradient(self.objective, x0)
         dens = self.density(x0)
         if isinstance(self.tau, Exponential):
@@ -209,28 +230,61 @@ class NascentMD:
         return -self.k * dens * g / denom
 
     def ddk_density(self, x) -> float:
-        """d/dk of m^(k): m^(k)(x) (log tau(x) - E(log tau))."""
-        pts, _ = _as_points(x, self.region.dim)
-        x0 = pts[0]
+        """d/dk of m^(k) at a single point: m^(k)(x) (log tau(x) - E(log tau))."""
+        x0 = self._one_point(x)
         return self.density(x0) * (self.log_tau(x0) - self.expect_log_tau().value)
 
     # --- expectations --------------------------------------------------------
 
-    def _expect_values(self, per_level: Callable[[dict, int], np.ndarray],
-                       kind: str) -> Expectation:
-        levels = self._levels()
-        vals = []
-        for i, level in enumerate(levels):
-            vals.append(float(np.dot(self._weights(i), per_level(level, i))))
+    def _estimate(self, vals: list[float], w: np.ndarray, h: np.ndarray,
+                  kind: str) -> Expectation:
+        """The finest-level value of per-level averages ``vals`` with its error.
+
+        ``w`` and ``h`` are the finest level's weights and integrand values,
+        used by the Monte Carlo 3-sigma error.
+        """
         if self.integrator.kind == "grid" and len(vals) > 1:
             err = abs(vals[-1] - vals[-2])
         elif self.integrator.kind == "mc":
-            w = self._weights(len(levels) - 1)
-            h = per_level(levels[-1], len(levels) - 1)
             err = 3.0 * float(np.sqrt(np.sum(w ** 2 * (h - vals[-1]) ** 2)))
         else:
             err = abs(vals[-1]) * 1e-12
         return Expectation(vals[-1], err, self.k, kind)
+
+    def _expect_values(self, per_level: Callable[[dict, int], np.ndarray],
+                       kind: str) -> Expectation:
+        vals = []
+        for i, level in enumerate(self._levels()):
+            w = self._weights(i)
+            h = per_level(level, i)
+            vals.append(float(np.dot(w, h)))
+        return self._estimate(vals, w, h, kind)
+
+    def moments(self) -> Moments:
+        """E f, E f^2, E log tau and E x from one weight pass per level.
+
+        Cached per (k, tau kind) and shared by ``with_k`` clones.
+        """
+        key = self._key()
+        cache = self._shared["moments"]
+        if key not in cache:
+            ef, ef2, elt, ex = [], [], [], []
+            for i, level in enumerate(self._levels()):
+                w = self._weights(i)
+                f, f2, lt = level["f"], level["f"] ** 2.0, self._level_log_tau(i)
+                ef.append(float(np.dot(w, f)))
+                ef2.append(float(np.dot(w, f2)))
+                elt.append(float(np.dot(w, lt)))
+                ex.append(w @ level["nodes"])
+            ex[-1].setflags(write=False)
+            x_err = float(np.linalg.norm(ex[-1] - ex[-2])) if len(ex) > 1 else 0.0
+            cache[key] = Moments(
+                f=self._estimate(ef, w, f, "f^1"),
+                f2=self._estimate(ef2, w, f2, "f^2"),
+                log_tau=self._estimate(elt, w, lt, "log_tau"),
+                x=ex[-1], x_error=x_err,
+            )
+        return cache[key]
 
     def expectation(self, h: Callable[[np.ndarray], np.ndarray] | None = None,
                     nu: float = 1.0, shift=None) -> Expectation:
@@ -261,11 +315,10 @@ class NascentMD:
         return vals ** nu
 
     def expect_f(self) -> Expectation:
-        return self.expectation()
+        return self.moments().f
 
     def expect_log_tau(self) -> Expectation:
-        return self._expect_values(lambda level, i: self._level_log_tau(i),
-                                   kind="log_tau")
+        return self.moments().log_tau
 
     def log_expect_tau(self) -> tuple[float, float]:
         """(log E^(k)(tau), absolute error of E^(k)(tau)); fully log-stable."""
@@ -279,19 +332,13 @@ class NascentMD:
 
     def variance_f(self) -> Expectation:
         """Var^(k)(f) = E(f^2) - E(f)^2, clamped at zero."""
-        ef = self.expect_f()
-        ef2 = self.expectation(nu=2.0)
+        mom = self.moments()
+        ef, ef2 = mom.f, mom.f2
         value = max(ef2.value - ef.value ** 2, 0.0)
         err = ef2.error + 2.0 * abs(ef.value) * ef.error
         return Expectation(value, err, self.k, "var_f")
 
     def mean_location(self, with_error: bool = False):
         """Component-wise E^(k)(x); optionally also the error norm."""
-        levels = self._levels()
-        means = []
-        for i, level in enumerate(levels):
-            means.append(self._weights(i) @ level["nodes"])
-        if not with_error:
-            return means[-1]
-        err = float(np.linalg.norm(means[-1] - means[-2])) if len(means) > 1 else 0.0
-        return means[-1], err
+        mom = self.moments()
+        return (mom.x.copy(), mom.x_error) if with_error else mom.x.copy()

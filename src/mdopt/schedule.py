@@ -44,8 +44,6 @@ class TraceRecord:
     Ef_error: float
     Varf: float
     mean_x: np.ndarray
-    D0_measure: Optional[float] = None
-    Df_measure: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,6 @@ def run_continuation(obj: Objective, region: CompactRegion,
         trace=trace,
         stop_reason=stop_reason,
     )
-
-
-TRACE_COLUMNS = ("stage", "k", "Ef", "Ef_error", "Varf", "mean_x")
 
 
 def trace_to_rows(result: MinimizeResult) -> tuple[list[str], list[list]]:

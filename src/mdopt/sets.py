@@ -58,15 +58,6 @@ class SignificantSet:
 
 
 @dataclass(frozen=True)
-class ShrinkRateSample:
-    x: np.ndarray
-    k: float
-    theoretical: float
-    empirical: float
-    delta_k: float
-
-
-@dataclass(frozen=True)
 class BasinReport:
     minimizers: list[np.ndarray]
     radius: float

@@ -140,3 +140,21 @@ def test_byte_identical_reruns(runner, tmp_path):
             a = a.replace(str(outs[0]).encode(), b"OUT")
             b = b.replace(str(outs[1]).encode(), b"OUT")
         assert a == b, fname
+
+
+@pytest.mark.parametrize("extra", [["--grid", "64"], ["--mc", "1000"],
+                                   ["--tau", "rational"], ["--p", "2"]])
+def test_useq_rejects_density_options(runner, tmp_path, extra):
+    result = runner.invoke(main, ["useq", "--function", "paper2d", "--resolution", "64",
+                                  *extra, "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2
+    assert extra[0] in result.output
+    assert not (tmp_path / "run").exists()
+
+
+def test_useq_records_seed(runner, tmp_path):
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["useq", "--function", "paper2d", "--resolution", "64",
+                                  "--seed", "5", "--out", str(out)])
+    assert result.exit_code == 0
+    assert json.loads((out / "config.json").read_text())["seed"] == 5

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from mdopt.integrate import IntegratorConfig, integrate
 from mdopt.nmd import DomainError, Exponential, InvalidShiftError, NascentMD, Rational
@@ -212,3 +213,41 @@ def test_mass_concentration(paper1d_md, paper1d_oracle):
 def test_with_k_shares_caches(paper1d_md):
     m2 = paper1d_md.with_k(5.0)
     assert m2._shared is paper1d_md._shared
+
+
+@pytest.mark.parametrize("method", ["grad_density", "ddk_density"])
+def test_pointwise_derivatives_reject_batches(paper1d_md, method):
+    m = paper1d_md.with_k(3.0)
+    single = getattr(m, method)(np.array([1.0]))
+    assert np.array_equal(getattr(m, method)(np.array([[1.0]])), single)
+    with pytest.raises(ValueError, match="single point"):
+        getattr(m, method)(np.array([[1.0], [2.0]]))
+
+
+@pytest.mark.parametrize("tau", [Exponential(), Rational(p=1.0)])
+@pytest.mark.parametrize("integrator", [IntegratorConfig(kind="grid", resolution=64),
+                                        IntegratorConfig(kind="mc", n=4000, seed=3)])
+def test_moments_record_matches_generic_path(tau, integrator):
+    obj, region = catalog_get("paper2d")
+    base = NascentMD(obj, region, tau=tau, k=1.0, integrator=integrator)
+    for k in (2.0, 7.0):
+        m = base.with_k(k)
+        ef = m.expectation()
+        ef2 = m.expectation(nu=2.0)
+        elt = m._expect_values(lambda level, i: m._level_log_tau(i), kind="log_tau")
+        for got, want in ((m.expect_f(), ef), (m.expect_log_tau(), elt)):
+            assert (got.value, got.error, got.k) == (want.value, want.error, k)
+        var = m.variance_f()
+        assert var.value == max(ef2.value - ef.value ** 2, 0.0)
+        assert var.error == ef2.error + 2.0 * abs(ef.value) * ef.error
+
+        mean, mean_err = m.mean_location(with_error=True)
+        coords = [m.expectation(h=lambda p, j=j: p[:, j]) for j in range(region.dim)]
+        assert mean == pytest.approx([c.value for c in coords], rel=1e-13)
+        levels = m._levels()
+        means = [softmax(k * m._level_log_tau(i)) @ lv["nodes"] for i, lv in enumerate(levels)]
+        assert mean_err == pytest.approx(float(np.linalg.norm(means[-1] - means[-2])),
+                                         rel=1e-12)
+        # one record per k, shared by every clone at that k
+        assert base.with_k(k).moments() is m.moments()
+    assert base.with_k(2.0).moments() is not base.with_k(7.0).moments()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdopt.integrate import IntegratorConfig
+from mdopt import nmd
 from mdopt.nmd import Rational
 from mdopt.objective import catalog_get
 from mdopt.schedule import (ContinuationConfig, run_continuation, trace_to_rows)
@@ -86,3 +87,18 @@ def test_config_validation():
         ContinuationConfig(growth=1.0)
     with pytest.raises(ValueError):
         ContinuationConfig(max_stages=0)
+
+
+def test_one_weight_pass_per_level_per_stage(monkeypatch):
+    calls = []
+    softmax = nmd.softmax
+
+    def counting(x):
+        calls.append(x.shape)
+        return softmax(x)
+    monkeypatch.setattr(nmd, "softmax", counting)
+    obj, region = catalog_get("paper2d")
+    result = run_continuation(obj, region)
+    levels = nmd.NascentMD(obj, region).integrator.refinement_levels
+    assert levels == 2
+    assert len(calls) == levels * len(result.trace)
