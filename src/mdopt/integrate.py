@@ -1,22 +1,22 @@
-"""Quadrature and Monte Carlo over a region, with a log-domain variant.
+"""Quadrature node sets over a region, integration, and a log-domain variant.
 
-Grid integration is a midpoint rule on the member nodes of a cell-centered
-mesh; the reported error is the difference between the two finest refinement
-levels.  Monte Carlo is plain box sampling with indicator filtering and a
-3-sigma standard-error bound.  ``log_integrate_exp`` is the max-shifted
-log-sum used by every density normalization, so that exponentially peaked
-integrands never overflow.
+``levels`` builds every node set that ``integrate``, ``log_integrate_exp`` and
+the density engine use: the member nodes of cell-centered grid meshes
+(midpoint rule; error from the two finest levels), or prefixes of one seeded
+uniform member sample weighted mu/n (Monte Carlo; 3-sigma error, plus the
+measure's own on constrained regions).  ``log_integrate_exp`` is max-shifted,
+so exponentially peaked integrands never overflow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .region import CompactRegion, EmptyRegionError
+from .region import CompactRegion, EmptyRegionError, GridMesh, MeasureEstimate
 
 
 class DegenerateIntegrandError(ValueError):
@@ -75,60 +75,71 @@ class Estimate:
     error: float
 
 
+@dataclass(frozen=True)
+class Level:
+    """Member nodes, log node weight, and grid mesh (``None`` for Monte Carlo)."""
+
+    nodes: np.ndarray
+    log_node_weight: float
+    mesh: GridMesh | None
+
+
+def levels(region: CompactRegion,
+           cfg: IntegratorConfig | None = None) -> tuple[list[Level], MeasureEstimate]:
+    """Quadrature levels, coarsest first, and the region's measure mu.
+
+    Grid: one mesh per rung of the resolution ladder, mu from the finest one.
+    Monte Carlo: the first n/2 and all n points of one uniform member sample,
+    with mu from a Monte Carlo measure of the same seed.
+    """
+    cfg = cfg or default_config(region.dim)
+    if cfg.kind == "mc":
+        pts = region.sample_uniform(cfg.n, cfg.seed)
+        mu = region.measure(mc_n=max(cfg.n, 1000), seed=cfg.seed)
+        return [Level(pts[:m], float(np.log(mu.value) - np.log(m)), None)
+                for m in (cfg.n // 2, cfg.n)], mu
+    out = []
+    for res in cfg.resolutions(region.dim):
+        mesh = region.build_grid(res)
+        if mesh.nodes.shape[0] == 0:
+            raise EmptyRegionError("no member nodes at grid resolution")
+        out.append(Level(mesh.nodes, float(np.log(mesh.cell_volume)), mesh))
+    if not region.constraints:
+        return out, MeasureEstimate(region.box_volume, 0.0)
+    vols = [lv.mesh.cell_volume * lv.nodes.shape[0] for lv in out]
+    return out, MeasureEstimate(vols[-1], abs(vols[-1] - vols[-2]) if len(vols) > 1 else 0.0)
+
+
 def integrate(region: CompactRegion, integrand: Callable[[np.ndarray], np.ndarray],
               cfg: IntegratorConfig | None = None) -> Estimate:
     """Integral of a vectorized integrand over the region."""
     cfg = cfg or default_config(region.dim)
-    if cfg.kind == "grid":
-        values = []
-        for res in cfg.resolutions(region.dim):
-            mesh = region.build_grid(res)
-            if mesh.nodes.shape[0] == 0:
-                raise EmptyRegionError("no member nodes at grid resolution")
-            vals = np.asarray(integrand(mesh.nodes), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise IntegrandError("non-finite integrand value on a member point")
-            values.append(mesh.cell_volume * float(np.sum(vals)))
-        err = abs(values[-1] - values[-2]) if len(values) > 1 else abs(values[-1]) * 1e-12
-        return Estimate(values[-1], err)
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    pts = region.lower + rng.random((cfg.n, region.dim)) * (region.upper - region.lower)
-    inside = np.asarray(region.contains(pts)) if region.constraints else np.ones(cfg.n, bool)
-    contrib = np.zeros(cfg.n)
-    if np.any(inside):
-        vals = np.asarray(integrand(pts[inside]), dtype=float)
+    nodesets, mu = levels(region, cfg)
+    if cfg.kind == "mc":
+        nodesets = nodesets[-1:]
+    values = []
+    for level in nodesets:
+        vals = np.asarray(integrand(level.nodes), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise IntegrandError("non-finite integrand value on a member point")
-        contrib[inside] = vals
-    vol = region.box_volume
-    mean = float(np.mean(contrib))
-    sem = float(np.std(contrib, ddof=1) / np.sqrt(cfg.n))
-    return Estimate(vol * mean, 3.0 * vol * sem)
+        values.append(float(np.exp(level.log_node_weight) * np.sum(vals)))
+    if cfg.kind == "mc":
+        sem = float(np.std(vals, ddof=1) / np.sqrt(vals.shape[0]))
+        err = 3.0 * mu.value * sem + abs(values[-1]) / mu.value * mu.error
+    elif len(values) > 1:
+        err = abs(values[-1] - values[-2])
+    else:
+        err = abs(values[-1]) * 1e-12
+    return Estimate(values[-1], err)
 
 
 def log_integrate_exp(region: CompactRegion,
                       log_integrand: Callable[[np.ndarray], np.ndarray],
                       cfg: IntegratorConfig | None = None) -> float:
-    """log of the integral of exp(log_integrand), max-shifted for stability."""
-    cfg = cfg or default_config(region.dim)
-    if cfg.kind == "grid":
-        res = cfg.resolutions(region.dim)[-1]
-        mesh = region.build_grid(res)
-        if mesh.nodes.shape[0] == 0:
-            raise EmptyRegionError("no member nodes at grid resolution")
-        ell = np.asarray(log_integrand(mesh.nodes), dtype=float)
-        return log_weighted_sum_exp(ell, np.log(mesh.cell_volume))
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    pts = region.lower + rng.random((cfg.n, region.dim)) * (region.upper - region.lower)
-    inside = np.asarray(region.contains(pts)) if region.constraints else np.ones(cfg.n, bool)
-    if not np.any(inside):
-        raise DegenerateIntegrandError("no member points in Monte Carlo sample")
-    ell = np.asarray(log_integrand(pts[inside]), dtype=float)
-    return log_weighted_sum_exp(ell, np.log(region.box_volume) - np.log(cfg.n))
-
-
-def log_weighted_sum_exp(ell: np.ndarray, log_weight: float) -> float:
-    """log(sum w * exp(ell)) with a shared scalar log-weight."""
+    """log of the integral of exp(log_integrand) on the finest level, max-shifted."""
+    cfg = replace(cfg or default_config(region.dim), refinement_levels=1)
+    finest = levels(region, cfg)[0][-1]
+    ell = np.asarray(log_integrand(finest.nodes), dtype=float)
     if np.all(np.isneginf(ell)):
         raise DegenerateIntegrandError("all log-integrand values are -inf")
-    return float(logsumexp(ell) + log_weight)
+    return float(logsumexp(ell) + finest.log_node_weight)

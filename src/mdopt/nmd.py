@@ -2,12 +2,14 @@
 
 tau is a positive, decreasing transform of f (exponential e^{-f} or the
 rational 1/(f - L + p)), so m^(k) concentrates on the global minimizers as k
-grows.  Everything is evaluated in log space: Z(k) is a max-shifted log-sum
-over the quadrature nodes, and expectations are softmax-weighted node
-averages.  Node sets, f values, log Z and the per-k ``Moments`` record are
-cached and shared between ``with_k`` clones, so a k-continuation run pays the
-function evaluations once and one softmax weight pass per level per k: that
-pass yields E f, E f^2, E log tau and E x together.
+grows.  Each tau kind owns ``log_tau(f)``, ``dlog_tau_df(f)`` and
+``resolved(f)``, which fixes a data-dependent shift once.  Everything is
+evaluated in log space: Z(k) is a max-shifted log-sum over the nodes of
+``integrate.levels``, and expectations are softmax-weighted node averages.
+Node sets, f values, the resolved tau, log Z and the per-k ``Moments`` record
+are cached and shared between ``with_k`` clones, so a k-continuation run pays
+the function evaluations once and one softmax weight pass per level per k:
+that pass yields E f, E f^2, E log tau and E x together.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from .integrate import IntegratorConfig, default_config
+from .integrate import IntegratorConfig, default_config, levels as quadrature_levels
 from .objective import Objective, evaluate_batch, gradient
-from .region import CompactRegion, EmptyRegionError, _as_points
+from .region import CompactRegion, GridMesh, _as_points
 
 
 class InvalidShiftError(ValueError):
@@ -34,6 +36,16 @@ class DomainError(ValueError):
 @dataclass(frozen=True)
 class Exponential:
     """tau(x) = exp(-f(x))."""
+
+    def resolved(self, f: np.ndarray) -> "Exponential":
+        return self
+
+    def log_tau(self, f):
+        return -f
+
+    def dlog_tau_df(self, f) -> float:
+        """d log tau / df, which is -1 everywhere."""
+        return -1.0
 
 
 @dataclass(frozen=True)
@@ -50,6 +62,27 @@ class Rational:
     def __post_init__(self):
         if self.p <= 0:
             raise ValueError("rational tau needs p > 0")
+
+    def resolved(self, f: np.ndarray) -> "Rational":
+        """This kind with L fixed from node values f when it was left automatic."""
+        if self.L is not None:
+            return self
+        fmin, fmax = float(np.min(f)), float(np.max(f))
+        return Rational(self.p, fmin - max(self.p, 0.1 * (fmax - fmin)))
+
+    def _arg(self, f):
+        arg = f - self.L + self.p
+        if np.any(arg <= 0.0):
+            raise InvalidShiftError(
+                "rational tau requires f(x) - L + p > 0 on all evaluated points"
+            )
+        return arg
+
+    def log_tau(self, f):
+        return -np.log(self._arg(f))
+
+    def dlog_tau_df(self, f):
+        return -1.0 / self._arg(f)
 
 
 TauKind = Exponential | Rational
@@ -94,8 +127,8 @@ class NascentMD:
         self.tau = tau if tau is not None else Exponential()
         self.k = float(k)
         self.integrator = integrator or default_config(region.dim)
-        # shared across with_k clones: node sets, f values, shift, measure,
-        # and per-(k, tau kind) logZ and moments
+        # shared across with_k clones (one tau kind): node sets, f values,
+        # measure, resolved tau, and per-k logZ and moments
         self._shared = _shared if _shared is not None else {"logZ": {}, "moments": {}}
 
     def with_k(self, k: float) -> "NascentMD":
@@ -106,106 +139,74 @@ class NascentMD:
     # --- node caches ---------------------------------------------------------
 
     def _levels(self) -> list[dict]:
+        """``integrate.levels`` with f values; also caches mu and the resolved tau."""
         levels = self._shared.get("levels")
         if levels is not None:
             return levels
-        cfg = self.integrator
-        levels = []
-        if cfg.kind == "grid":
-            for res in cfg.resolutions(self.region.dim):
-                mesh = self.region.build_grid(res)
-                if mesh.nodes.shape[0] == 0:
-                    raise EmptyRegionError("no member nodes at grid resolution")
-                levels.append({
-                    "nodes": mesh.nodes,
-                    "f": evaluate_batch(self.objective, mesh.nodes),
-                    "log_node_weight": float(np.log(mesh.cell_volume)),
-                })
+        nodesets, mu = quadrature_levels(self.region, self.integrator)
+        if self.integrator.kind == "mc":  # levels are prefixes of one sample
+            f = evaluate_batch(self.objective, nodesets[-1].nodes)
+            fs = [f[:lv.nodes.shape[0]] for lv in nodesets]
         else:
-            pts = self.region.sample_uniform(cfg.n, cfg.seed)
-            f = evaluate_batch(self.objective, pts)
-            log_mu = np.log(self.region.measure(mc_n=max(cfg.n, 1000), seed=cfg.seed).value
-                            if self.region.constraints else self.region.box_volume)
-            for m in (cfg.n // 2, cfg.n):
-                levels.append({
-                    "nodes": pts[:m],
-                    "f": f[:m],
-                    "log_node_weight": float(log_mu - np.log(m)),
-                })
+            fs = [evaluate_batch(self.objective, lv.nodes) for lv in nodesets]
+        levels = [{"nodes": lv.nodes, "f": f, "mesh": lv.mesh,
+                   "log_node_weight": lv.log_node_weight}
+                  for lv, f in zip(nodesets, fs)]
+        self._shared["mu"] = mu.value
+        self._shared["tau"] = self.tau.resolved(fs[-1])
         self._shared["levels"] = levels
         return levels
 
-    def _shift(self) -> float:
-        """Resolved lower shift L for rational tau."""
-        if not isinstance(self.tau, Rational):
-            return 0.0
-        if self.tau.L is not None:
-            return self.tau.L
-        L = self._shared.get("shift")
-        if L is None:
-            f = self._levels()[-1]["f"]
-            fmin, fmax = float(np.min(f)), float(np.max(f))
-            L = fmin - max(self.tau.p, 0.1 * (fmax - fmin))
-            self._shared["shift"] = L
-        return L
-
-    def _log_tau_values(self, f: np.ndarray) -> np.ndarray:
-        if isinstance(self.tau, Exponential):
-            return -f
-        arg = f - self._shift() + self.tau.p
-        if np.any(arg <= 0.0):
-            raise InvalidShiftError(
-                "rational tau requires f(x) - L + p > 0 on all evaluated points"
-            )
-        return -np.log(arg)
+    def resolved_tau(self) -> TauKind:
+        """The tau kind with its shift fixed from the finest level's f values."""
+        self._levels()
+        return self._shared["tau"]
 
     def _level_log_tau(self, i: int) -> np.ndarray:
         level = self._levels()[i]
-        key = f"logtau_{type(self.tau).__name__}"
-        if key not in level:
-            level[key] = self._log_tau_values(level["f"])
-        return level[key]
+        if "log_tau" not in level:
+            level["log_tau"] = self._shared["tau"].log_tau(level["f"])
+        return level["log_tau"]
 
     def _weights(self, i: int) -> np.ndarray:
         """Normalized density weights at level i (they sum to 1)."""
         return softmax(self.k * self._level_log_tau(i))
 
-    def _key(self) -> tuple[float, str]:
-        return self.k, type(self.tau).__name__
-
     def log_Z(self) -> float:
         """log of the normalizer at the finest level, cached per k."""
-        key = self._key()
         cache = self._shared["logZ"]
-        if key not in cache:
+        if self.k not in cache:
             levels = self._levels()
             lt = self._level_log_tau(len(levels) - 1)
-            cache[key] = float(logsumexp(self.k * lt) + levels[-1]["log_node_weight"])
-        return cache[key]
+            cache[self.k] = float(logsumexp(self.k * lt) + levels[-1]["log_node_weight"])
+        return cache[self.k]
 
     def region_measure(self) -> float:
-        mu = self._shared.get("mu")
-        if mu is None:
-            if self.region.constraints:
-                res = self.integrator.resolutions(self.region.dim)[-1] \
-                    if self.integrator.kind == "grid" else 256
-                mu = self.region.measure(res).value
-            else:
-                mu = self.region.box_volume
-            self._shared["mu"] = mu
-        return mu
+        """mu(Omega) as the quadrature levels measure it."""
+        self._levels()
+        return self._shared["mu"]
+
+    def mesh_f(self, mesh: GridMesh) -> np.ndarray:
+        """f on the mesh nodes; the finest level's cached values when the mesh
+        has that level's layout (same region object, same resolution)."""
+        finest = self._levels()[-1]
+        own = finest["mesh"]
+        if own is not None and own.region is mesh.region and own.resolution == mesh.resolution:
+            return finest["f"]
+        return evaluate_batch(self.objective, mesh.nodes)
 
     # --- pointwise evaluation ------------------------------------------------
 
     def log_tau(self, x):
         """log tau at a point or (N, dim) batch."""
         pts, single = _as_points(x, self.region.dim)
-        vals = self._log_tau_values(evaluate_batch(self.objective, pts))
+        vals = self.resolved_tau().log_tau(evaluate_batch(self.objective, pts))
         return float(vals[0]) if single else vals
 
     def log_density(self, x):
         pts, single = _as_points(x, self.region.dim)
-        vals = self.k * self._log_tau_values(evaluate_batch(self.objective, pts)) - self.log_Z()
+        log_Z = self.log_Z()  # fills the node caches, the resolved tau among them
+        vals = self.k * self._shared["tau"].log_tau(evaluate_batch(self.objective, pts)) - log_Z
         return float(vals[0]) if single else vals
 
     def density(self, x):
@@ -218,16 +219,11 @@ class NascentMD:
         return pts[0]
 
     def grad_density(self, x) -> np.ndarray:
-        """Gradient of m^(k): k m^(k) grad(tau)/tau, at a single point."""
+        """Gradient of m^(k): k m^(k) (d log tau/df) grad f, at a single point."""
         x0 = self._one_point(x)
         g = gradient(self.objective, x0)
         dens = self.density(x0)
-        if isinstance(self.tau, Exponential):
-            return -self.k * dens * g
-        denom = self.objective(x0) - self._shift() + self.tau.p
-        if denom <= 0.0:
-            raise InvalidShiftError("rational tau undefined at point")
-        return -self.k * dens * g / denom
+        return self.k * dens * self.resolved_tau().dlog_tau_df(self.objective(x0)) * g
 
     def ddk_density(self, x) -> float:
         """d/dk of m^(k) at a single point: m^(k)(x) (log tau(x) - E(log tau))."""
@@ -263,11 +259,10 @@ class NascentMD:
     def moments(self) -> Moments:
         """E f, E f^2, E log tau and E x from one weight pass per level.
 
-        Cached per (k, tau kind) and shared by ``with_k`` clones.
+        Cached per k and shared by ``with_k`` clones.
         """
-        key = self._key()
         cache = self._shared["moments"]
-        if key not in cache:
+        if self.k not in cache:
             ef, ef2, elt, ex = [], [], [], []
             for i, level in enumerate(self._levels()):
                 w = self._weights(i)
@@ -278,13 +273,13 @@ class NascentMD:
                 ex.append(w @ level["nodes"])
             ex[-1].setflags(write=False)
             x_err = float(np.linalg.norm(ex[-1] - ex[-2])) if len(ex) > 1 else 0.0
-            cache[key] = Moments(
+            cache[self.k] = Moments(
                 f=self._estimate(ef, w, f, "f^1"),
                 f2=self._estimate(ef2, w, f2, "f^2"),
                 log_tau=self._estimate(elt, w, lt, "log_tau"),
                 x=ex[-1], x_error=x_err,
             )
-        return cache[key]
+        return cache[self.k]
 
     def expectation(self, h: Callable[[np.ndarray], np.ndarray] | None = None,
                     nu: float = 1.0, shift=None) -> Expectation:

@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .nmd import Exponential, NascentMD, Rational
-from .objective import evaluate_batch, gradient
+from .nmd import NascentMD
+from .objective import gradient
 from .region import GridMesh
 
 
@@ -70,25 +70,26 @@ def extract_set(m: NascentMD, kind: SetKind, mesh: GridMesh) -> SignificantSet:
 
     Inequalities are inclusive; threshold ties are members, so comparisons
     carry a machine-precision slack (exact ties such as m^(0) = 1/mu land a
-    few ulps off after the log-domain round trip).
+    few ulps off after the log-domain round trip).  f comes from the density's
+    finest level when the mesh has that level's layout.
     """
     kind = SetKind(kind)
-    nodes = mesh.nodes
+    f = m.mesh_f(mesh)
     if kind is SetKind.DF:
         thr = m.expect_f().value
         tie = 1e-12 * max(1.0, abs(thr))
-        mask = evaluate_batch(m.objective, nodes) <= thr + tie
+        mask = f <= thr + tie
     elif kind is SetKind.DTAU:
         log_thr, _ = m.log_expect_tau()
         tie = 1e-12 * max(1.0, abs(log_thr))
-        mask = m.log_tau(nodes) >= log_thr - tie
+        mask = m.resolved_tau().log_tau(f) >= log_thr - tie
         thr = float(np.exp(log_thr))
     else:
         mu = m.region_measure()
         thr = 1.0 / mu
         log_thr = -np.log(mu)
         tie = 1e-12 * max(1.0, abs(log_thr), abs(m.log_Z()))
-        mask = m.log_density(nodes) >= log_thr - tie
+        mask = m.k * m.resolved_tau().log_tau(f) - m.log_Z() >= log_thr - tie
     return SignificantSet(
         kind=kind, k=m.k, mesh=mesh, mask=mask,
         measure=float(mesh.cell_volume * np.count_nonzero(mask)),
@@ -110,7 +111,7 @@ def equivalence_check_dtau(m: NascentMD, mesh: GridMesh) -> int:
     The two conditions are analytically the same set; disagreements are only
     counted outside a band of twice the threshold's integrator error.
     """
-    lt = m.log_tau(mesh.nodes)
+    lt = m.resolved_tau().log_tau(m.mesh_f(mesh))
     log_thr_a, err_tau = m.log_expect_tau()
     m_next = m.with_k(m.k + 1.0)
     log_thr_b = m_next.log_Z() - m.log_Z()
@@ -178,31 +179,25 @@ def boundary_points(sset: SignificantSet, rel_tol: float = 1e-10) -> list[np.nda
     return points
 
 
-def _grad_tau_parts(m: NascentMD, x):
-    """Returns (tau(x), log tau(x), |grad tau|, grad f) for either tau kind."""
-    g = gradient(m.objective, x)
-    lt = m.log_tau(x)
-    if isinstance(m.tau, Exponential):
-        grad_tau_norm = np.exp(lt) * np.linalg.norm(g)
-    else:
-        denom = m.objective(x) - m._shift() + m.tau.p
-        grad_tau_norm = np.linalg.norm(g) / denom ** 2
-    return np.exp(lt), lt, grad_tau_norm, g
+def _tau_at(m: NascentMD, x) -> tuple[float, float]:
+    """(log tau(x), d log tau/df at x) for a single point."""
+    tau = m.resolved_tau()
+    f = m.objective(x)
+    return tau.log_tau(f), tau.dlog_tau_df(f)
 
 
 def shrink_rate_theoretical(m: NascentMD, x) -> float:
-    """Limiting boundary speed |dx|/dk at a point of the D0 boundary.
+    """Limiting boundary speed |dx|/dk at a point of the D0 boundary:
+    |E^(k)(log tau) - log tau(x)| / (k |d log tau/df| |grad f(x)|).
 
-    Exponential tau: |E^(k)(f) - f(x)| / (k |grad f(x)|); general tau uses
-    tau(x) |E^(k)(log tau) - log tau(x)| / (k |grad tau(x)|).
+    For exponential tau this is |E^(k)(f) - f(x)| / (k |grad f(x)|).
     """
     g = gradient(m.objective, x)
-    if np.linalg.norm(g) < 1e-8:
+    gn = np.linalg.norm(g)
+    if gn < 1e-8:
         raise NearCriticalPointError("gradient vanishes; shrink rate undefined")
-    if isinstance(m.tau, Exponential):
-        return abs(m.expect_f().value - m.objective(x)) / (m.k * np.linalg.norm(g))
-    tau_x, lt, grad_tau_norm, _ = _grad_tau_parts(m, x)
-    return tau_x * abs(m.expect_log_tau().value - lt) / (m.k * grad_tau_norm)
+    lt, dlt = _tau_at(m, x)
+    return abs(m.expect_log_tau().value - lt) / (m.k * abs(dlt) * gn)
 
 
 def solve_boundary_move(m: NascentMD, x, delta_k: float) -> tuple[float, np.ndarray]:
@@ -246,16 +241,13 @@ def shrink_rate_empirical(m: NascentMD, x, delta_k: float) -> float:
 
 
 def descent_rate(m: NascentMD, x) -> float:
-    """Limiting objective decrease per unit k as the D0 boundary moves inward.
+    """Limiting objective decrease per unit k as the D0 boundary moves inward:
+    (E^(k)(log tau) - log tau(x)) / (k |d log tau/df|).
 
     Exponential tau: (f(x) - E^(k)(f)) / k.
     """
-    if isinstance(m.tau, Exponential):
-        return (m.objective(x) - m.expect_f().value) / m.k
-    _, lt, _, g = _grad_tau_parts(m, x)
-    denom = m.objective(x) - m._shift() + m.tau.p
-    # sign fixed so the exponential special case (f - E)/k is recovered
-    return denom / m.k * (m.expect_log_tau().value - lt)
+    lt, dlt = _tau_at(m, x)
+    return (m.expect_log_tau().value - lt) / (m.k * abs(dlt))
 
 
 def basin_masses(m: NascentMD, minimizers, radius: float) -> BasinReport:

@@ -3,14 +3,19 @@ import pytest
 from scipy.special import erf
 
 from mdopt.integrate import (DegenerateIntegrandError, Estimate, IntegratorConfig,
-                             default_config, integrate, log_integrate_exp)
-from mdopt.region import box
+                             default_config, integrate, levels, log_integrate_exp)
+from mdopt.nmd import NascentMD
+from mdopt.objective import Objective
+from mdopt.region import CompactRegion, box
 
 import oracles
 
 
 UNIT = box(0.0, 1.0)
 FIVE = box(0.0, 5.0)
+# disk of radius 1/2 centred in the unit square, area pi/4
+DISK = CompactRegion(np.zeros(2), np.ones(2),
+                     (lambda p: 0.25 - np.sum((p - 0.5) ** 2, axis=1),))
 
 
 def test_constant_integral():
@@ -98,3 +103,42 @@ def test_config_validation():
         IntegratorConfig(kind="mc", n=10)
     with pytest.raises(ValueError):
         IntegratorConfig(refinement_levels=0)
+
+
+@pytest.mark.parametrize("cfg", [IntegratorConfig(kind="grid", resolution=256),
+                                 IntegratorConfig(kind="mc", n=20_000, seed=4)],
+                         ids=["grid", "mc"])
+def test_constrained_measure_and_normalization(cfg):
+    obj = Objective(name="bowl", dim=2, fn=lambda p: np.sum((p - 0.3) ** 2, axis=1))
+    m = NascentMD(obj, DISK, k=3.0, integrator=cfg)
+    nodesets, mu = levels(DISK, cfg)
+    finest = nodesets[-1]
+    assert m.region_measure() == mu.value
+    assert mu.value == pytest.approx(np.exp(finest.log_node_weight) * finest.nodes.shape[0],
+                                     rel=1e-12)
+    assert abs(mu.value - np.pi / 4.0) <= max(mu.error, 1e-3)
+    est = integrate(DISK, m.density, cfg)
+    assert abs(est.value - 1.0) <= est.error
+
+
+def test_constrained_grid_vs_mc_agreement():
+    f = lambda p: 1.0 + p[:, 0] ** 2
+    grid = integrate(DISK, f, IntegratorConfig(kind="grid", resolution=512))
+    mc = integrate(DISK, f, IntegratorConfig(kind="mc", n=50_000, seed=2))
+    assert abs(grid.value - mc.value) <= grid.error + mc.error
+    # the Monte Carlo error carries the measure's own 3-sigma term
+    mu = DISK.measure(mc_n=50_000, seed=2)
+    assert mc.error > abs(mc.value) / mu.value * mu.error > 0.0
+
+
+def test_ball_4d_measure_builds_no_grid(monkeypatch):
+    ball = CompactRegion(-np.ones(4), np.ones(4), (lambda p: 1.0 - np.sum(p ** 2, axis=1),))
+
+    def no_grid(self, resolution):
+        raise AssertionError("a 4-d Monte Carlo density must not build a grid")
+    monkeypatch.setattr(CompactRegion, "build_grid", no_grid)
+    obj = Objective(name="sq4", dim=4, fn=lambda p: np.sum(p ** 2, axis=1))
+    m = NascentMD(obj, ball, k=1.0)
+    assert m.integrator.kind == "mc"
+    err = ball.measure(mc_n=m.integrator.n, seed=m.integrator.seed).error
+    assert abs(m.region_measure() - np.pi ** 2 / 2.0) <= err

@@ -39,6 +39,23 @@ def test_log_tau_rational_at_minimum(paper1d_oracle):
     assert m.log_tau(np.array([xs])) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("tau", [Exponential(), Rational(p=0.5, L=-1.0)])
+def test_dlog_tau_df_matches_central_difference(tau):
+    f = np.linspace(-0.4, 3.0, 9)
+    h = 1e-6
+    fd = (tau.log_tau(f + h) - tau.log_tau(f - h)) / (2.0 * h)
+    assert np.allclose(tau.dlog_tau_df(f), fd, rtol=1e-7, atol=0.0)
+
+
+def test_rational_shift_resolved_from_finest_level():
+    obj, region = catalog_get("paper1d")
+    m = NascentMD(obj, region, tau=Rational(p=1.0), k=2.0, integrator=GRID_1D)
+    f = m._levels()[-1]["f"]
+    fmin, fmax = float(np.min(f)), float(np.max(f))
+    assert m.resolved_tau() == Rational(p=1.0, L=fmin - max(1.0, 0.1 * (fmax - fmin)))
+    assert m.with_k(5.0).resolved_tau() is m.resolved_tau()
+
+
 def test_rational_invalid_shift():
     obj, region = catalog_get("paper1d")
     m = NascentMD(obj, region, tau=Rational(p=0.1, L=10.0), k=1.0, integrator=GRID_1D)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -231,3 +233,48 @@ def test_basin_mass_overlap_rejected(paper1d_md):
 def test_basin_mass_boundary_rejected(paper1d_md):
     with pytest.raises(BasinError):
         basin_masses(paper1d_md, [[0.1]], 0.25)
+
+
+def test_rational_rates_match_closed_forms(paper1d_mesh):
+    obj, region = catalog_get("paper1d")
+    m = NascentMD(obj, region, tau=Rational(p=1.0), k=8.0, integrator=GRID_1D)
+    tau = m.resolved_tau()
+    elt = m.expect_log_tau().value
+    pts = boundary_points(extract_set(m, SetKind.D0, paper1d_mesh))
+    assert len(pts) > 0
+    for x in pts:
+        # tau = 1/(f - L + p): the closed forms in terms of tau and |grad tau|
+        denom = obj(x) - tau.L + tau.p
+        lt = -np.log(denom)
+        grad_tau_norm = np.linalg.norm(gradient(obj, x)) / denom ** 2
+        theo = np.exp(lt) * abs(elt - lt) / (m.k * grad_tau_norm)
+        assert shrink_rate_theoretical(m, x) == pytest.approx(theo, rel=1e-12)
+        assert descent_rate(m, x) == pytest.approx(denom / m.k * (elt - lt), rel=1e-12)
+
+
+def test_extract_set_reuses_finest_level_f():
+    obj, region = catalog_get("paper1d")
+    calls = []
+
+    def fn(p):
+        calls.append(p.shape[0])
+        return obj.fn(p)
+    counted = dataclasses.replace(obj, fn=fn)
+    base = NascentMD(counted, region, k=1.0,
+                     integrator=IntegratorConfig(kind="grid", resolution=1024))
+    base.region_measure()  # fills the node caches
+    twin = type(region)(region.lower, region.upper)  # same layout, another object
+    cases = [(region.build_grid(1024), 0), (region.build_grid(300), 1),
+             (twin.build_grid(1024), 1)]
+    masks = {}
+    for mesh, evals_per_call in cases:
+        for k in (1.0, 4.0):
+            for kind in SetKind:
+                before = len(calls)
+                s = extract_set(base.with_k(k), kind, mesh)
+                assert len(calls) - before == evals_per_call
+                if mesh.resolution == (1024,):
+                    masks.setdefault((k, kind), []).append(s.mask)
+    # cached and freshly evaluated f give the same sets
+    for first, second in masks.values():
+        assert np.array_equal(first, second)
