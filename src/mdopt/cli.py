@@ -47,16 +47,12 @@ def _write_json(path: Path, payload):
 
 def _rle(mask: np.ndarray) -> list[list[int]]:
     """Run-length encode a boolean vector as [value, run_length] pairs."""
-    out = []
-    for v in mask.astype(int):
-        if out and out[-1][0] == v:
-            out[-1][1] += 1
-        else:
-            out.append([int(v), 1])
-    return out
+    v = mask.astype(int)
+    starts = np.flatnonzero(np.diff(v, prepend=-1))
+    return [[int(v[i]), int(n)] for i, n in zip(starts, np.diff(starts, append=v.size))]
 
 
-def _resolve(function, tau, p, grid, mc, seed):
+def _resolve(function, tau="exp", p=1.0, grid=None, mc=None, seed=0):
     try:
         obj, region = catalog_get(function)
     except UnknownFunctionError:
@@ -80,16 +76,19 @@ def _config_payload(**kw):
     return out
 
 
-def common_options(f):
-    opts = [
-        click.option("--function", required=True, help="catalog function name"),
-        click.option("--tau", type=click.Choice(["exp", "rational"]), default="exp",
-                     show_default=True, help="density transform kind"),
-        click.option("--p", type=float, default=1.0, show_default=True,
-                     help="rational transform offset"),
-        click.option("--grid", type=int, default=None,
-                     help="grid resolution per axis (default picked per dimension)"),
-        click.option("--mc", type=int, default=None, help="Monte Carlo sample count"),
+def common_options(f, density: bool = True):
+    opts = [click.option("--function", required=True, help="catalog function name")]
+    if density:
+        opts += [
+            click.option("--tau", type=click.Choice(["exp", "rational"]), default="exp",
+                         show_default=True, help="density transform kind"),
+            click.option("--p", type=float, default=1.0, show_default=True,
+                         help="rational transform offset"),
+            click.option("--grid", type=int, default=None,
+                         help="grid resolution per axis (default picked per dimension)"),
+            click.option("--mc", type=int, default=None, help="Monte Carlo sample count"),
+        ]
+    opts += [
         click.option("--seed", type=int, default=0, show_default=True),
         click.option("--out", type=click.Path(path_type=Path), default=Path("out"),
                      show_default=True, help="output directory"),
@@ -179,9 +178,8 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k_list, profile_res):
             masks.append({"k": k, "kind": kind.value,
                           "resolution": list(mesh.resolution),
                           "rle": _rle(s.mask)})
-        dens = np.exp(m.log_density(prof_mesh.nodes))
-        for node, d in zip(prof_mesh.nodes, dens):
-            profile_rows.append([k, *node.tolist(), float(d)])
+        dens = np.exp(m.k * m.resolved_tau().log_tau(m.mesh_f(prof_mesh)) - m.log_Z())
+        profile_rows += [[k, *node.tolist(), float(d)] for node, d in zip(prof_mesh.nodes, dens)]
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "measures.csv", ["k", "kind", "measure", "threshold"], measure_rows)
     _write_json(out / "masks.json", masks)
@@ -205,16 +203,15 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     mesh_res = grid if grid is not None else integ.resolutions(region.dim)[-1][0]
     mesh = region.build_grid(mesh_res)
     d0 = sets_mod.extract_set(m, sets_mod.SetKind.D0, mesh)
-    rows = []
-    for x in sets_mod.boundary_points(d0):
-        gn = float(np.linalg.norm(gradient(obj, x)))
-        if gn <= grad_min:
-            continue
-        theo = sets_mod.shrink_rate_theoretical(m, x)
-        emp = sets_mod.shrink_rate_empirical(m, x, dk)
-        rows.append([*x.tolist(), k, dk, gn, theo, emp,
-                     emp / theo if theo > 0 else float("nan"),
-                     sets_mod.descent_rate(m, x)])
+    pts = np.reshape(sets_mod.boundary_points(d0), (-1, region.dim))
+    g = gradient(obj, pts)
+    gn = np.sqrt(np.vecdot(g, g))  # BLAS dot, as np.linalg.norm of one row
+    pts, gn = pts[gn > grad_min], gn[gn > grad_min]
+    theo = sets_mod.shrink_rate_theoretical(m, pts)
+    emp = sets_mod.shrink_rate_empirical(m, pts, dk)
+    ratio = np.divide(emp, theo, out=np.full_like(theo, np.nan), where=theo > 0)
+    rows = [[*x.tolist(), k, dk, *vals] for x, *vals in
+            zip(pts, gn, theo, emp, ratio, sets_mod.descent_rate(m, pts))]
     out.mkdir(parents=True, exist_ok=True)
     coord_cols = [f"x{j}" for j in range(region.dim)]
     _write_csv(out / "shrinkrate.csv",
@@ -227,24 +224,17 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
 
 
 @main.command("useq")
-@common_options
+@functools.partial(common_options, density=False)
 @click.option("--resolution", type=int, default=None,
               help="mesh resolution per axis (default 65536 in 1-d, 1024 in 2-d)")
 @click.option("--max-iter", type=int, default=64, show_default=True)
 @click.option("--rel-tol", type=float, default=1e-6, show_default=True)
-def useq_cmd(function, tau, p, grid, mc, seed, out, resolution, max_iter, rel_tol):
+def useq_cmd(function, seed, out, resolution, max_iter, rel_tol):
     """Run the shrinking-average optimizer and write the iteration trace.
 
-    useq evaluates f on its own mesh (--resolution) and uses no density, so
-    --tau, --p, --grid and --mc do not apply and are rejected.
+    useq evaluates f on its own mesh (--resolution) and uses no density.
     """
-    given = {"--tau": tau != "exp", "--p": p != 1.0,
-             "--grid": grid is not None, "--mc": mc is not None}
-    unused = [name for name, is_set in given.items() if is_set]
-    if unused:
-        raise click.UsageError(f"useq does not take {', '.join(unused)}; "
-                               "set its mesh with --resolution")
-    obj, region, _, _ = _resolve(function, tau, p, grid, mc, seed)
+    obj, region, _, _ = _resolve(function)
     res = resolution or (2 ** 16 if region.dim == 1 else 1024)
     states, fstar = useq_mod.useq_run(obj, region, res, max_iter=max_iter,
                                       rel_tol=rel_tol)

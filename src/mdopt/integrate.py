@@ -4,8 +4,8 @@
 the density engine use: the member nodes of cell-centered grid meshes
 (midpoint rule; error from the two finest levels), or prefixes of one seeded
 uniform member sample weighted mu/n (Monte Carlo; 3-sigma error, plus the
-measure's own on constrained regions).  ``log_integrate_exp`` is max-shifted,
-so exponentially peaked integrands never overflow.
+measure's own on constrained regions).  The max-shifted ``logsumexp`` and
+``softmax`` here serve ``log_integrate_exp`` and the density engine's weights.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .region import CompactRegion, EmptyRegionError, GridMesh, MeasureEstimate
 
@@ -25,6 +24,24 @@ class DegenerateIntegrandError(ValueError):
 
 class IntegrandError(ValueError):
     """Integrand produced a non-finite value on a member point."""
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-d array, max-shifted, with the maximal terms
+    summed apart through log1p as scipy.special.logsumexp (1.17) does."""
+    a_max = np.max(a)
+    if not np.isfinite(a_max):
+        return float(a_max)
+    at_max = a == a_max
+    n_max = np.count_nonzero(at_max)
+    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max)) / n_max
+    return float(np.log1p(s) + np.log(n_max) + a_max)
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """exp(x) / sum(exp(x)) of a 1-d array, max-shifted."""
+    e = np.exp(x - np.max(x))
+    return e / np.sum(e)
 
 
 @dataclass(frozen=True)

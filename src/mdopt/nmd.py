@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
-from .integrate import IntegratorConfig, default_config, levels as quadrature_levels
+from .integrate import (IntegratorConfig, default_config, levels as quadrature_levels,
+                        logsumexp, softmax)
 from .objective import Objective, evaluate_batch, gradient
 from .region import CompactRegion, GridMesh, _as_points
 
@@ -187,12 +187,12 @@ class NascentMD:
         return self._shared["mu"]
 
     def mesh_f(self, mesh: GridMesh) -> np.ndarray:
-        """f on the mesh nodes; the finest level's cached values when the mesh
-        has that level's layout (same region object, same resolution)."""
-        finest = self._levels()[-1]
-        own = finest["mesh"]
-        if own is not None and own.region is mesh.region and own.resolution == mesh.resolution:
-            return finest["f"]
+        """f on the mesh nodes; a quadrature level's cached values when the
+        mesh has that level's layout (same region object, same resolution)."""
+        for level in self._levels():
+            own = level["mesh"]
+            if own is not None and own.region is mesh.region and own.resolution == mesh.resolution:
+                return level["f"]
         return evaluate_batch(self.objective, mesh.nodes)
 
     # --- pointwise evaluation ------------------------------------------------

@@ -67,25 +67,28 @@ def evaluate_batch(obj: Objective, xs) -> np.ndarray:
 
 def gradient(obj: Objective, x, h: float | None = None,
              region: CompactRegion | None = None) -> np.ndarray:
-    """Gradient at a point: analytic if available, else central differences.
+    """Gradient at a point or each row of an (N, dim) batch: analytic if
+    available, else central differences.
 
     ``h`` scales per axis as h*max(1, |x_j|).  When a region is given, the
     stencil must stay inside its box.
     """
-    pts, _ = _as_points(x, obj.dim)
+    pts, single = _as_points(x, obj.dim)
     if obj.grad is not None:
-        return np.asarray(obj.grad(pts), dtype=float)[0]
-    x0 = pts[0]
-    step = (_FD_STEP if h is None else h) * np.maximum(1.0, np.abs(x0))
+        g = np.asarray(obj.grad(pts), dtype=float)
+        return g[0] if single else g
+    step = (_FD_STEP if h is None else h) * np.maximum(1.0, np.abs(pts))
     if region is not None:
-        if np.any(x0 - step < region.lower) or np.any(x0 + step > region.upper):
+        outside = np.any((pts - step < region.lower) | (pts + step > region.upper), axis=1)
+        if np.any(outside):
+            x0 = pts[np.argmax(outside)]
             raise StencilError(f"point {x0} is within one step of the box boundary")
-    g = np.empty(obj.dim)
+    g = np.empty_like(pts)
     for j in range(obj.dim):
-        e = np.zeros(obj.dim)
-        e[j] = step[j]
-        g[j] = (obj((x0 + e)) - obj((x0 - e))) / (2.0 * step[j])
-    return g
+        e = np.zeros_like(pts)
+        e[:, j] = step[:, j]
+        g[:, j] = (obj(pts + e) - obj(pts - e)) / (2.0 * step[:, j])
+    return g[0] if single else g
 
 
 # --- catalog -----------------------------------------------------------------

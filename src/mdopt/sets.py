@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .nmd import NascentMD
 from .objective import gradient
-from .region import GridMesh
+from .region import GridMesh, _as_points
 
 
 class MeshMismatchError(ValueError):
@@ -123,131 +122,139 @@ def equivalence_check_dtau(m: NascentMD, mesh: GridMesh) -> int:
     return int(np.count_nonzero((cond_a != cond_b) & decisive))
 
 
+def _level_crossing(m: NascentMD, log_level: float, x0, v, lo, hi, g_lo, g_hi):
+    """Per row, t in [lo, hi] with log m^(k)(x0 + t v) = log_level, and the gap there.
+
+    Illinois false position (Dowell & Jarratt, BIT 11, 1971) from the bracket
+    ends' gaps g_lo, g_hi of opposite signs, one density call per step on the
+    rows whose gap is non-zero and bracket wider than brentq's 1e-15 + 8.9e-16 |t|.
+    """
+    s, t = (np.array(np.broadcast_to(e, len(x0)), dtype=float) for e in (lo, hi))
+    fs, ft = np.array(g_lo, dtype=float), np.array(g_hi, dtype=float)
+    live = np.arange(len(t))  # t is the latest iterate, s the retained end
+    for _ in range(100):
+        wide = np.abs(t[live] - s[live]) >= 1e-15 + 8.9e-16 * np.abs(t[live])
+        live = live[wide & (ft[live] != 0.0)]
+        if live.size == 0:
+            return t, ft
+        c = t[live] - ft[live] * (t[live] - s[live]) / (ft[live] - fs[live])
+        fc = m.log_density(x0[live] + c[:, None] * v[live]) - log_level
+        flip = fc * ft[live] < 0.0
+        s[live[flip]], fs[live[flip]] = t[live[flip]], ft[live[flip]]
+        fs[live[~flip]] *= 0.5  # same side twice: halve the retained end
+        t[live], ft[live] = c, fc
+    raise RuntimeError("level crossing did not converge in 100 steps")
+
+
+# the benchmark tracer counts and times root solves under this name
+brentq = _level_crossing
+
+
 def boundary_points(sset: SignificantSet, rel_tol: float = 1e-10) -> list[np.ndarray]:
     """Discrete boundary of D0, refined onto the exact density level set.
 
-    Finds lattice edges whose endpoints straddle the uniform density level and
-    bisects each edge until |m^(k)(x) * mu - 1| <= rel_tol.
+    Solves the level crossing on every lattice edge whose member ends straddle
+    the set (axis by axis, row-major) and keeps |m^(k)(x) * mu - 1| <= rel_tol.
     """
     if sset.kind is not SetKind.D0:
         raise ValueError("boundary extraction is defined for D0 sets only")
-    m = sset.source
-    mesh = sset.mesh
-    mu = m.region_measure()
-    log_level = -np.log(mu)
-
-    shape = mesh.resolution
-    member = mesh.lattice_mask
-    lattice_mask = np.zeros(shape, dtype=bool)
-    lattice_mask[member] = sset.mask
-    idx = np.argwhere(member)
-    # lattice index -> coordinates
-    axes = mesh.axes
-
-    def node_at(ix):
-        return np.array([axes[d][ix[d]] for d in range(len(shape))])
-
-    def log_gap(x):
-        return m.log_density(x) - log_level
-
-    points: list[np.ndarray] = []
-    for d in range(len(shape)):
-        sl_a = [slice(None)] * len(shape)
-        sl_b = [slice(None)] * len(shape)
-        sl_a[d] = slice(0, shape[d] - 1)
-        sl_b[d] = slice(1, shape[d])
-        both_member = member[tuple(sl_a)] & member[tuple(sl_b)]
-        differs = lattice_mask[tuple(sl_a)] != lattice_mask[tuple(sl_b)]
-        for ix in np.argwhere(both_member & differs):
-            a = node_at(ix)
-            ixb = ix.copy()
-            ixb[d] += 1
-            b = node_at(ixb)
-            ga, gb = log_gap(a), log_gap(b)
-            if ga == 0.0:
-                points.append(a)
-                continue
-            if gb == 0.0 or ga * gb > 0:
-                if gb == 0.0:
-                    points.append(b)
-                continue
-            t = brentq(lambda s: log_gap(a + s * (b - a)), 0.0, 1.0,
-                       xtol=1e-15, rtol=8.9e-16)
-            x = a + t * (b - a)
-            if abs(np.expm1(log_gap(x))) <= rel_tol:
-                points.append(x)
-    return points
+    m, member = sset.source, sset.mesh.lattice_mask
+    log_level = -np.log(m.region_measure())
+    inside = np.zeros(member.shape, dtype=bool)
+    inside[member] = sset.mask
+    ends = []  # lattice indices of the straddling edges' ends, axis by axis
+    for d, step in enumerate(np.eye(member.ndim, dtype=int)):
+        both = np.delete(member, -1, axis=d) & np.delete(member, 0, axis=d)
+        ix = np.argwhere(both & np.diff(inside, axis=d))  # bool diff: the ends differ
+        ends.append((ix, ix + step))
+    a, b = (np.stack([ax[ix[:, j]] for j, ax in enumerate(sset.mesh.axes)], axis=1)
+            for ix in map(np.concatenate, zip(*ends)))
+    ga, gb = np.split(m.log_density(np.concatenate([a, b])) - log_level, 2)
+    x = np.where((ga == 0.0)[:, None], a, b)  # exact hits keep their node
+    on_level = (ga == 0.0) | (gb == 0.0)
+    solve = ga * gb < 0.0
+    t, gap = brentq(m, log_level, a[solve], (b - a)[solve], 0.0, 1.0, ga[solve], gb[solve])
+    x[solve] = a[solve] + t[:, None] * (b - a)[solve]
+    on_level[solve] = np.abs(np.expm1(gap)) <= rel_tol
+    return list(x[on_level])
 
 
-def _tau_at(m: NascentMD, x) -> tuple[float, float]:
-    """(log tau(x), d log tau/df at x) for a single point."""
-    tau = m.resolved_tau()
-    f = m.objective(x)
-    return tau.log_tau(f), tau.dlog_tau_df(f)
+def _gradients(m: NascentMD, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """grad f per row and its norm (a BLAS dot, as np.linalg.norm of one row)."""
+    g = gradient(m.objective, pts)
+    gn = np.sqrt(np.vecdot(g, g))
+    if np.any(gn < 1e-8):
+        raise NearCriticalPointError("gradient vanishes; shrink rate undefined")
+    return g, gn
 
 
-def shrink_rate_theoretical(m: NascentMD, x) -> float:
-    """Limiting boundary speed |dx|/dk at a point of the D0 boundary:
-    |E^(k)(log tau) - log tau(x)| / (k |d log tau/df| |grad f(x)|).
+def _log_tau_gap(m: NascentMD, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E^(k)(log tau) - log tau(x), k |d log tau/df| at x) per row."""
+    tau, f = m.resolved_tau(), m.objective(pts)
+    return m.expect_log_tau().value - tau.log_tau(f), m.k * np.abs(tau.dlog_tau_df(f))
+
+
+def shrink_rate_theoretical(m: NascentMD, x):
+    """Limiting boundary speed |dx|/dk at a point (or each row of a batch) of
+    the D0 boundary: |E^(k)(log tau) - log tau(x)| / (k |d log tau/df| |grad f(x)|).
 
     For exponential tau this is |E^(k)(f) - f(x)| / (k |grad f(x)|).
     """
-    g = gradient(m.objective, x)
-    gn = np.linalg.norm(g)
-    if gn < 1e-8:
-        raise NearCriticalPointError("gradient vanishes; shrink rate undefined")
-    lt, dlt = _tau_at(m, x)
-    return abs(m.expect_log_tau().value - lt) / (m.k * abs(dlt) * gn)
+    pts, single = _as_points(x, m.region.dim)
+    _, gn = _gradients(m, pts)
+    gap, scale = _log_tau_gap(m, pts)
+    rate = np.abs(gap) / (scale * gn)
+    return float(rate[0]) if single else rate
 
 
-def solve_boundary_move(m: NascentMD, x, delta_k: float) -> tuple[float, np.ndarray]:
-    """Signed step t and unit direction d with m^(k+dk)(x + t d) on the level.
+def solve_boundary_move(m: NascentMD, x, delta_k: float):
+    """Signed step t and unit direction d with m^(k+dk)(x + t d) on the level,
+    for a point or each row of a batch.
 
     The level set of the density moves along the objective gradient to first
     order, so the root is searched on the line through x with direction
-    grad f / |grad f|, bracketed by 10x the predicted move on both sides.
+    grad f / |grad f|: a 65-point scan over 10x the predicted move on both
+    sides brackets the sign change nearest t = 0.
     """
     if delta_k <= 0:
         raise ValueError("delta_k must be positive")
-    g = gradient(m.objective, x)
-    gn = np.linalg.norm(g)
-    if gn < 1e-8:
-        raise NearCriticalPointError("gradient vanishes; shrink rate undefined")
-    d = g / gn
-    t_max = 10.0 * shrink_rate_theoretical(m, x) * delta_k
+    pts, single = _as_points(x, m.region.dim)
+    g, gn = _gradients(m, pts)
+    d = g / gn[:, None]
+    t_max = 10.0 * shrink_rate_theoretical(m, pts) * delta_k
     m2 = m.with_k(m.k + delta_k)
     log_level = -np.log(m.region_measure())
 
-    def gap(t):
-        return m2.log_density(x + t * d) - log_level
-
-    ts = np.linspace(-t_max, t_max, 65)
-    vals = np.array([gap(t) for t in ts])
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if sign_change.size == 0:
+    ts = np.linspace(-t_max, t_max, 65)  # one column per point
+    scan = (pts + ts[:, :, None] * d).reshape(-1, pts.shape[1])
+    vals = m2.log_density(scan).reshape(ts.shape) - log_level
+    crosses = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
+    if not np.all(np.any(crosses, axis=0)):
         raise BracketingError("no level crossing within 10x the predicted move")
-    # take the crossing nearest t = 0
-    i = sign_change[np.argmin(np.minimum(np.abs(ts[sign_change]),
-                                         np.abs(ts[sign_change + 1])))]
-    t_root = brentq(gap, ts[i], ts[i + 1], xtol=1e-15, rtol=8.9e-16)
-    return float(t_root), d
+    near = np.where(crosses, np.minimum(np.abs(ts[:-1]), np.abs(ts[1:])), np.inf)
+    i, cols = np.argmin(near, axis=0), np.arange(ts.shape[1])
+    t_root, _ = brentq(m2, log_level, pts, d, ts[i, cols], ts[i + 1, cols],
+                       vals[i, cols], vals[i + 1, cols])
+    return (float(t_root[0]), d[0]) if single else (t_root, d)
 
 
-def shrink_rate_empirical(m: NascentMD, x, delta_k: float) -> float:
+def shrink_rate_empirical(m: NascentMD, x, delta_k: float):
     """Measured boundary displacement per unit k: |t| / delta_k from the
     root-found level crossing of m^(k+dk) along the gradient direction."""
     t_root, _ = solve_boundary_move(m, x, delta_k)
     return abs(t_root) / delta_k
 
 
-def descent_rate(m: NascentMD, x) -> float:
-    """Limiting objective decrease per unit k as the D0 boundary moves inward:
-    (E^(k)(log tau) - log tau(x)) / (k |d log tau/df|).
+def descent_rate(m: NascentMD, x):
+    """Limiting objective decrease per unit k as the D0 boundary moves inward,
+    at a point or each row of a batch: (E^(k)(log tau) - log tau(x)) / (k |d log tau/df|).
 
     Exponential tau: (f(x) - E^(k)(f)) / k.
     """
-    lt, dlt = _tau_at(m, x)
-    return (m.expect_log_tau().value - lt) / (m.k * abs(dlt))
+    pts, single = _as_points(x, m.region.dim)
+    gap, scale = _log_tau_gap(m, pts)
+    rate = gap / scale
+    return float(rate[0]) if single else rate
 
 
 def basin_masses(m: NascentMD, minimizers, radius: float) -> BasinReport:

@@ -9,7 +9,7 @@ the mesh argmin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,11 +58,7 @@ def useq_step(state: UniformSeqState, obj: Objective) -> UniformSeqState:
     new_mask = state.mask & (state.fvals <= state.threshold)
     count = int(np.count_nonzero(new_mask))
     if count == 0 or count == state.node_count or count < MIN_NODES:
-        return UniformSeqState(
-            iteration=state.iteration, mesh=state.mesh, fvals=state.fvals,
-            mask=state.mask, threshold=state.threshold, measure=state.measure,
-            best_value=state.best_value, stopped=True,
-        )
+        return replace(state, stopped=True)
     return UniformSeqState(
         iteration=state.iteration + 1, mesh=state.mesh, fvals=state.fvals,
         mask=new_mask, threshold=float(np.mean(state.fvals[new_mask])),

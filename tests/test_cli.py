@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -158,3 +161,24 @@ def test_useq_records_seed(runner, tmp_path):
                                   "--seed", "5", "--out", str(out)])
     assert result.exit_code == 0
     assert json.loads((out / "config.json").read_text())["seed"] == 5
+
+
+def test_shrinkrate_k0_writes_header_only(runner, tmp_path):
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["shrinkrate", "--function", "paper2d", "--k", "0",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = (out / "shrinkrate.csv").read_text().splitlines()
+    assert lines == ["x0,x1,k,dk,grad_norm,theoretical,empirical,ratio,descent_rate"]
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, mdopt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

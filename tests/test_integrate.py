@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, logsumexp as scipy_logsumexp, softmax as scipy_softmax
 
 from mdopt.integrate import (DegenerateIntegrandError, Estimate, IntegratorConfig,
-                             default_config, integrate, levels, log_integrate_exp)
+                             default_config, integrate, levels, log_integrate_exp,
+                             logsumexp, softmax)
 from mdopt.nmd import NascentMD
 from mdopt.objective import Objective
 from mdopt.region import CompactRegion, box
@@ -142,3 +143,19 @@ def test_ball_4d_measure_builds_no_grid(monkeypatch):
     assert m.integrator.kind == "mc"
     err = ball.measure(mc_n=m.integrator.n, seed=m.integrator.seed).error
     assert abs(m.region_measure() - np.pi ** 2 / 2.0) <= err
+
+
+def _kernel_inputs():
+    rng = np.random.Generator(np.random.Philox(9))
+    tied = rng.normal(size=10_000) * 30.0
+    tied[[5, 700, 9000]] = tied.max()
+    return [np.array([0.0]), np.array([1.0, 1.0, 1.0]), np.array([-np.inf, 2.0, -np.inf]),
+            np.full(4, -np.inf), -1e6 * rng.random(65_536) ** 2, tied]
+
+
+@pytest.mark.parametrize("a", _kernel_inputs())
+def test_kernels_reproduce_scipy(a):
+    # scipy is the reference: the same arithmetic gives the same bits
+    assert logsumexp(a) == scipy_logsumexp(a)
+    if np.isfinite(a.max()):
+        assert np.array_equal(softmax(a), scipy_softmax(a))

@@ -110,3 +110,22 @@ def test_paper1d_oracle_brute_force(paper1d_oracle):
     assert obj(np.array([xs])) == pytest.approx(fs, abs=1e-14)
     # derivative vanishes at the refined minimizer
     assert gradient(obj, np.array([xs]))[0] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("name", ["paper2d", "ackley"])  # analytic, finite differences
+def test_gradient_batch_rows_match_single_points(name):
+    obj, region = catalog_get(name)
+    rng = np.random.Generator(np.random.Philox(3))
+    span = region.upper - region.lower
+    pts = region.lower + 0.1 * span + 0.8 * span * rng.random((25, obj.dim))
+    batch = gradient(obj, pts)
+    assert batch.shape == pts.shape
+    for x, row in zip(pts, batch):
+        np.testing.assert_allclose(row, gradient(obj, x), rtol=1e-12, atol=0.0)
+
+
+def test_gradient_batch_stencil_error_names_point():
+    obj, region = catalog_get("ackley")
+    pts = np.array([[0.0, 0.0], [region.lower[0], 0.0]])
+    with pytest.raises(StencilError, match="-5"):
+        gradient(obj, pts, h=1e-3, region=region)

@@ -111,3 +111,11 @@ def test_sample_infeasible():
                            (lambda p: 5e-10 - np.abs(p[:, 0] - 0.53125),))
     with pytest.raises(InfeasibleRegionError):
         sliver.sample_uniform(100, seed=0)
+
+
+def test_high_dimensional_ball_constructs():
+    # the probe samples the box instead of building a 16^d or 4^d lattice
+    ball = CompactRegion(-np.ones(12), np.ones(12), (lambda p: 1.0 - np.sum(p ** 2, axis=1),))
+    assert ball.dim == 12
+    with pytest.raises(EmptyRegionError):
+        CompactRegion(-np.ones(12), np.ones(12), (lambda p: -np.ones(p.shape[0]),))

@@ -264,8 +264,8 @@ def test_extract_set_reuses_finest_level_f():
                      integrator=IntegratorConfig(kind="grid", resolution=1024))
     base.region_measure()  # fills the node caches
     twin = type(region)(region.lower, region.upper)  # same layout, another object
-    cases = [(region.build_grid(1024), 0), (region.build_grid(300), 1),
-             (twin.build_grid(1024), 1)]
+    cases = [(region.build_grid(1024), 0), (region.build_grid(512), 0),
+             (region.build_grid(300), 1), (twin.build_grid(1024), 1)]
     masks = {}
     for mesh, evals_per_call in cases:
         for k in (1.0, 4.0):
@@ -278,3 +278,50 @@ def test_extract_set_reuses_finest_level_f():
     # cached and freshly evaluated f give the same sets
     for first, second in masks.values():
         assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("name, tau", [("paper2d", None), ("paper1d", Rational(p=1.0))])
+def test_rates_on_a_batch_equal_single_points(name, tau):
+    obj, region = catalog_get(name)
+    kwargs = {} if tau is None else {"tau": tau}
+    m = NascentMD(obj, region, k=8.0, **kwargs)
+    res = m.integrator.resolutions(region.dim)[-1][0]
+    pts = np.array(boundary_points(extract_set(m, SetKind.D0, region.build_grid(res))))
+    assert len(pts) > 0
+    t, d = solve_boundary_move(m, pts, 0.01)
+    batched = {
+        "theoretical": shrink_rate_theoretical(m, pts),
+        "empirical": shrink_rate_empirical(m, pts, 0.01),
+        "descent": descent_rate(m, pts),
+    }
+    for i, x in enumerate(pts):
+        assert batched["theoretical"][i] == shrink_rate_theoretical(m, x)
+        assert batched["empirical"][i] == shrink_rate_empirical(m, x, 0.01)
+        assert batched["descent"][i] == descent_rate(m, x)
+        t1, d1 = solve_boundary_move(m, x, 0.01)
+        assert t[i] == t1 and np.array_equal(d[i], d1)
+
+
+def test_rates_reject_a_batch_with_a_critical_point():
+    obj, region = catalog_get("quadratic")
+    m = NascentMD(obj, region, k=4.0, integrator=IntegratorConfig(kind="grid", resolution=128))
+    with pytest.raises(NearCriticalPointError):
+        shrink_rate_theoretical(m, np.array([[0.3, 0.2], [0.0, 0.0]]))
+
+
+def test_boundary_solver_evaluation_counts():
+    obj, region = catalog_get("paper2d")
+    calls = []
+
+    def fn(p):
+        calls.append(p.shape[0])
+        return obj.fn(p)
+    m = NascentMD(dataclasses.replace(obj, fn=fn), region, k=8.0)
+    s = extract_set(m, SetKind.D0, region.build_grid(256))
+    before = sum(calls)
+    pts = boundary_points(s)
+    assert len(pts) > 0
+    assert (sum(calls) - before) / len(pts) <= 14.0
+    before = sum(calls)
+    solve_boundary_move(m, np.array(pts), 0.01)
+    assert (sum(calls) - before) / len(pts) <= 72.0
