@@ -2,7 +2,7 @@
 densities, shrinking significant sets, and a uniform-sequence optimizer."""
 
 from .integrate import Estimate, IntegratorConfig, default_config, integrate, log_integrate_exp
-from .nmd import Exponential, Expectation, NascentMD, Rational
+from .nmd import DensityLevel, Exponential, Expectation, NascentMD, Rational
 from .objective import Objective, catalog_get, catalog_names, evaluate_batch, gradient
 from .region import CompactRegion, GridMesh, MeasureEstimate, box
 from .schedule import ContinuationConfig, MinimizeResult, TraceRecord, run_continuation, trace_to_rows

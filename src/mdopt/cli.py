@@ -23,6 +23,7 @@ from . import schedule, sets as sets_mod, useq as useq_mod
 from .integrate import IntegratorConfig, default_config
 from .nmd import Exponential, NascentMD, Rational
 from .objective import UnknownFunctionError, catalog_get, catalog_names, gradient
+from .region import GridMesh
 
 
 def _fmt(v) -> str:
@@ -65,6 +66,11 @@ def _resolve(function, tau="exp", p=1.0, grid=None, mc=None, seed=0):
     else:
         integ = default_config(region.dim, seed=seed)
     return obj, region, tau_kind, integ
+
+
+def _set_mesh(m: NascentMD) -> GridMesh:
+    """The density's finest-level mesh; under Monte Carlo, a grid on the top rung."""
+    return m.levels()[-1].mesh or m.region.build_grid(m.integrator.resolutions(m.region.dim)[-1])
 
 
 def _config_payload(**kw):
@@ -161,8 +167,7 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k_list, profile_res):
         raise click.UsageError("--k needs at least one value")
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
     md0 = NascentMD(obj, region, tau=tau_kind, k=ks[0], integrator=integ)
-    mesh_res = grid if grid is not None else integ.resolutions(region.dim)[-1][0]
-    mesh = region.build_grid(mesh_res)
+    mesh = _set_mesh(md0)
     prof_res = profile_res or (1024 if region.dim == 1 else 128)
     prof_mesh = region.build_grid(prof_res)
 
@@ -186,7 +191,7 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k_list, profile_res):
     _write_csv(out / "density_profiles.csv", ["k", *coord_cols, "density"], profile_rows)
     _write_json(out / "config.json", _config_payload(
         command="sets", function=function, tau=tau, p=p, grid=grid, mc=mc,
-        seed=seed, k=ks, mesh_resolution=mesh_res, profile_resolution=prof_res))
+        seed=seed, k=ks, mesh_resolution=mesh.resolution[0], profile_resolution=prof_res))
     click.echo(f"wrote measures for k={ks} to {out}")
 
 
@@ -200,8 +205,7 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     """Compare predicted vs measured boundary speed of the D0 set."""
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
     m = NascentMD(obj, region, tau=tau_kind, k=k, integrator=integ)
-    mesh_res = grid if grid is not None else integ.resolutions(region.dim)[-1][0]
-    mesh = region.build_grid(mesh_res)
+    mesh = _set_mesh(m)
     d0 = sets_mod.extract_set(m, sets_mod.SetKind.D0, mesh)
     pts = np.reshape(sets_mod.boundary_points(d0), (-1, region.dim))
     g = gradient(obj, pts)
@@ -219,7 +223,7 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
                 "ratio", "descent_rate"], rows)
     _write_json(out / "config.json", _config_payload(
         command="shrinkrate", function=function, tau=tau, p=p, grid=grid, mc=mc,
-        seed=seed, k=k, dk=dk, grad_min=grad_min, mesh_resolution=mesh_res))
+        seed=seed, k=k, dk=dk, grad_min=grad_min, mesh_resolution=mesh.resolution[0]))
     click.echo(f"{len(rows)} boundary samples written to {out}")
 
 

@@ -1,16 +1,17 @@
 """Quadrature node sets over a region, integration, and a log-domain variant.
 
 ``levels`` builds every node set that ``integrate``, ``log_integrate_exp`` and
-the density engine use: the member nodes of cell-centered grid meshes
-(midpoint rule; error from the two finest levels), or prefixes of one seeded
-uniform member sample weighted mu/n (Monte Carlo; 3-sigma error, plus the
-measure's own on constrained regions).  The max-shifted ``logsumexp`` and
+the density engine use, always two rungs, coarsest first: the member nodes of
+cell-centered grid meshes at resolutions max(res // 2, 2) and res (midpoint
+rule; error from the difference of the two), or the first n/2 and all n points
+of one seeded uniform member sample weighted mu/n (Monte Carlo; 3-sigma error,
+plus the measure's own on constrained regions).  The max-shifted ``logsumexp`` and
 ``softmax`` here serve ``log_integrate_exp`` and the density engine's weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,27 +53,21 @@ class IntegratorConfig:
     resolution: tuple[int, ...] | int = 1024
     n: int = 100_000
     seed: int = 0
-    refinement_levels: int = 2
 
     def __post_init__(self):
         if self.kind not in ("grid", "mc"):
             raise ValueError(f"unknown integrator kind {self.kind!r}")
         if self.kind == "mc" and self.n < 100:
             raise ValueError("Monte Carlo needs n >= 100")
-        if self.refinement_levels < 1:
-            raise ValueError("refinement_levels must be >= 1")
 
     def resolutions(self, dim: int) -> list[np.ndarray]:
-        """Resolution ladder, coarsest first, finest last."""
+        """The two-rung ladder [max(res // 2, 2), res] per axis, coarsest first."""
         res = np.atleast_1d(np.asarray(self.resolution, dtype=int))
         if res.shape[0] == 1:
             res = np.full(dim, res[0])
         if np.any(res < 2):
             raise ValueError("grid resolution must be at least 2 per axis")
-        ladder = [res]
-        for _ in range(self.refinement_levels - 1):
-            ladder.append(np.maximum(ladder[-1] // 2, 2))
-        return ladder[::-1]
+        return [np.maximum(res // 2, 2), res]
 
 
 def default_config(dim: int, seed: int = 0) -> IntegratorConfig:
@@ -103,7 +98,7 @@ class Level:
 
 def levels(region: CompactRegion,
            cfg: IntegratorConfig | None = None) -> tuple[list[Level], MeasureEstimate]:
-    """Quadrature levels, coarsest first, and the region's measure mu.
+    """The two quadrature levels, coarsest first, and the region's measure mu.
 
     Grid: one mesh per rung of the resolution ladder, mu from the finest one.
     Monte Carlo: the first n/2 and all n points of one uniform member sample,
@@ -124,7 +119,7 @@ def levels(region: CompactRegion,
     if not region.constraints:
         return out, MeasureEstimate(region.box_volume, 0.0)
     vols = [lv.mesh.cell_volume * lv.nodes.shape[0] for lv in out]
-    return out, MeasureEstimate(vols[-1], abs(vols[-1] - vols[-2]) if len(vols) > 1 else 0.0)
+    return out, MeasureEstimate(vols[-1], abs(vols[-1] - vols[-2]))
 
 
 def integrate(region: CompactRegion, integrand: Callable[[np.ndarray], np.ndarray],
@@ -143,10 +138,8 @@ def integrate(region: CompactRegion, integrand: Callable[[np.ndarray], np.ndarra
     if cfg.kind == "mc":
         sem = float(np.std(vals, ddof=1) / np.sqrt(vals.shape[0]))
         err = 3.0 * mu.value * sem + abs(values[-1]) / mu.value * mu.error
-    elif len(values) > 1:
-        err = abs(values[-1] - values[-2])
     else:
-        err = abs(values[-1]) * 1e-12
+        err = abs(values[-1] - values[-2])
     return Estimate(values[-1], err)
 
 
@@ -154,7 +147,6 @@ def log_integrate_exp(region: CompactRegion,
                       log_integrand: Callable[[np.ndarray], np.ndarray],
                       cfg: IntegratorConfig | None = None) -> float:
     """log of the integral of exp(log_integrand) on the finest level, max-shifted."""
-    cfg = replace(cfg or default_config(region.dim), refinement_levels=1)
     finest = levels(region, cfg)[0][-1]
     ell = np.asarray(log_integrand(finest.nodes), dtype=float)
     if np.all(np.isneginf(ell)):

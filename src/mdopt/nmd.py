@@ -4,12 +4,14 @@ tau is a positive, decreasing transform of f (exponential e^{-f} or the
 rational 1/(f - L + p)), so m^(k) concentrates on the global minimizers as k
 grows.  Each tau kind owns ``log_tau(f)``, ``dlog_tau_df(f)`` and
 ``resolved(f)``, which fixes a data-dependent shift once.  Everything is
-evaluated in log space: Z(k) is a max-shifted log-sum over the nodes of
-``integrate.levels``, and expectations are softmax-weighted node averages.
-Node sets, f values, the resolved tau, log Z and the per-k ``Moments`` record
-are cached and shared between ``with_k`` clones, so a k-continuation run pays
-the function evaluations once and one softmax weight pass per level per k:
-that pass yields E f, E f^2, E log tau and E x together.
+evaluated in log space on the two levels of ``integrate.levels``: Z(k) is a
+max-shifted log-sum over the finest, and expectations are softmax-weighted
+node averages whose error is the difference between the two.  ``levels()``
+holds them as frozen ``DensityLevel`` records (nodes, weight, mesh, f, log
+tau), built once with the resolved tau and mu and shared, like log Z and the
+per-k ``Moments``, by ``with_k`` clones: a k-continuation run pays the f
+evaluations once and one softmax pass per level per k, which yields E f,
+E f^2, E log tau and E x together.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrate import (IntegratorConfig, default_config, levels as quadrature_levels,
-                        logsumexp, softmax)
+from .integrate import (IntegratorConfig, Level, default_config,
+                        levels as quadrature_levels, logsumexp, softmax)
 from .objective import Objective, evaluate_batch, gradient
 from .region import CompactRegion, GridMesh, _as_points
 
@@ -89,6 +91,14 @@ TauKind = Exponential | Rational
 
 
 @dataclass(frozen=True)
+class DensityLevel(Level):
+    """A quadrature level with f and log tau (resolved tau) on its nodes."""
+
+    f: np.ndarray
+    log_tau: np.ndarray
+
+
+@dataclass(frozen=True)
 class Expectation:
     """A softmax-weighted node average with an absolute error estimate."""
 
@@ -127,8 +137,8 @@ class NascentMD:
         self.tau = tau if tau is not None else Exponential()
         self.k = float(k)
         self.integrator = integrator or default_config(region.dim)
-        # shared across with_k clones (one tau kind): node sets, f values,
-        # measure, resolved tau, and per-k logZ and moments
+        # shared across with_k clones (one tau kind): density levels, measure,
+        # resolved tau, and per-k logZ and moments
         self._shared = _shared if _shared is not None else {"logZ": {}, "moments": {}}
 
     def with_k(self, k: float) -> "NascentMD":
@@ -138,8 +148,8 @@ class NascentMD:
 
     # --- node caches ---------------------------------------------------------
 
-    def _levels(self) -> list[dict]:
-        """``integrate.levels`` with f values; also caches mu and the resolved tau."""
+    def levels(self) -> list[DensityLevel]:
+        """The two quadrature levels, coarsest first, with f and log tau; fills mu and tau."""
         levels = self._shared.get("levels")
         if levels is not None:
             return levels
@@ -149,50 +159,41 @@ class NascentMD:
             fs = [f[:lv.nodes.shape[0]] for lv in nodesets]
         else:
             fs = [evaluate_batch(self.objective, lv.nodes) for lv in nodesets]
-        levels = [{"nodes": lv.nodes, "f": f, "mesh": lv.mesh,
-                   "log_node_weight": lv.log_node_weight}
+        tau = self.tau.resolved(fs[-1])
+        levels = [DensityLevel(lv.nodes, lv.log_node_weight, lv.mesh, f, tau.log_tau(f))
                   for lv, f in zip(nodesets, fs)]
-        self._shared["mu"] = mu.value
-        self._shared["tau"] = self.tau.resolved(fs[-1])
-        self._shared["levels"] = levels
+        self._shared.update(mu=mu.value, tau=tau, levels=levels)
         return levels
 
     def resolved_tau(self) -> TauKind:
         """The tau kind with its shift fixed from the finest level's f values."""
-        self._levels()
+        self.levels()
         return self._shared["tau"]
 
-    def _level_log_tau(self, i: int) -> np.ndarray:
-        level = self._levels()[i]
-        if "log_tau" not in level:
-            level["log_tau"] = self._shared["tau"].log_tau(level["f"])
-        return level["log_tau"]
-
-    def _weights(self, i: int) -> np.ndarray:
-        """Normalized density weights at level i (they sum to 1)."""
-        return softmax(self.k * self._level_log_tau(i))
+    def _weights(self, level: DensityLevel) -> np.ndarray:
+        """Normalized density weights on a level's nodes (they sum to 1)."""
+        return softmax(self.k * level.log_tau)
 
     def log_Z(self) -> float:
         """log of the normalizer at the finest level, cached per k."""
         cache = self._shared["logZ"]
         if self.k not in cache:
-            levels = self._levels()
-            lt = self._level_log_tau(len(levels) - 1)
-            cache[self.k] = float(logsumexp(self.k * lt) + levels[-1]["log_node_weight"])
+            fine = self.levels()[-1]
+            cache[self.k] = float(logsumexp(self.k * fine.log_tau) + fine.log_node_weight)
         return cache[self.k]
 
     def region_measure(self) -> float:
         """mu(Omega) as the quadrature levels measure it."""
-        self._levels()
+        self.levels()
         return self._shared["mu"]
 
     def mesh_f(self, mesh: GridMesh) -> np.ndarray:
         """f on the mesh nodes; a quadrature level's cached values when the
         mesh has that level's layout (same region object, same resolution)."""
-        for level in self._levels():
-            own = level["mesh"]
+        for level in self.levels():
+            own = level.mesh
             if own is not None and own.region is mesh.region and own.resolution == mesh.resolution:
-                return level["f"]
+                return level.f
         return evaluate_batch(self.objective, mesh.nodes)
 
     # --- pointwise evaluation ------------------------------------------------
@@ -234,25 +235,23 @@ class NascentMD:
 
     def _estimate(self, vals: list[float], w: np.ndarray, h: np.ndarray,
                   kind: str) -> Expectation:
-        """The finest-level value of per-level averages ``vals`` with its error.
+        """The finest-level value of the two level averages ``vals`` with its error.
 
         ``w`` and ``h`` are the finest level's weights and integrand values,
         used by the Monte Carlo 3-sigma error.
         """
-        if self.integrator.kind == "grid" and len(vals) > 1:
-            err = abs(vals[-1] - vals[-2])
-        elif self.integrator.kind == "mc":
+        if self.integrator.kind == "mc":
             err = 3.0 * float(np.sqrt(np.sum(w ** 2 * (h - vals[-1]) ** 2)))
         else:
-            err = abs(vals[-1]) * 1e-12
+            err = abs(vals[-1] - vals[-2])
         return Expectation(vals[-1], err, self.k, kind)
 
-    def _expect_values(self, per_level: Callable[[dict, int], np.ndarray],
+    def _expect_values(self, per_level: Callable[[DensityLevel], np.ndarray],
                        kind: str) -> Expectation:
         vals = []
-        for i, level in enumerate(self._levels()):
-            w = self._weights(i)
-            h = per_level(level, i)
+        for level in self.levels():
+            w = self._weights(level)
+            h = per_level(level)
             vals.append(float(np.dot(w, h)))
         return self._estimate(vals, w, h, kind)
 
@@ -264,15 +263,15 @@ class NascentMD:
         cache = self._shared["moments"]
         if self.k not in cache:
             ef, ef2, elt, ex = [], [], [], []
-            for i, level in enumerate(self._levels()):
-                w = self._weights(i)
-                f, f2, lt = level["f"], level["f"] ** 2.0, self._level_log_tau(i)
+            for level in self.levels():
+                w = self._weights(level)
+                f, f2, lt = level.f, level.f ** 2.0, level.log_tau
                 ef.append(float(np.dot(w, f)))
                 ef2.append(float(np.dot(w, f2)))
                 elt.append(float(np.dot(w, lt)))
-                ex.append(w @ level["nodes"])
+                ex.append(w @ level.nodes)
             ex[-1].setflags(write=False)
-            x_err = float(np.linalg.norm(ex[-1] - ex[-2])) if len(ex) > 1 else 0.0
+            x_err = float(np.linalg.norm(ex[-1] - ex[-2]))
             cache[self.k] = Moments(
                 f=self._estimate(ef, w, f, "f^1"),
                 f2=self._estimate(ef2, w, f2, "f^2"),
@@ -288,17 +287,12 @@ class NascentMD:
         ``h=None`` means the objective itself (its node values are cached).
         """
         if h is None and shift is None:
-            def values(level, i):
-                f = level["f"]
-                if nu == 1.0:
-                    return f
-                return self._power(f, nu)
-            return self._expect_values(values, kind=f"f^{nu:g}")
+            return self._expect_values(lambda lv: self._power(lv.f, nu), kind=f"f^{nu:g}")
         off = np.zeros(self.region.dim) if shift is None else np.asarray(shift, float)
         fn = h if h is not None else (lambda p: evaluate_batch(self.objective, p))
 
-        def values(level, i):
-            return self._power(np.asarray(fn(level["nodes"] + off), float), nu)
+        def values(level):
+            return self._power(np.asarray(fn(level.nodes + off), float), nu)
         return self._expect_values(values, kind=f"h^{nu:g}")
 
     @staticmethod
@@ -317,13 +311,9 @@ class NascentMD:
 
     def log_expect_tau(self) -> tuple[float, float]:
         """(log E^(k)(tau), absolute error of E^(k)(tau)); fully log-stable."""
-        levels = self._levels()
-        logs = []
-        for i in range(len(levels)):
-            lt = self._level_log_tau(i)
-            logs.append(float(logsumexp((self.k + 1.0) * lt) - logsumexp(self.k * lt)))
-        err = abs(np.exp(logs[-1]) - np.exp(logs[-2])) if len(logs) > 1 else 0.0
-        return logs[-1], err
+        logs = [float(logsumexp((self.k + 1.0) * lv.log_tau) - logsumexp(self.k * lv.log_tau))
+                for lv in self.levels()]
+        return logs[-1], abs(np.exp(logs[-1]) - np.exp(logs[-2]))
 
     def variance_f(self) -> Expectation:
         """Var^(k)(f) = E(f^2) - E(f)^2, clamped at zero."""

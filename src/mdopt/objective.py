@@ -47,8 +47,9 @@ class Objective:
     oracle_minimizers: Optional[tuple] = None
 
     def __call__(self, x) -> float | np.ndarray:
+        """f at a point or each row of a batch; non-finite values raise."""
         pts, single = _as_points(x, self.dim)
-        vals = np.asarray(self.fn(pts), dtype=float)
+        vals = evaluate_batch(self, pts)
         return float(vals[0]) if single else vals
 
 

@@ -74,11 +74,12 @@ class GridMesh:
     cell_volume: float
 
     def same_layout(self, other: "GridMesh") -> bool:
+        """Same lattice and same member nodes, so masks line up index by index."""
         return (
             self.resolution == other.resolution
-            and self.region.dim == other.region.dim
             and np.array_equal(self.region.lower, other.region.lower)
             and np.array_equal(self.region.upper, other.region.upper)
+            and np.array_equal(self.lattice_mask, other.lattice_mask)
         )
 
 

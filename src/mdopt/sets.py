@@ -194,6 +194,12 @@ def _log_tau_gap(m: NascentMD, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return m.expect_log_tau().value - tau.log_tau(f), m.k * np.abs(tau.dlog_tau_df(f))
 
 
+def _rate(m: NascentMD, pts: np.ndarray, gn: np.ndarray) -> np.ndarray:
+    """The theoretical shrink rate per row, given the gradient norms gn."""
+    gap, scale = _log_tau_gap(m, pts)
+    return np.abs(gap) / (scale * gn)
+
+
 def shrink_rate_theoretical(m: NascentMD, x):
     """Limiting boundary speed |dx|/dk at a point (or each row of a batch) of
     the D0 boundary: |E^(k)(log tau) - log tau(x)| / (k |d log tau/df| |grad f(x)|).
@@ -201,9 +207,7 @@ def shrink_rate_theoretical(m: NascentMD, x):
     For exponential tau this is |E^(k)(f) - f(x)| / (k |grad f(x)|).
     """
     pts, single = _as_points(x, m.region.dim)
-    _, gn = _gradients(m, pts)
-    gap, scale = _log_tau_gap(m, pts)
-    rate = np.abs(gap) / (scale * gn)
+    rate = _rate(m, pts, _gradients(m, pts)[1])
     return float(rate[0]) if single else rate
 
 
@@ -221,7 +225,7 @@ def solve_boundary_move(m: NascentMD, x, delta_k: float):
     pts, single = _as_points(x, m.region.dim)
     g, gn = _gradients(m, pts)
     d = g / gn[:, None]
-    t_max = 10.0 * shrink_rate_theoretical(m, pts) * delta_k
+    t_max = 10.0 * _rate(m, pts, gn) * delta_k
     m2 = m.with_k(m.k + delta_k)
     log_level = -np.log(m.region_measure())
 
@@ -269,11 +273,8 @@ def basin_masses(m: NascentMD, minimizers, radius: float) -> BasinReport:
         for j in range(i + 1, len(centers)):
             if np.linalg.norm(centers[i] - centers[j]) <= 2.0 * radius:
                 raise BasinError("basin balls overlap")
-    levels = m._levels()
-    nodes = levels[-1]["nodes"]
-    w = m._weights(len(levels) - 1)
-    masses = []
-    for c in centers:
-        inside = np.linalg.norm(nodes - c, axis=1) <= radius
-        masses.append(float(np.sum(w[inside])))
+    fine = m.levels()[-1]
+    w = m._weights(fine)
+    masses = [float(np.sum(w[np.linalg.norm(fine.nodes - c, axis=1) <= radius]))
+              for c in centers]
     return BasinReport(minimizers=centers, radius=radius, masses=masses, k=m.k)

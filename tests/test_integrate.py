@@ -102,8 +102,6 @@ def test_config_validation():
         IntegratorConfig(kind="bogus")
     with pytest.raises(ValueError):
         IntegratorConfig(kind="mc", n=10)
-    with pytest.raises(ValueError):
-        IntegratorConfig(refinement_levels=0)
 
 
 @pytest.mark.parametrize("cfg", [IntegratorConfig(kind="grid", resolution=256),

@@ -50,7 +50,7 @@ def test_dlog_tau_df_matches_central_difference(tau):
 def test_rational_shift_resolved_from_finest_level():
     obj, region = catalog_get("paper1d")
     m = NascentMD(obj, region, tau=Rational(p=1.0), k=2.0, integrator=GRID_1D)
-    f = m._levels()[-1]["f"]
+    f = m.levels()[-1].f
     fmin, fmax = float(np.min(f)), float(np.max(f))
     assert m.resolved_tau() == Rational(p=1.0, L=fmin - max(1.0, 0.1 * (fmax - fmin)))
     assert m.with_k(5.0).resolved_tau() is m.resolved_tau()
@@ -221,9 +221,9 @@ def test_lower_bound(paper1d_md, paper1d_oracle):
 def test_mass_concentration(paper1d_md, paper1d_oracle):
     xs, _ = paper1d_oracle
     m = paper1d_md.with_k(1000.0)
-    levels = m._levels()
-    nodes = levels[-1]["nodes"][:, 0]
-    w = m._weights(len(levels) - 1)
+    fine = m.levels()[-1]
+    nodes = fine.nodes[:, 0]
+    w = m._weights(fine)
     assert np.sum(w[np.abs(nodes - xs) <= 0.1]) > 0.99
 
 
@@ -251,7 +251,7 @@ def test_moments_record_matches_generic_path(tau, integrator):
         m = base.with_k(k)
         ef = m.expectation()
         ef2 = m.expectation(nu=2.0)
-        elt = m._expect_values(lambda level, i: m._level_log_tau(i), kind="log_tau")
+        elt = m._expect_values(lambda level: level.log_tau, kind="log_tau")
         for got, want in ((m.expect_f(), ef), (m.expect_log_tau(), elt)):
             assert (got.value, got.error, got.k) == (want.value, want.error, k)
         var = m.variance_f()
@@ -261,8 +261,8 @@ def test_moments_record_matches_generic_path(tau, integrator):
         mean, mean_err = m.mean_location(with_error=True)
         coords = [m.expectation(h=lambda p, j=j: p[:, j]) for j in range(region.dim)]
         assert mean == pytest.approx([c.value for c in coords], rel=1e-13)
-        levels = m._levels()
-        means = [softmax(k * m._level_log_tau(i)) @ lv["nodes"] for i, lv in enumerate(levels)]
+        levels = m.levels()
+        means = [softmax(k * lv.log_tau) @ lv.nodes for lv in levels]
         assert mean_err == pytest.approx(float(np.linalg.norm(means[-1] - means[-2])),
                                          rel=1e-12)
         # one record per k, shared by every clone at that k

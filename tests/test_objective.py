@@ -5,6 +5,11 @@ from mdopt.objective import (EvaluationError, Objective, StencilError,
                              UnknownFunctionError, catalog_get, catalog_names,
                              evaluate_batch, gradient)
 
+from mdopt.integrate import IntegratorConfig
+from mdopt.nmd import NascentMD
+from mdopt.region import box
+from mdopt.sets import descent_rate
+
 import oracles
 
 
@@ -61,6 +66,24 @@ def test_evaluate_batch_nonfinite():
     with pytest.raises(EvaluationError) as err:
         evaluate_batch(bad, np.array([[0.1], [0.9]]))
     assert err.value.point is not None
+
+
+def test_non_finite_f_raises_naming_the_point():
+    # sqrt(x): finite on the nodes of [0, 1], NaN left of 0
+    obj = Objective(name="sqrt", dim=1,
+                    fn=lambda p: np.where(p[:, 0] >= 0.0, p[:, 0], np.nan) ** 0.5)
+    with pytest.raises(EvaluationError) as err:
+        obj(np.array([-1.0]))
+    assert np.array_equal(err.value.point, [-1.0])
+    with pytest.raises(EvaluationError) as err:
+        gradient(obj, np.array([[0.5], [0.0]]))  # the stencil of 0 reaches -h
+    assert err.value.point[0] < 0.0 and "sqrt" in str(err.value)
+    m = NascentMD(obj, box(0.0, 1.0), k=2.0, integrator=IntegratorConfig(resolution=64))
+    for call in (lambda: descent_rate(m, np.array([[0.5], [-1.0]])),
+                 lambda: m.grad_density(np.array([-1.0]))):
+        with pytest.raises(EvaluationError) as err:
+            call()
+        assert err.value.point[0] < 0.0
 
 
 def test_gradient_fd_quadratic():

@@ -99,6 +99,6 @@ def test_one_weight_pass_per_level_per_stage(monkeypatch):
     monkeypatch.setattr(nmd, "softmax", counting)
     obj, region = catalog_get("paper2d")
     result = run_continuation(obj, region)
-    levels = nmd.NascentMD(obj, region).integrator.refinement_levels
+    levels = len(nmd.NascentMD(obj, region).levels())
     assert levels == 2
     assert len(calls) == levels * len(result.trace)

@@ -325,3 +325,40 @@ def test_boundary_solver_evaluation_counts():
     before = sum(calls)
     solve_boundary_move(m, np.array(pts), 0.01)
     assert (sum(calls) - before) / len(pts) <= 72.0
+
+
+def test_containment_rejects_meshes_with_different_members():
+    # same box and resolution, complementary halves of 2,048 nodes each
+    obj, region = catalog_get("quadratic")
+    left = dataclasses.replace(region, constraints=(lambda p: 0.25 - p[:, 0],))
+    right = dataclasses.replace(region, constraints=(lambda p: p[:, 0] - 0.25,))
+    sets = []
+    for r in (left, right):
+        mesh = r.build_grid(64)
+        assert mesh.nodes.shape[0] == 2048
+        sets.append(extract_set(NascentMD(obj, r, k=2.0), SetKind.DF, mesh))
+    assert not sets[0].mesh.same_layout(sets[1].mesh)
+    assert sets[0].mesh.same_layout(left.build_grid(64))
+    with pytest.raises(MeshMismatchError):
+        containment_check(*sets)
+
+
+def test_solve_boundary_move_takes_one_gradient(monkeypatch):
+    import mdopt.sets as sets_mod
+    obj, region = catalog_get("ackley")
+    assert obj.grad is None  # finite differences: 2 * dim f-evaluations per point
+    m = NascentMD(obj, region, k=8.0)
+    pts = np.array(boundary_points(extract_set(m, SetKind.D0, m.levels()[-1].mesh)))
+    g = gradient(obj, pts)
+    pts = pts[np.sqrt(np.vecdot(g, g)) > 0.1][:50]
+    assert len(pts) > 0
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return gradient(*args, **kwargs)
+    monkeypatch.setattr(sets_mod, "gradient", counting)
+    t, _ = solve_boundary_move(m, pts, 0.01)
+    assert calls == [pts.shape]
+    monkeypatch.undo()
+    assert np.array_equal(t, [solve_boundary_move(m, x, 0.01)[0] for x in pts])
