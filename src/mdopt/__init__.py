@@ -5,7 +5,7 @@ from .integrate import Estimate, IntegratorConfig, default_config, integrate, lo
 from .nmd import DensityLevel, Exponential, Expectation, NascentMD, Rational
 from .objective import Objective, catalog_get, catalog_names, evaluate_batch, gradient
 from .region import CompactRegion, GridMesh, MeasureEstimate, box
-from .schedule import ContinuationConfig, MinimizeResult, TraceRecord, run_continuation, trace_to_rows
+from .schedule import ContinuationConfig, MinimizeResult, TraceRecord, run_continuation
 from .sets import (
     BasinReport, SetKind, SignificantSet, basin_masses, boundary_points,
     containment_check, descent_rate, equivalence_check_dtau, extract_set,

@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import sys
@@ -26,18 +25,19 @@ from .objective import UnknownFunctionError, catalog_get, catalog_names, gradien
 from .region import GridMesh
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, columns: dict):
+    """Write equal-length columns as CSV: floats with 17 significant digits,
+    other values with ``str``, CRLF line ends (``csv.writer``'s bytes for
+    values that need no quoting).  Rows are formatted as they are written,
+    so no table of strings is held in memory."""
+    cells = []
+    for col in columns.values():
+        arr = np.asarray(col)
+        fmt = "{:.17g}".format if arr.dtype.kind == "f" else str
+        cells.append(map(fmt, arr.tolist()))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 def _write_json(path: Path, payload):
@@ -70,16 +70,7 @@ def _resolve(function, tau="exp", p=1.0, grid=None, mc=None, seed=0):
 
 def _set_mesh(m: NascentMD) -> GridMesh:
     """The density's finest-level mesh; under Monte Carlo, a grid on the top rung."""
-    return m.levels()[-1].mesh or m.region.build_grid(m.integrator.resolutions(m.region.dim)[-1])
-
-
-def _config_payload(**kw):
-    out = {}
-    for key, val in kw.items():
-        if isinstance(val, (np.floating, np.integer)):
-            val = val.item()
-        out[key] = val
-    return out
+    return m.grid(m.integrator.resolutions(m.region.dim)[-1])
 
 
 def common_options(f, density: bool = True):
@@ -138,19 +129,24 @@ def minimize(function, tau, p, grid, mc, seed, out, k0, growth, stages, var_tol)
                                       var_tol=var_tol, integrator=integ, tau=tau_kind)
     result = schedule.run_continuation(obj, region, cfg)
     out.mkdir(parents=True, exist_ok=True)
-    header, rows = schedule.trace_to_rows(result)
-    _write_csv(out / "trace.csv", header, rows)
+    trace = result.trace
+    mean_x = np.array([rec.mean_x for rec in trace])
+    _write_csv(out / "trace.csv", {
+        "stage": range(len(trace)), "k": [rec.k for rec in trace],
+        "Ef": [rec.Ef for rec in trace], "Ef_error": [rec.Ef_error for rec in trace],
+        "Varf": [rec.Varf for rec in trace],
+        **{f"mean_x{j}": mean_x[:, j] for j in range(region.dim)}})
     _write_json(out / "result.json", {
         "fstar_estimate": result.fstar_estimate,
         "xstar_estimate": result.xstar_estimate.tolist(),
         "stop_reason": result.stop_reason,
         "stages": len(result.trace),
     })
-    _write_json(out / "config.json", _config_payload(
+    _write_json(out / "config.json", dict(
         command="minimize", function=function, tau=tau, p=p, grid=grid, mc=mc,
         seed=seed, k0=k0, growth=growth, stages=stages, var_tol=var_tol,
         integrator=str(integ)))
-    click.echo(f"fstar_estimate={_fmt(result.fstar_estimate)} "
+    click.echo(f"fstar_estimate={result.fstar_estimate:.17g} "
                f"stop={result.stop_reason} ({len(result.trace)} stages)")
 
 
@@ -169,27 +165,24 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k_list, profile_res):
     md0 = NascentMD(obj, region, tau=tau_kind, k=ks[0], integrator=integ)
     mesh = _set_mesh(md0)
     prof_res = profile_res or (1024 if region.dim == 1 else 128)
-    prof_mesh = region.build_grid(prof_res)
+    prof_mesh = md0.grid(prof_res)
 
-    measure_rows = []
-    masks = []
-    profile_rows = []
-    coord_cols = [f"x{j}" for j in range(region.dim)]
-    for k in ks:
-        m = md0.with_k(k)
-        for kind in sets_mod.SetKind:
-            s = sets_mod.extract_set(m, kind, mesh)
-            measure_rows.append([k, kind.value, s.measure, s.threshold])
-            masks.append({"k": k, "kind": kind.value,
-                          "resolution": list(mesh.resolution),
-                          "rle": _rle(s.mask)})
-        dens = np.exp(m.k * m.resolved_tau().log_tau(m.mesh_f(prof_mesh)) - m.log_Z())
-        profile_rows += [[k, *node.tolist(), float(d)] for node, d in zip(prof_mesh.nodes, dens)]
+    ms = [md0.with_k(k) for k in ks]
+    found = [sets_mod.extract_set(m, kind, mesh) for m in ms for kind in sets_mod.SetKind]
+    log_tau = md0.resolved_tau().log_tau(md0.mesh_f(prof_mesh))
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "measures.csv", ["k", "kind", "measure", "threshold"], measure_rows)
-    _write_json(out / "masks.json", masks)
-    _write_csv(out / "density_profiles.csv", ["k", *coord_cols, "density"], profile_rows)
-    _write_json(out / "config.json", _config_payload(
+    _write_csv(out / "measures.csv", {
+        "k": [s.k for s in found], "kind": [s.kind.value for s in found],
+        "measure": [s.measure for s in found], "threshold": [s.threshold for s in found]})
+    _write_json(out / "masks.json", [
+        {"k": s.k, "kind": s.kind.value, "resolution": list(mesh.resolution), "rle": _rle(s.mask)}
+        for s in found])
+    n = prof_mesh.nodes.shape[0]
+    _write_csv(out / "density_profiles.csv", {
+        "k": np.repeat(ks, n),
+        **{f"x{j}": np.tile(prof_mesh.nodes[:, j], len(ks)) for j in range(region.dim)},
+        "density": np.concatenate([np.exp(m.k * log_tau - m.log_Z()) for m in ms])})
+    _write_json(out / "config.json", dict(
         command="sets", function=function, tau=tau, p=p, grid=grid, mc=mc,
         seed=seed, k=ks, mesh_resolution=mesh.resolution[0], profile_resolution=prof_res))
     click.echo(f"wrote measures for k={ks} to {out}")
@@ -214,17 +207,16 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     theo = sets_mod.shrink_rate_theoretical(m, pts)
     emp = sets_mod.shrink_rate_empirical(m, pts, dk)
     ratio = np.divide(emp, theo, out=np.full_like(theo, np.nan), where=theo > 0)
-    rows = [[*x.tolist(), k, dk, *vals] for x, *vals in
-            zip(pts, gn, theo, emp, ratio, sets_mod.descent_rate(m, pts))]
     out.mkdir(parents=True, exist_ok=True)
-    coord_cols = [f"x{j}" for j in range(region.dim)]
-    _write_csv(out / "shrinkrate.csv",
-               [*coord_cols, "k", "dk", "grad_norm", "theoretical", "empirical",
-                "ratio", "descent_rate"], rows)
-    _write_json(out / "config.json", _config_payload(
+    _write_csv(out / "shrinkrate.csv", {
+        **{f"x{j}": pts[:, j] for j in range(region.dim)},
+        "k": np.full(len(pts), k), "dk": np.full(len(pts), dk), "grad_norm": gn,
+        "theoretical": theo, "empirical": emp, "ratio": ratio,
+        "descent_rate": sets_mod.descent_rate(m, pts)})
+    _write_json(out / "config.json", dict(
         command="shrinkrate", function=function, tau=tau, p=p, grid=grid, mc=mc,
         seed=seed, k=k, dk=dk, grad_min=grad_min, mesh_resolution=mesh.resolution[0]))
-    click.echo(f"{len(rows)} boundary samples written to {out}")
+    click.echo(f"{len(pts)} boundary samples written to {out}")
 
 
 @main.command("useq")
@@ -242,15 +234,14 @@ def useq_cmd(function, seed, out, resolution, max_iter, rel_tol):
     res = resolution or (2 ** 16 if region.dim == 1 else 1024)
     states, fstar = useq_mod.useq_run(obj, region, res, max_iter=max_iter,
                                       rel_tol=rel_tol)
-    rows = [[s.iteration, s.threshold, s.measure, s.node_count, s.best_value]
-            for s in states]
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "useq.csv",
-               ["iteration", "threshold", "measure", "node_count", "best_value"], rows)
-    _write_json(out / "config.json", _config_payload(
+    _write_csv(out / "useq.csv", {name: [getattr(s, name) for s in states] for name in
+                                  ("iteration", "threshold", "measure", "node_count",
+                                   "best_value")})
+    _write_json(out / "config.json", dict(
         command="useq", function=function, seed=seed, resolution=res,
         max_iter=max_iter, rel_tol=rel_tol))
-    click.echo(f"fstar_estimate={_fmt(fstar)} ({len(states)} states)")
+    click.echo(f"fstar_estimate={fstar:.17g} ({len(states)} states)")
 
 
 @main.command()

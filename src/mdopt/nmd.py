@@ -187,14 +187,23 @@ class NascentMD:
         self.levels()
         return self._shared["mu"]
 
+    def _grid_level(self, region: CompactRegion, resolution: tuple) -> DensityLevel | None:
+        """The quadrature level whose mesh has this layout (same region object,
+        same per-axis resolution), if any."""
+        return next((lv for lv in self.levels() if lv.mesh is not None
+                     and lv.mesh.region is region and lv.mesh.resolution == resolution), None)
+
+    def grid(self, resolution) -> GridMesh:
+        """A quadrature level's mesh when it has this resolution, else a new grid."""
+        res = tuple(int(r) for r in np.broadcast_to(resolution, self.region.dim))
+        level = self._grid_level(self.region, res)
+        return level.mesh if level is not None else self.region.build_grid(res)
+
     def mesh_f(self, mesh: GridMesh) -> np.ndarray:
         """f on the mesh nodes; a quadrature level's cached values when the
-        mesh has that level's layout (same region object, same resolution)."""
-        for level in self.levels():
-            own = level.mesh
-            if own is not None and own.region is mesh.region and own.resolution == mesh.resolution:
-                return level.f
-        return evaluate_batch(self.objective, mesh.nodes)
+        mesh has that level's layout."""
+        level = self._grid_level(mesh.region, mesh.resolution)
+        return level.f if level is not None else evaluate_batch(self.objective, mesh.nodes)
 
     # --- pointwise evaluation ------------------------------------------------
 

@@ -131,36 +131,24 @@ class CompactRegion:
             ok &= np.asarray(g(pts)) >= 0.0
         return bool(ok[0]) if single else ok
 
-    def measure(self, resolution: int | Sequence[int] = 256, *,
-                mc_n: int | None = None, seed: int = 0) -> MeasureEstimate:
+    def measure(self, *, mc_n: int | None = None, seed: int = 0) -> MeasureEstimate:
         """Lebesgue measure of the region.
 
-        Exact (error 0) for plain boxes.  With constraints, a member-fraction
-        estimate on a cell-centered grid (error from one refinement step) or,
-        when ``mc_n`` is given, Monte Carlo with a 3-sigma binomial error.
+        Exact (error 0) for plain boxes.  With constraints, Monte Carlo over
+        ``mc_n`` box points with a 3-sigma binomial error; the grid measure is
+        the one ``integrate.levels`` reads off its meshes.
         """
         if not self.constraints:
             return MeasureEstimate(self.box_volume, 0.0)
-        if mc_n is not None:
-            if mc_n < 100:
-                raise RegionError("Monte Carlo measure needs at least 100 samples")
-            rng = np.random.Generator(np.random.Philox(seed))
-            pts = self.lower + rng.random((mc_n, self.dim)) * (self.upper - self.lower)
-            p = float(np.mean(self.contains(pts)))
-            if p == 0.0:
-                raise EmptyRegionError("no member points in Monte Carlo measure sample")
-            err = 3.0 * self.box_volume * np.sqrt(p * (1.0 - p) / mc_n)
-            return MeasureEstimate(self.box_volume * p, float(err))
-        res = np.atleast_1d(np.asarray(resolution, dtype=int))
-        if res.shape[0] == 1:
-            res = np.full(self.dim, res[0])
-        values = []
-        for r in (np.maximum(res // 2, 2), res):
-            mesh = self.build_grid(r)
-            values.append(mesh.cell_volume * mesh.nodes.shape[0])
-        if values[-1] == 0.0:
-            raise EmptyRegionError("no member grid points; region appears empty")
-        return MeasureEstimate(values[-1], abs(values[-1] - values[-2]))
+        if mc_n is None or mc_n < 100:
+            raise RegionError("Monte Carlo measure needs mc_n >= 100 samples")
+        rng = np.random.Generator(np.random.Philox(seed))
+        pts = self.lower + rng.random((mc_n, self.dim)) * (self.upper - self.lower)
+        p = float(np.mean(self.contains(pts)))
+        if p == 0.0:
+            raise EmptyRegionError("no member points in Monte Carlo measure sample")
+        err = 3.0 * self.box_volume * np.sqrt(p * (1.0 - p) / mc_n)
+        return MeasureEstimate(self.box_volume * p, float(err))
 
     def build_grid(self, resolution: int | Sequence[int]) -> GridMesh:
         """Deterministic cell-centered mesh filtered by membership."""

@@ -87,14 +87,3 @@ def run_continuation(obj: Objective, region: CompactRegion,
         trace=trace,
         stop_reason=stop_reason,
     )
-
-
-def trace_to_rows(result: MinimizeResult) -> tuple[list[str], list[list]]:
-    """CSV-ready (header, rows); mean_x expands to one column per coordinate."""
-    dim = result.xstar_estimate.shape[0]
-    header = ["stage", "k", "Ef", "Ef_error", "Varf"]
-    header += [f"mean_x{j}" for j in range(dim)]
-    rows = []
-    for j, rec in enumerate(result.trace):
-        rows.append([j, rec.k, rec.Ef, rec.Ef_error, rec.Varf, *rec.mean_x.tolist()])
-    return header, rows

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mdopt.cli import main
+from mdopt.cli import _write_csv, main
+from mdopt.region import CompactRegion
 
 
 @pytest.fixture
@@ -49,6 +51,10 @@ def test_minimize_paper1d_monotone(runner, tmp_path):
     efs = [float(r["Ef"]) for r in read_csv(out / "trace.csv")]
     assert all(b < a for a, b in zip(efs, efs[1:]))
     assert (out / "config.json").exists()
+    with open(out / "trace.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["stage", "k", "Ef", "Ef_error", "Varf", "mean_x0"]
+    assert len(rows) == 8 and all(len(r) == len(header) for r in rows)
 
 
 def test_minimize_missing_function_usage_error(runner, tmp_path):
@@ -88,6 +94,21 @@ def test_sets_density_concentrates(runner, tmp_path):
     peak = {k: max(float(r["density"]) for r in rows if r["k"] == k)
             for k in ("0", "9")}
     assert peak["9"] > 5 * peak["0"]
+
+
+def test_sets_builds_only_the_density_level_meshes(runner, tmp_path, monkeypatch):
+    built = []
+    build_grid = CompactRegion.build_grid
+
+    def counting(self, resolution):
+        mesh = build_grid(self, resolution)
+        built.append(mesh.resolution)
+        return mesh
+    monkeypatch.setattr(CompactRegion, "build_grid", counting)
+    result = runner.invoke(main, ["sets", "--function", "paper2d", "--k", "0,1",
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert built == [(128, 128), (256, 256)]
 
 
 def test_sets_empty_k_usage_error(runner, tmp_path):
@@ -182,3 +203,19 @@ def test_cli_import_loads_no_scipy():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n", [6, 0])
+def test_write_csv_matches_csv_writer(tmp_path, n):
+    floats = [-0.0, float("inf"), float("nan"), 1e16, 5e-324, 0.1][:n]
+    ints = [0, -3, 7, 2 ** 40, 12, 1][:n]
+    strs = ["Df", "Dtau", "D0", "a b", "x", ""][:n]
+    columns = {"i": ints, "s": strs, "f": floats, "ai": np.array(ints, dtype=np.int64),
+               "af": np.array(floats, dtype=float)}
+    _write_csv(tmp_path / "new.csv", columns)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(list(columns))
+        for row in zip(ints, strs, floats, ints, floats):
+            w.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdopt.integrate import IntegratorConfig, levels
 from mdopt.region import (CompactRegion, DimensionMismatchError, EmptyRegionError,
                           InfeasibleRegionError, RegionError, box)
 
@@ -44,14 +45,21 @@ def test_measure_box_exact():
 
 
 def test_measure_disk(disk_region):
-    est = disk_region.measure(resolution=512)
+    est = levels(disk_region, IntegratorConfig(resolution=512))[1]
     assert abs(est.value - np.pi / 4.0) <= max(est.error, 1e-3)
 
 
 def test_measure_refinement_converges(disk_region):
-    coarse = disk_region.measure(resolution=256)
-    fine = disk_region.measure(resolution=512)
+    coarse = levels(disk_region, IntegratorConfig(resolution=256))[1]
+    fine = levels(disk_region, IntegratorConfig(resolution=512))[1]
     assert abs(fine.value - coarse.value) < max(coarse.error, 1e-4)
+
+
+def test_measure_constrained_needs_mc_n(disk_region):
+    with pytest.raises(RegionError):
+        disk_region.measure()
+    est = disk_region.measure(mc_n=20_000, seed=1)
+    assert abs(est.value - np.pi / 4.0) <= est.error
 
 
 def test_empty_region_rejected():

@@ -5,7 +5,7 @@ from mdopt.integrate import IntegratorConfig
 from mdopt import nmd
 from mdopt.nmd import Rational
 from mdopt.objective import catalog_get
-from mdopt.schedule import (ContinuationConfig, run_continuation, trace_to_rows)
+from mdopt.schedule import ContinuationConfig, run_continuation
 
 import oracles
 
@@ -67,17 +67,6 @@ def test_rational_tau_also_monotone():
     efs = [r.Ef for r in result.trace]
     for a, b in zip(efs, efs[1:]):
         assert b <= a + 1e-12
-
-
-def test_trace_rows_shape():
-    obj, region = catalog_get("paper1d")
-    cfg = ContinuationConfig(max_stages=3, var_tol=0.0, integrator=GRID_1D)
-    result = run_continuation(obj, region, cfg)
-    header, rows = trace_to_rows(result)
-    assert len(rows) == 3
-    assert header[:5] == ["stage", "k", "Ef", "Ef_error", "Varf"]
-    assert "mean_x0" in header
-    assert all(len(r) == len(header) for r in rows)
 
 
 def test_config_validation():
