@@ -1,6 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from mdopt.cli import main
 from mdopt.integrate import IntegratorConfig
 from mdopt import nmd
 from mdopt.nmd import Rational
@@ -67,6 +71,25 @@ def test_rational_tau_also_monotone():
     efs = [r.Ef for r in result.trace]
     for a, b in zip(efs, efs[1:]):
         assert b <= a + 1e-12
+
+
+def test_trace_rows_shape(tmp_path):
+    obj, region = catalog_get("paper1d")
+    cfg = ContinuationConfig(max_stages=3, var_tol=0.0, integrator=GRID_1D)
+    result = run_continuation(obj, region, cfg)
+    assert len(result.trace) == 3
+    assert all(np.shape(rec.mean_x) == (region.dim,) for rec in result.trace)
+    out = tmp_path / "run"
+    done = CliRunner().invoke(main, ["minimize", "--function", "paper1d", "--grid", "4096",
+                                     "--stages", "3", "--var-tol", "0", "--out", str(out)])
+    assert done.exit_code == 0, done.output
+    with open(out / "trace.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    assert header[:5] == ["stage", "k", "Ef", "Ef_error", "Varf"]
+    assert "mean_x0" in header
+    assert all(len(r) == len(header) for r in rows)
+    assert [float(r[2]) for r in rows] == [rec.Ef for rec in result.trace]
 
 
 def test_config_validation():
