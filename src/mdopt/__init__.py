@@ -1,10 +1,10 @@
 """Global optimization of continuous functions on compact sets via annealed
 densities, shrinking significant sets, and a uniform-sequence optimizer."""
 
-from .integrate import Estimate, IntegratorConfig, default_config, integrate, log_integrate_exp
-from .nmd import DensityLevel, Exponential, Expectation, NascentMD, Rational
+from .integrate import IntegratorConfig, default_config, integrate, log_integrate_exp
+from .nmd import DensityLevel, Exponential, NascentMD, Rational
 from .objective import Objective, catalog_get, catalog_names, evaluate_batch, gradient
-from .region import CompactRegion, GridMesh, MeasureEstimate, box
+from .region import CompactRegion, Estimate, GridMesh, box
 from .schedule import ContinuationConfig, MinimizeResult, TraceRecord, run_continuation
 from .sets import (
     BasinReport, SetKind, SignificantSet, basin_masses, boundary_points,

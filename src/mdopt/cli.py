@@ -79,11 +79,12 @@ def common_options(f, density: bool = True):
         opts += [
             click.option("--tau", type=click.Choice(["exp", "rational"]), default="exp",
                          show_default=True, help="density transform kind"),
-            click.option("--p", type=float, default=1.0, show_default=True,
-                         help="rational transform offset"),
-            click.option("--grid", type=int, default=None,
+            click.option("--p", type=click.FloatRange(0, min_open=True), default=1.0,
+                         show_default=True, help="rational transform offset"),
+            click.option("--grid", type=click.IntRange(min=2), default=None,
                          help="grid resolution per axis (default picked per dimension)"),
-            click.option("--mc", type=int, default=None, help="Monte Carlo sample count"),
+            click.option("--mc", type=click.IntRange(min=100), default=None,
+                         help="Monte Carlo sample count"),
         ]
     opts += [
         click.option("--seed", type=int, default=0, show_default=True),
@@ -118,9 +119,10 @@ def main(ctx, config_path):
 
 @main.command()
 @common_options
-@click.option("--k0", type=float, default=1.0, show_default=True)
-@click.option("--growth", type=float, default=float(np.e), show_default=True)
-@click.option("--stages", type=int, default=16, show_default=True)
+@click.option("--k0", type=click.FloatRange(0, min_open=True), default=1.0, show_default=True)
+@click.option("--growth", type=click.FloatRange(1, min_open=True), default=float(np.e),
+              show_default=True)
+@click.option("--stages", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--var-tol", type=float, default=1e-8, show_default=True)
 def minimize(function, tau, p, grid, mc, seed, out, k0, growth, stages, var_tol):
     """Run the k-continuation and write trace.csv + result.json."""
@@ -154,7 +156,7 @@ def minimize(function, tau, p, grid, mc, seed, out, k0, growth, stages, var_tol)
 @common_options
 @click.option("--k", "k_list", required=True,
               help="comma-separated k values, e.g. 0,1,3,9")
-@click.option("--profile-res", type=int, default=None,
+@click.option("--profile-res", type=click.IntRange(min=2), default=None,
               help="resolution of the density profile output (default 1024 in 1-d, 128 in 2-d)")
 def sets_cmd(function, tau, p, grid, mc, seed, out, k_list, profile_res):
     """Extract the three set families per k; write measures, masks, profiles."""
@@ -191,7 +193,7 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k_list, profile_res):
 @main.command()
 @common_options
 @click.option("--k", type=float, default=8.0, show_default=True)
-@click.option("--dk", type=float, default=0.01, show_default=True)
+@click.option("--dk", type=click.FloatRange(0, min_open=True), default=0.01, show_default=True)
 @click.option("--grad-min", type=float, default=0.1, show_default=True,
               help="skip boundary points with smaller gradient norm")
 def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
@@ -204,7 +206,8 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     g = gradient(obj, pts)
     gn = np.sqrt(np.vecdot(g, g))  # BLAS dot, as np.linalg.norm of one row
     pts, gn = pts[gn > grad_min], gn[gn > grad_min]
-    theo = sets_mod.shrink_rate_theoretical(m, pts)
+    descent = sets_mod.descent_rate(m, pts)
+    theo = np.abs(descent) / gn  # shrink_rate_theoretical, from norms already at hand
     emp = sets_mod.shrink_rate_empirical(m, pts, dk)
     ratio = np.divide(emp, theo, out=np.full_like(theo, np.nan), where=theo > 0)
     out.mkdir(parents=True, exist_ok=True)
@@ -212,7 +215,7 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
         **{f"x{j}": pts[:, j] for j in range(region.dim)},
         "k": np.full(len(pts), k), "dk": np.full(len(pts), dk), "grad_norm": gn,
         "theoretical": theo, "empirical": emp, "ratio": ratio,
-        "descent_rate": sets_mod.descent_rate(m, pts)})
+        "descent_rate": descent})
     _write_json(out / "config.json", dict(
         command="shrinkrate", function=function, tau=tau, p=p, grid=grid, mc=mc,
         seed=seed, k=k, dk=dk, grad_min=grad_min, mesh_resolution=mesh.resolution[0]))
@@ -221,7 +224,7 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
 
 @main.command("useq")
 @functools.partial(common_options, density=False)
-@click.option("--resolution", type=int, default=None,
+@click.option("--resolution", type=click.IntRange(min=2), default=None,
               help="mesh resolution per axis (default 65536 in 1-d, 1024 in 2-d)")
 @click.option("--max-iter", type=int, default=64, show_default=True)
 @click.option("--rel-tol", type=float, default=1e-6, show_default=True)

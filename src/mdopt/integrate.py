@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .region import CompactRegion, EmptyRegionError, GridMesh, MeasureEstimate
+from .region import CompactRegion, EmptyRegionError, Estimate, GridMesh
 
 
 class DegenerateIntegrandError(ValueError):
@@ -82,12 +82,6 @@ def default_config(dim: int, seed: int = 0) -> IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class Estimate:
-    value: float
-    error: float
-
-
-@dataclass(frozen=True)
 class Level:
     """Member nodes, log node weight, and grid mesh (``None`` for Monte Carlo)."""
 
@@ -97,7 +91,7 @@ class Level:
 
 
 def levels(region: CompactRegion,
-           cfg: IntegratorConfig | None = None) -> tuple[list[Level], MeasureEstimate]:
+           cfg: IntegratorConfig | None = None) -> tuple[list[Level], Estimate]:
     """The two quadrature levels, coarsest first, and the region's measure mu.
 
     Grid: one mesh per rung of the resolution ladder, mu from the finest one.
@@ -117,9 +111,9 @@ def levels(region: CompactRegion,
             raise EmptyRegionError("no member nodes at grid resolution")
         out.append(Level(mesh.nodes, float(np.log(mesh.cell_volume)), mesh))
     if not region.constraints:
-        return out, MeasureEstimate(region.box_volume, 0.0)
+        return out, Estimate(region.box_volume, 0.0)
     vols = [lv.mesh.cell_volume * lv.nodes.shape[0] for lv in out]
-    return out, MeasureEstimate(vols[-1], abs(vols[-1] - vols[-2]))
+    return out, Estimate(vols[-1], abs(vols[-1] - vols[-2]))
 
 
 def integrate(region: CompactRegion, integrand: Callable[[np.ndarray], np.ndarray],

@@ -24,7 +24,7 @@ import numpy as np
 from .integrate import (IntegratorConfig, Level, default_config,
                         levels as quadrature_levels, logsumexp, softmax)
 from .objective import Objective, evaluate_batch, gradient
-from .region import CompactRegion, GridMesh, _as_points
+from .region import CompactRegion, Estimate, GridMesh, _as_points
 
 
 class InvalidShiftError(ValueError):
@@ -99,22 +99,12 @@ class DensityLevel(Level):
 
 
 @dataclass(frozen=True)
-class Expectation:
-    """A softmax-weighted node average with an absolute error estimate."""
-
-    value: float
-    error: float
-    k: float
-    kind: str
-
-
-@dataclass(frozen=True)
 class Moments:
     """The moments of m^(k) that a continuation stage needs, at one k."""
 
-    f: Expectation
-    f2: Expectation
-    log_tau: Expectation
+    f: Estimate
+    f2: Estimate
+    log_tau: Estimate
     x: np.ndarray
     x_error: float
 
@@ -242,8 +232,7 @@ class NascentMD:
 
     # --- expectations --------------------------------------------------------
 
-    def _estimate(self, vals: list[float], w: np.ndarray, h: np.ndarray,
-                  kind: str) -> Expectation:
+    def _estimate(self, vals: list[float], w: np.ndarray, h: np.ndarray) -> Estimate:
         """The finest-level value of the two level averages ``vals`` with its error.
 
         ``w`` and ``h`` are the finest level's weights and integrand values,
@@ -253,16 +242,15 @@ class NascentMD:
             err = 3.0 * float(np.sqrt(np.sum(w ** 2 * (h - vals[-1]) ** 2)))
         else:
             err = abs(vals[-1] - vals[-2])
-        return Expectation(vals[-1], err, self.k, kind)
+        return Estimate(vals[-1], err)
 
-    def _expect_values(self, per_level: Callable[[DensityLevel], np.ndarray],
-                       kind: str) -> Expectation:
+    def _expect_values(self, per_level: Callable[[DensityLevel], np.ndarray]) -> Estimate:
         vals = []
         for level in self.levels():
             w = self._weights(level)
             h = per_level(level)
             vals.append(float(np.dot(w, h)))
-        return self._estimate(vals, w, h, kind)
+        return self._estimate(vals, w, h)
 
     def moments(self) -> Moments:
         """E f, E f^2, E log tau and E x from one weight pass per level.
@@ -282,27 +270,27 @@ class NascentMD:
             ex[-1].setflags(write=False)
             x_err = float(np.linalg.norm(ex[-1] - ex[-2]))
             cache[self.k] = Moments(
-                f=self._estimate(ef, w, f, "f^1"),
-                f2=self._estimate(ef2, w, f2, "f^2"),
-                log_tau=self._estimate(elt, w, lt, "log_tau"),
+                f=self._estimate(ef, w, f),
+                f2=self._estimate(ef2, w, f2),
+                log_tau=self._estimate(elt, w, lt),
                 x=ex[-1], x_error=x_err,
             )
         return cache[self.k]
 
     def expectation(self, h: Callable[[np.ndarray], np.ndarray] | None = None,
-                    nu: float = 1.0, shift=None) -> Expectation:
+                    nu: float = 1.0, shift=None) -> Estimate:
         """E^(k) of h^nu, optionally with the integration variable shifted.
 
         ``h=None`` means the objective itself (its node values are cached).
         """
         if h is None and shift is None:
-            return self._expect_values(lambda lv: self._power(lv.f, nu), kind=f"f^{nu:g}")
+            return self._expect_values(lambda lv: self._power(lv.f, nu))
         off = np.zeros(self.region.dim) if shift is None else np.asarray(shift, float)
         fn = h if h is not None else (lambda p: evaluate_batch(self.objective, p))
 
         def values(level):
             return self._power(np.asarray(fn(level.nodes + off), float), nu)
-        return self._expect_values(values, kind=f"h^{nu:g}")
+        return self._expect_values(values)
 
     @staticmethod
     def _power(vals: np.ndarray, nu: float) -> np.ndarray:
@@ -312,10 +300,10 @@ class NascentMD:
             raise DomainError("h <= 0 somewhere with non-integer exponent")
         return vals ** nu
 
-    def expect_f(self) -> Expectation:
+    def expect_f(self) -> Estimate:
         return self.moments().f
 
-    def expect_log_tau(self) -> Expectation:
+    def expect_log_tau(self) -> Estimate:
         return self.moments().log_tau
 
     def log_expect_tau(self) -> tuple[float, float]:
@@ -324,13 +312,13 @@ class NascentMD:
                 for lv in self.levels()]
         return logs[-1], abs(np.exp(logs[-1]) - np.exp(logs[-2]))
 
-    def variance_f(self) -> Expectation:
+    def variance_f(self) -> Estimate:
         """Var^(k)(f) = E(f^2) - E(f)^2, clamped at zero."""
         mom = self.moments()
         ef, ef2 = mom.f, mom.f2
         value = max(ef2.value - ef.value ** 2, 0.0)
         err = ef2.error + 2.0 * abs(ef.value) * ef.error
-        return Expectation(value, err, self.k, "var_f")
+        return Estimate(value, err)
 
     def mean_location(self, with_error: bool = False):
         """Component-wise E^(k)(x); optionally also the error norm."""

@@ -49,8 +49,9 @@ def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
 
 
 @dataclass(frozen=True)
-class MeasureEstimate:
-    """Lebesgue measure estimate with an absolute error bound."""
+class Estimate:
+    """A derived number with an absolute error bound: a measure, an integral,
+    or an expectation under the density."""
 
     value: float
     error: float
@@ -131,7 +132,7 @@ class CompactRegion:
             ok &= np.asarray(g(pts)) >= 0.0
         return bool(ok[0]) if single else ok
 
-    def measure(self, *, mc_n: int | None = None, seed: int = 0) -> MeasureEstimate:
+    def measure(self, *, mc_n: int | None = None, seed: int = 0) -> Estimate:
         """Lebesgue measure of the region.
 
         Exact (error 0) for plain boxes.  With constraints, Monte Carlo over
@@ -139,7 +140,7 @@ class CompactRegion:
         the one ``integrate.levels`` reads off its meshes.
         """
         if not self.constraints:
-            return MeasureEstimate(self.box_volume, 0.0)
+            return Estimate(self.box_volume, 0.0)
         if mc_n is None or mc_n < 100:
             raise RegionError("Monte Carlo measure needs mc_n >= 100 samples")
         rng = np.random.Generator(np.random.Philox(seed))
@@ -148,7 +149,7 @@ class CompactRegion:
         if p == 0.0:
             raise EmptyRegionError("no member points in Monte Carlo measure sample")
         err = 3.0 * self.box_volume * np.sqrt(p * (1.0 - p) / mc_n)
-        return MeasureEstimate(self.box_volume * p, float(err))
+        return Estimate(self.box_volume * p, float(err))
 
     def build_grid(self, resolution: int | Sequence[int]) -> GridMesh:
         """Deterministic cell-centered mesh filtered by membership."""
@@ -166,16 +167,13 @@ class CompactRegion:
         )
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
-        if self.constraints:
-            mask = self.contains(pts)
-        else:
-            mask = np.ones(pts.shape[0], dtype=bool)
+        mask = self.contains(pts) if self.constraints else np.ones(pts.shape[0], dtype=bool)
         return GridMesh(
             region=self,
             resolution=tuple(int(r) for r in res),
             axes=axes,
             lattice_mask=mask.reshape(tuple(res)),
-            nodes=pts[mask],
+            nodes=pts[mask] if self.constraints else pts,
             cell_volume=float(np.prod(widths)),
         )
 

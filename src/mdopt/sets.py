@@ -188,26 +188,14 @@ def _gradients(m: NascentMD, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, gn
 
 
-def _log_tau_gap(m: NascentMD, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E^(k)(log tau) - log tau(x), k |d log tau/df| at x) per row."""
-    tau, f = m.resolved_tau(), m.objective(pts)
-    return m.expect_log_tau().value - tau.log_tau(f), m.k * np.abs(tau.dlog_tau_df(f))
-
-
-def _rate(m: NascentMD, pts: np.ndarray, gn: np.ndarray) -> np.ndarray:
-    """The theoretical shrink rate per row, given the gradient norms gn."""
-    gap, scale = _log_tau_gap(m, pts)
-    return np.abs(gap) / (scale * gn)
-
-
 def shrink_rate_theoretical(m: NascentMD, x):
     """Limiting boundary speed |dx|/dk at a point (or each row of a batch) of
-    the D0 boundary: |E^(k)(log tau) - log tau(x)| / (k |d log tau/df| |grad f(x)|).
+    the D0 boundary: |descent_rate| / |grad f(x)|.
 
     For exponential tau this is |E^(k)(f) - f(x)| / (k |grad f(x)|).
     """
     pts, single = _as_points(x, m.region.dim)
-    rate = _rate(m, pts, _gradients(m, pts)[1])
+    rate = np.abs(descent_rate(m, pts)) / _gradients(m, pts)[1]
     return float(rate[0]) if single else rate
 
 
@@ -225,7 +213,7 @@ def solve_boundary_move(m: NascentMD, x, delta_k: float):
     pts, single = _as_points(x, m.region.dim)
     g, gn = _gradients(m, pts)
     d = g / gn[:, None]
-    t_max = 10.0 * _rate(m, pts, gn) * delta_k
+    t_max = 10.0 * (np.abs(descent_rate(m, pts)) / gn) * delta_k
     m2 = m.with_k(m.k + delta_k)
     log_level = -np.log(m.region_measure())
 
@@ -256,8 +244,8 @@ def descent_rate(m: NascentMD, x):
     Exponential tau: (f(x) - E^(k)(f)) / k.
     """
     pts, single = _as_points(x, m.region.dim)
-    gap, scale = _log_tau_gap(m, pts)
-    rate = gap / scale
+    tau, f = m.resolved_tau(), m.objective(pts)
+    rate = (m.expect_log_tau().value - tau.log_tau(f)) / (m.k * np.abs(tau.dlog_tau_df(f)))
     return float(rate[0]) if single else rate
 
 

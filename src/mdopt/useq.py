@@ -36,17 +36,24 @@ class UniformSeqState:
         return int(np.count_nonzero(self.mask))
 
 
+def _state(iteration: int, mesh: GridMesh, fvals: np.ndarray,
+           mask: np.ndarray) -> UniformSeqState:
+    """The state whose set is the masked nodes: threshold its mean of f, measure
+    its cell volume, best value its minimum of f."""
+    kept = fvals[mask]
+    return UniformSeqState(
+        iteration=iteration, mesh=mesh, fvals=fvals, mask=mask,
+        threshold=float(np.mean(kept)),
+        measure=float(mesh.cell_volume * kept.shape[0]),
+        best_value=float(np.min(kept)),
+    )
+
+
 def useq_init(obj: Objective, region: CompactRegion, mesh_resolution) -> UniformSeqState:
     """Initial state: the whole mesh, threshold = mean of f over the region."""
     mesh = region.build_grid(mesh_resolution)
     fvals = evaluate_batch(obj, mesh.nodes)
-    mask = np.ones(fvals.shape[0], dtype=bool)
-    return UniformSeqState(
-        iteration=0, mesh=mesh, fvals=fvals, mask=mask,
-        threshold=float(np.mean(fvals)),
-        measure=float(mesh.cell_volume * fvals.shape[0]),
-        best_value=float(np.min(fvals)),
-    )
+    return _state(0, mesh, fvals, np.ones(fvals.shape[0], dtype=bool))
 
 
 def useq_step(state: UniformSeqState, obj: Objective) -> UniformSeqState:
@@ -59,12 +66,7 @@ def useq_step(state: UniformSeqState, obj: Objective) -> UniformSeqState:
     count = int(np.count_nonzero(new_mask))
     if count == 0 or count == state.node_count or count < MIN_NODES:
         return replace(state, stopped=True)
-    return UniformSeqState(
-        iteration=state.iteration + 1, mesh=state.mesh, fvals=state.fvals,
-        mask=new_mask, threshold=float(np.mean(state.fvals[new_mask])),
-        measure=float(state.mesh.cell_volume * count),
-        best_value=float(np.min(state.fvals[new_mask])),
-    )
+    return _state(state.iteration + 1, state.mesh, state.fvals, new_mask)
 
 
 def useq_run(obj: Objective, region: CompactRegion, mesh_resolution,

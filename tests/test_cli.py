@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import mdopt.cli
+import mdopt.sets
 from mdopt.cli import _write_csv, main
-from mdopt.region import CompactRegion
+from mdopt.objective import Objective
+from mdopt.region import CompactRegion, box
 
 
 @pytest.fixture
@@ -109,6 +112,62 @@ def test_sets_builds_only_the_density_level_meshes(runner, tmp_path, monkeypatch
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
     assert built == [(128, 128), (256, 256)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--function", "paper1d", "--grid", "1"],
+    ["minimize", "--function", "paper1d", "--mc", "50"],
+    ["minimize", "--function", "paper1d", "--stages", "0"],
+    ["minimize", "--function", "paper1d", "--growth", "1"],
+    ["minimize", "--function", "paper1d", "--k0", "0"],
+    ["minimize", "--function", "paper1d", "--tau", "rational", "--p", "0"],
+    ["useq", "--function", "paper1d", "--resolution", "1"],
+    ["sets", "--function", "paper1d", "--k", "1", "--profile-res", "1"],
+    ["shrinkrate", "--function", "paper1d", "--dk", "0"],
+], ids=lambda argv: argv[-2])
+def test_out_of_range_option_usage_error(runner, tmp_path, argv):
+    result = runner.invoke(main, [*argv, "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert argv[-2] in result.output
+    assert not (tmp_path / "run").exists()
+
+
+def test_minimize_mc_integrator(runner, tmp_path):
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["minimize", "--function", "paper1d", "--mc", "2000",
+                                  "--stages", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    integrator = json.loads((out / "config.json").read_text())["integrator"]
+    assert "kind='mc'" in integrator and "n=2000" in integrator
+
+
+def test_numerical_failure_exits_3_naming_the_point(runner, tmp_path, monkeypatch):
+    obj = Objective(name="halfnan", dim=1,
+                    fn=lambda p: np.where(p[:, 0] > 0.5, np.nan, p[:, 0]))
+    monkeypatch.setattr(mdopt.cli, "catalog_get", lambda name: (obj, box(0.0, 1.0)))
+    result = runner.invoke(main, ["minimize", "--function", "halfnan",
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 3
+    assert "halfnan returned non-finite value at [" in result.stderr
+    point = float(result.stderr.split("[")[1].split("]")[0])
+    assert 0.5 < point <= 1.0
+
+
+def test_shrinkrate_computes_gradients_twice(runner, tmp_path, monkeypatch):
+    """One gradient pass for the --grad-min filter and the theoretical rate, one
+    for the empirical rate's search direction."""
+    calls = []
+    gradient = mdopt.sets.gradient
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gradient(*args, **kwargs)
+    for module in (mdopt.cli, mdopt.sets):
+        monkeypatch.setattr(module, "gradient", counting)
+    result = runner.invoke(main, ["shrinkrate", "--function", "paper2d", "--k", "8",
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 2
 
 
 def test_sets_empty_k_usage_error(runner, tmp_path):

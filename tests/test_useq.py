@@ -81,3 +81,11 @@ def test_best_value_tracks_minimum():
     best = [s.best_value for s in states]
     assert all(b >= best[0] - 1e-15 for b in best)  # argmin survives every step
     assert best[-1] == best[0]
+
+
+def test_rel_tol_stops_after_small_improvement():
+    obj, region = catalog_get("paper1d")
+    states, fstar = useq_run(obj, region, 4096, rel_tol=1.0)
+    assert len(states) == 2
+    assert not any(s.stopped for s in states)
+    assert fstar == states[-1].threshold
