@@ -46,6 +46,18 @@ def _write_json(path: Path, payload):
         fh.write("\n")
 
 
+def _write_outputs(out: Path, files: dict, **resolved):
+    """Create ``out`` and write the command's files (``.csv`` ones from columns,
+    the others as JSON), then ``config.json``: the command name, its parsed
+    options except ``--out``, and the values the command resolved from them."""
+    ctx = click.get_current_context()
+    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in files.items():
+        (_write_csv if name.endswith(".csv") else _write_json)(out / name, payload)
+    params = {k: v for k, v in ctx.params.items() if k != "out"}
+    _write_json(out / "config.json", {"command": ctx.command.name, **params, **resolved})
+
+
 def _rle(mask: np.ndarray) -> list[list[int]]:
     """Run-length encode a boolean vector as [value, run_length] pairs."""
     v = mask.astype(int)
@@ -130,63 +142,56 @@ def minimize(function, tau, p, grid, mc, seed, out, k0, growth, stages, var_tol)
     cfg = schedule.ContinuationConfig(k0=k0, growth=growth, max_stages=stages,
                                       var_tol=var_tol, integrator=integ, tau=tau_kind)
     result = schedule.run_continuation(obj, region, cfg)
-    out.mkdir(parents=True, exist_ok=True)
     trace = result.trace
     mean_x = np.array([rec.mean_x for rec in trace])
-    _write_csv(out / "trace.csv", {
-        "stage": range(len(trace)), "k": [rec.k for rec in trace],
-        "Ef": [rec.Ef for rec in trace], "Ef_error": [rec.Ef_error for rec in trace],
-        "Varf": [rec.Varf for rec in trace],
-        **{f"mean_x{j}": mean_x[:, j] for j in range(region.dim)}})
-    _write_json(out / "result.json", {
-        "fstar_estimate": result.fstar_estimate,
-        "xstar_estimate": result.xstar_estimate.tolist(),
-        "stop_reason": result.stop_reason,
-        "stages": len(result.trace),
-    })
-    _write_json(out / "config.json", dict(
-        command="minimize", function=function, tau=tau, p=p, grid=grid, mc=mc,
-        seed=seed, k0=k0, growth=growth, stages=stages, var_tol=var_tol,
-        integrator=str(integ)))
+    _write_outputs(out, {
+        "trace.csv": {
+            "stage": range(len(trace)), "k": [rec.k for rec in trace],
+            "Ef": [rec.Ef for rec in trace], "Ef_error": [rec.Ef_error for rec in trace],
+            "Varf": [rec.Varf for rec in trace],
+            **{f"mean_x{j}": mean_x[:, j] for j in range(region.dim)}},
+        "result.json": {
+            "fstar_estimate": result.fstar_estimate,
+            "xstar_estimate": result.xstar_estimate.tolist(),
+            "stop_reason": result.stop_reason,
+            "stages": len(result.trace)},
+    }, integrator=str(integ))
     click.echo(f"fstar_estimate={result.fstar_estimate:.17g} "
                f"stop={result.stop_reason} ({len(result.trace)} stages)")
 
 
 @main.command("sets")
 @common_options
-@click.option("--k", "k_list", required=True,
+@click.option("--k", required=True,
               help="comma-separated k values, e.g. 0,1,3,9")
-@click.option("--profile-res", type=click.IntRange(min=2), default=None,
+@click.option("--profile-res", "profile_resolution", type=click.IntRange(min=2), default=None,
               help="resolution of the density profile output (default 1024 in 1-d, 128 in 2-d)")
-def sets_cmd(function, tau, p, grid, mc, seed, out, k_list, profile_res):
+def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
     """Extract the three set families per k; write measures, masks, profiles."""
-    ks = [float(s) for s in k_list.split(",") if s.strip() != ""]
+    ks = [float(s) for s in k.split(",") if s.strip() != ""]
     if not ks:
         raise click.UsageError("--k needs at least one value")
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
     md0 = NascentMD(obj, region, tau=tau_kind, k=ks[0], integrator=integ)
     mesh = _set_mesh(md0)
-    prof_res = profile_res or (1024 if region.dim == 1 else 128)
+    prof_res = profile_resolution or (1024 if region.dim == 1 else 128)
     prof_mesh = md0.grid(prof_res)
 
     ms = [md0.with_k(k) for k in ks]
     found = [sets_mod.extract_set(m, kind, mesh) for m in ms for kind in sets_mod.SetKind]
     log_tau = md0.resolved_tau().log_tau(md0.mesh_f(prof_mesh))
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "measures.csv", {
-        "k": [s.k for s in found], "kind": [s.kind.value for s in found],
-        "measure": [s.measure for s in found], "threshold": [s.threshold for s in found]})
-    _write_json(out / "masks.json", [
-        {"k": s.k, "kind": s.kind.value, "resolution": list(mesh.resolution), "rle": _rle(s.mask)}
-        for s in found])
     n = prof_mesh.nodes.shape[0]
-    _write_csv(out / "density_profiles.csv", {
-        "k": np.repeat(ks, n),
-        **{f"x{j}": np.tile(prof_mesh.nodes[:, j], len(ks)) for j in range(region.dim)},
-        "density": np.concatenate([np.exp(m.k * log_tau - m.log_Z()) for m in ms])})
-    _write_json(out / "config.json", dict(
-        command="sets", function=function, tau=tau, p=p, grid=grid, mc=mc,
-        seed=seed, k=ks, mesh_resolution=mesh.resolution[0], profile_resolution=prof_res))
+    _write_outputs(out, {
+        "measures.csv": {
+            "k": [s.k for s in found], "kind": [s.kind.value for s in found],
+            "measure": [s.measure for s in found], "threshold": [s.threshold for s in found]},
+        "masks.json": [{"k": s.k, "kind": s.kind.value, "resolution": list(mesh.resolution),
+                        "rle": _rle(s.mask)} for s in found],
+        "density_profiles.csv": {
+            "k": np.repeat(ks, n),
+            **{f"x{j}": np.tile(prof_mesh.nodes[:, j], len(ks)) for j in range(region.dim)},
+            "density": np.concatenate([np.exp(m.k * log_tau - m.log_Z()) for m in ms])},
+    }, k=ks, mesh_resolution=mesh.resolution[0], profile_resolution=prof_res)
     click.echo(f"wrote measures for k={ks} to {out}")
 
 
@@ -210,15 +215,11 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     theo = np.abs(descent) / gn  # shrink_rate_theoretical, from norms already at hand
     emp = sets_mod.shrink_rate_empirical(m, pts, dk)
     ratio = np.divide(emp, theo, out=np.full_like(theo, np.nan), where=theo > 0)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "shrinkrate.csv", {
+    _write_outputs(out, {"shrinkrate.csv": {
         **{f"x{j}": pts[:, j] for j in range(region.dim)},
         "k": np.full(len(pts), k), "dk": np.full(len(pts), dk), "grad_norm": gn,
         "theoretical": theo, "empirical": emp, "ratio": ratio,
-        "descent_rate": descent})
-    _write_json(out / "config.json", dict(
-        command="shrinkrate", function=function, tau=tau, p=p, grid=grid, mc=mc,
-        seed=seed, k=k, dk=dk, grad_min=grad_min, mesh_resolution=mesh.resolution[0]))
+        "descent_rate": descent}}, mesh_resolution=mesh.resolution[0])
     click.echo(f"{len(pts)} boundary samples written to {out}")
 
 
@@ -226,7 +227,7 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
 @functools.partial(common_options, density=False)
 @click.option("--resolution", type=click.IntRange(min=2), default=None,
               help="mesh resolution per axis (default 65536 in 1-d, 1024 in 2-d)")
-@click.option("--max-iter", type=int, default=64, show_default=True)
+@click.option("--max-iter", type=click.IntRange(min=1), default=64, show_default=True)
 @click.option("--rel-tol", type=float, default=1e-6, show_default=True)
 def useq_cmd(function, seed, out, resolution, max_iter, rel_tol):
     """Run the shrinking-average optimizer and write the iteration trace.
@@ -237,13 +238,10 @@ def useq_cmd(function, seed, out, resolution, max_iter, rel_tol):
     res = resolution or (2 ** 16 if region.dim == 1 else 1024)
     states, fstar = useq_mod.useq_run(obj, region, res, max_iter=max_iter,
                                       rel_tol=rel_tol)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "useq.csv", {name: [getattr(s, name) for s in states] for name in
-                                  ("iteration", "threshold", "measure", "node_count",
-                                   "best_value")})
-    _write_json(out / "config.json", dict(
-        command="useq", function=function, seed=seed, resolution=res,
-        max_iter=max_iter, rel_tol=rel_tol))
+    _write_outputs(out, {"useq.csv": {
+        name: [getattr(s, name) for s in states]
+        for name in ("iteration", "threshold", "measure", "node_count", "best_value")}},
+        resolution=res)
     click.echo(f"fstar_estimate={fstar:.17g} ({len(states)} states)")
 
 

@@ -4,14 +4,13 @@ tau is a positive, decreasing transform of f (exponential e^{-f} or the
 rational 1/(f - L + p)), so m^(k) concentrates on the global minimizers as k
 grows.  Each tau kind owns ``log_tau(f)``, ``dlog_tau_df(f)`` and
 ``resolved(f)``, which fixes a data-dependent shift once.  Everything is
-evaluated in log space on the two levels of ``integrate.levels``: Z(k) is a
-max-shifted log-sum over the finest, and expectations are softmax-weighted
-node averages whose error is the difference between the two.  ``levels()``
-holds them as frozen ``DensityLevel`` records (nodes, weight, mesh, f, log
-tau), built once with the resolved tau and mu and shared, like log Z and the
-per-k ``Moments``, by ``with_k`` clones: a k-continuation run pays the f
-evaluations once and one softmax pass per level per k, which yields E f,
-E f^2, E log tau and E x together.
+evaluated in log space on the two levels of ``integrate.levels``, held as
+frozen ``DensityLevel`` records (nodes, weight, mesh, f, log tau) built once
+with the resolved tau and mu.  Per k, one log-sum of k log tau per level gives
+log Z(k) and log E^(k)(tau) = log Z(k+1) - log Z(k), and one softmax pass per
+level gives E f, E f^2, E log tau and E x, each with the levels' difference as
+its error.  ``with_k`` clones share the levels, the per-k log-sums and
+``Moments``, so a k-continuation run pays the f evaluations once.
 """
 
 from __future__ import annotations
@@ -105,8 +104,7 @@ class Moments:
     f: Estimate
     f2: Estimate
     log_tau: Estimate
-    x: np.ndarray
-    x_error: float
+    x: Estimate  # a read-only vector value
 
 
 class NascentMD:
@@ -128,8 +126,8 @@ class NascentMD:
         self.k = float(k)
         self.integrator = integrator or default_config(region.dim)
         # shared across with_k clones (one tau kind): density levels, measure,
-        # resolved tau, and per-k logZ and moments
-        self._shared = _shared if _shared is not None else {"logZ": {}, "moments": {}}
+        # resolved tau, and per-k log-sums and moments
+        self._shared = _shared if _shared is not None else {"log_sums": {}, "moments": {}}
 
     def with_k(self, k: float) -> "NascentMD":
         """Same density family at a different k, sharing all node caches."""
@@ -164,13 +162,16 @@ class NascentMD:
         """Normalized density weights on a level's nodes (they sum to 1)."""
         return softmax(self.k * level.log_tau)
 
+    def _log_sums(self, k: float) -> list[float]:
+        """logsumexp(k log tau) on each level, coarsest first; cached per k."""
+        cache = self._shared["log_sums"]
+        if k not in cache:
+            cache[k] = [float(logsumexp(k * lv.log_tau)) for lv in self.levels()]
+        return cache[k]
+
     def log_Z(self) -> float:
-        """log of the normalizer at the finest level, cached per k."""
-        cache = self._shared["logZ"]
-        if self.k not in cache:
-            fine = self.levels()[-1]
-            cache[self.k] = float(logsumexp(self.k * fine.log_tau) + fine.log_node_weight)
-        return cache[self.k]
+        """log of the normalizer at the finest level."""
+        return self._log_sums(self.k)[-1] + self.levels()[-1].log_node_weight
 
     def region_measure(self) -> float:
         """mu(Omega) as the quadrature levels measure it."""
@@ -204,9 +205,10 @@ class NascentMD:
         return float(vals[0]) if single else vals
 
     def log_density(self, x):
+        """k log tau(x) - log Z at a point or (N, dim) batch."""
         pts, single = _as_points(x, self.region.dim)
-        log_Z = self.log_Z()  # fills the node caches, the resolved tau among them
-        vals = self.k * self._shared["tau"].log_tau(evaluate_batch(self.objective, pts)) - log_Z
+        vals = (self.k * self.resolved_tau().log_tau(evaluate_batch(self.objective, pts))
+                - self.log_Z())
         return float(vals[0]) if single else vals
 
     def density(self, x):
@@ -232,25 +234,28 @@ class NascentMD:
 
     # --- expectations --------------------------------------------------------
 
-    def _estimate(self, vals: list[float], w: np.ndarray, h: np.ndarray) -> Estimate:
-        """The finest-level value of the two level averages ``vals`` with its error.
+    def _estimates(self, *integrands: Callable[[DensityLevel], np.ndarray]) -> list[Estimate]:
+        """E^(k) of each integrand, a map from a level to its node values, from
+        one softmax pass per level; the one place where weights meet node values.
 
-        ``w`` and ``h`` are the finest level's weights and integrand values,
-        used by the Monte Carlo 3-sigma error.
+        The error is the two levels' difference, or 3 sigma on the finest level
+        under Monte Carlo.  An integrand with a row per node (the location x)
+        gets a read-only vector value and the norm of the difference.
         """
-        if self.integrator.kind == "mc":
-            err = 3.0 * float(np.sqrt(np.sum(w ** 2 * (h - vals[-1]) ** 2)))
-        else:
-            err = abs(vals[-1] - vals[-2])
-        return Estimate(vals[-1], err)
-
-    def _expect_values(self, per_level: Callable[[DensityLevel], np.ndarray]) -> Estimate:
-        vals = []
+        avgs = []
         for level in self.levels():
             w = self._weights(level)
-            h = per_level(level)
-            vals.append(float(np.dot(w, h)))
-        return self._estimate(vals, w, h)
+            hs = [h(level) for h in integrands]
+            avgs.append([w @ h for h in hs])
+        return [self._estimate(coarse, fine, w, h) for coarse, fine, h in zip(*avgs, hs)]
+
+    def _estimate(self, coarse, fine, w: np.ndarray, h: np.ndarray) -> Estimate:
+        if np.ndim(fine):
+            fine.setflags(write=False)
+            return Estimate(fine, float(np.linalg.norm(fine - coarse)))
+        if self.integrator.kind == "mc":
+            return Estimate(float(fine), 3.0 * float(np.sqrt(np.sum(w ** 2 * (h - fine) ** 2))))
+        return Estimate(float(fine), abs(float(fine) - float(coarse)))
 
     def moments(self) -> Moments:
         """E f, E f^2, E log tau and E x from one weight pass per level.
@@ -259,22 +264,10 @@ class NascentMD:
         """
         cache = self._shared["moments"]
         if self.k not in cache:
-            ef, ef2, elt, ex = [], [], [], []
-            for level in self.levels():
-                w = self._weights(level)
-                f, f2, lt = level.f, level.f ** 2.0, level.log_tau
-                ef.append(float(np.dot(w, f)))
-                ef2.append(float(np.dot(w, f2)))
-                elt.append(float(np.dot(w, lt)))
-                ex.append(w @ level.nodes)
-            ex[-1].setflags(write=False)
-            x_err = float(np.linalg.norm(ex[-1] - ex[-2]))
-            cache[self.k] = Moments(
-                f=self._estimate(ef, w, f),
-                f2=self._estimate(ef2, w, f2),
-                log_tau=self._estimate(elt, w, lt),
-                x=ex[-1], x_error=x_err,
-            )
+            f, f2, log_tau, x = self._estimates(
+                lambda lv: lv.f, lambda lv: lv.f ** 2.0, lambda lv: lv.log_tau,
+                lambda lv: lv.nodes)
+            cache[self.k] = Moments(f=f, f2=f2, log_tau=log_tau, x=x)
         return cache[self.k]
 
     def expectation(self, h: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -284,13 +277,12 @@ class NascentMD:
         ``h=None`` means the objective itself (its node values are cached).
         """
         if h is None and shift is None:
-            return self._expect_values(lambda lv: self._power(lv.f, nu))
+            return self._estimates(lambda lv: self._power(lv.f, nu))[0]
         off = np.zeros(self.region.dim) if shift is None else np.asarray(shift, float)
         fn = h if h is not None else (lambda p: evaluate_batch(self.objective, p))
 
-        def values(level):
-            return self._power(np.asarray(fn(level.nodes + off), float), nu)
-        return self._expect_values(values)
+        return self._estimates(
+            lambda lv: self._power(np.asarray(fn(lv.nodes + off), float), nu))[0]
 
     @staticmethod
     def _power(vals: np.ndarray, nu: float) -> np.ndarray:
@@ -308,19 +300,17 @@ class NascentMD:
 
     def log_expect_tau(self) -> tuple[float, float]:
         """(log E^(k)(tau), absolute error of E^(k)(tau)); fully log-stable."""
-        logs = [float(logsumexp((self.k + 1.0) * lv.log_tau) - logsumexp(self.k * lv.log_tau))
-                for lv in self.levels()]
+        logs = [b - a for a, b in zip(self._log_sums(self.k), self._log_sums(self.k + 1.0))]
         return logs[-1], abs(np.exp(logs[-1]) - np.exp(logs[-2]))
 
     def variance_f(self) -> Estimate:
         """Var^(k)(f) = E(f^2) - E(f)^2, clamped at zero."""
         mom = self.moments()
-        ef, ef2 = mom.f, mom.f2
-        value = max(ef2.value - ef.value ** 2, 0.0)
-        err = ef2.error + 2.0 * abs(ef.value) * ef.error
+        value = max(mom.f2.value - mom.f.value ** 2, 0.0)
+        err = mom.f2.error + 2.0 * abs(mom.f.value) * mom.f.error
         return Estimate(value, err)
 
     def mean_location(self, with_error: bool = False):
         """Component-wise E^(k)(x); optionally also the error norm."""
-        mom = self.moments()
-        return (mom.x.copy(), mom.x_error) if with_error else mom.x.copy()
+        x = self.moments().x
+        return (x.value.copy(), x.error) if with_error else x.value.copy()

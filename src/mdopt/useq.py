@@ -56,7 +56,7 @@ def useq_init(obj: Objective, region: CompactRegion, mesh_resolution) -> Uniform
     return _state(0, mesh, fvals, np.ones(fvals.shape[0], dtype=bool))
 
 
-def useq_step(state: UniformSeqState, obj: Objective) -> UniformSeqState:
+def useq_step(state: UniformSeqState) -> UniformSeqState:
     """One shrink: keep the nodes at or below the current set average.
 
     If the mask would not shrink (constant f) or would drop below MIN_NODES,
@@ -76,10 +76,12 @@ def useq_run(obj: Objective, region: CompactRegion, mesh_resolution,
 
     Returns the state history and the final threshold as the minimum estimate.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     state = useq_init(obj, region, mesh_resolution)
     history = [state]
     for _ in range(max_iter):
-        nxt = useq_step(state, obj)
+        nxt = useq_step(state)
         if nxt.stopped:
             history[-1] = nxt
             break

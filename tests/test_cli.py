@@ -122,6 +122,7 @@ def test_sets_builds_only_the_density_level_meshes(runner, tmp_path, monkeypatch
     ["minimize", "--function", "paper1d", "--k0", "0"],
     ["minimize", "--function", "paper1d", "--tau", "rational", "--p", "0"],
     ["useq", "--function", "paper1d", "--resolution", "1"],
+    ["useq", "--function", "paper1d", "--max-iter", "0"],
     ["sets", "--function", "paper1d", "--k", "1", "--profile-res", "1"],
     ["shrinkrate", "--function", "paper1d", "--dk", "0"],
 ], ids=lambda argv: argv[-2])
@@ -130,6 +131,34 @@ def test_out_of_range_option_usage_error(runner, tmp_path, argv):
     assert result.exit_code == 2, result.output
     assert argv[-2] in result.output
     assert not (tmp_path / "run").exists()
+
+
+_DENSITY_OPTIONS = (["--tau", "rational", "--p", "2", "--grid", "64", "--mc", "200"],
+                    {"tau": "rational", "p": 2.0, "grid": 64, "mc": 200})
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    (["minimize", *_DENSITY_OPTIONS[0], "--k0", "2", "--growth", "3", "--stages", "2",
+      "--var-tol", "0.001"],
+     {**_DENSITY_OPTIONS[1], "k0": 2.0, "growth": 3.0, "stages": 2, "var_tol": 0.001}),
+    (["sets", *_DENSITY_OPTIONS[0], "--k", "0,2", "--profile-res", "32"],
+     {**_DENSITY_OPTIONS[1], "k": [0.0, 2.0], "profile_resolution": 32}),
+    (["shrinkrate", *_DENSITY_OPTIONS[0], "--k", "4", "--dk", "0.02", "--grad-min", "0.2"],
+     {**_DENSITY_OPTIONS[1], "k": 4.0, "dk": 0.02, "grad_min": 0.2}),
+    (["useq", "--resolution", "64", "--max-iter", "5", "--rel-tol", "0.001"],
+     {"resolution": 64, "max_iter": 5, "rel_tol": 0.001}),
+], ids=["minimize", "sets", "shrinkrate", "useq"])
+def test_config_records_every_option(runner, tmp_path, argv, parsed):
+    """config.json holds the command name and each option but --out, as parsed."""
+    out = tmp_path / "run"
+    result = runner.invoke(main, [*argv, "--function", "paper1d", "--seed", "3",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    config = json.loads((out / "config.json").read_text())
+    assert "out" not in config
+    assert config["command"] == argv[0]
+    for name, value in {"function": "paper1d", "seed": 3, **parsed}.items():
+        assert config[name] == value, name
 
 
 def test_minimize_mc_integrator(runner, tmp_path):

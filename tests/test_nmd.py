@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
+from mdopt import nmd
 from mdopt.integrate import IntegratorConfig, integrate
 from mdopt.nmd import DomainError, Exponential, InvalidShiftError, NascentMD, Rational
 from mdopt.objective import Objective, catalog_get
@@ -232,6 +233,24 @@ def test_with_k_shares_caches(paper1d_md):
     assert m2._shared is paper1d_md._shared
 
 
+def test_log_Z_and_log_expect_tau_share_log_sums(monkeypatch):
+    """One logsumexp per level per k serves both log E(tau) and log Z."""
+    calls = []
+    logsumexp = nmd.logsumexp
+
+    def counting(x):
+        calls.append(x.shape)
+        return logsumexp(x)
+    monkeypatch.setattr(nmd, "logsumexp", counting)
+    obj, region = catalog_get("paper1d")
+    m = NascentMD(obj, region, k=3.0, integrator=GRID_1D)
+    first = m.log_expect_tau()
+    assert len(calls) == 4  # k and k + 1 on both levels
+    assert m.log_expect_tau() == first
+    assert m.with_k(4.0).log_Z() == pytest.approx(m.log_Z() + first[0], abs=1e-12)
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("method", ["grad_density", "ddk_density"])
 def test_pointwise_derivatives_reject_batches(paper1d_md, method):
     m = paper1d_md.with_k(3.0)
@@ -251,7 +270,7 @@ def test_moments_record_matches_generic_path(tau, integrator):
         m = base.with_k(k)
         ef = m.expectation()
         ef2 = m.expectation(nu=2.0)
-        elt = m._expect_values(lambda level: level.log_tau)
+        elt = m._estimates(lambda level: level.log_tau)[0]
         for got, want in ((m.expect_f(), ef), (m.expect_log_tau(), elt)):
             assert (got.value, got.error) == (want.value, want.error)
         var = m.variance_f()

@@ -114,3 +114,14 @@ def test_one_weight_pass_per_level_per_stage(monkeypatch):
     levels = len(nmd.NascentMD(obj, region).levels())
     assert levels == 2
     assert len(calls) == levels * len(result.trace)
+
+
+def test_coarse_quadrature_stops_stalled():
+    """On a 4-point grid the E f decreases soon fall below the level error."""
+    obj, region = catalog_get("paper1d")
+    cfg = ContinuationConfig(var_tol=0.0, integrator=IntegratorConfig(kind="grid", resolution=4))
+    result = run_continuation(obj, region, cfg)
+    assert result.stop_reason == "stalled"
+    assert len(result.trace) == 4
+    for prev, rec in zip(result.trace[-4:], result.trace[-3:]):
+        assert prev.Ef - rec.Ef < rec.Ef_error

@@ -69,7 +69,7 @@ def test_paper2d_survivors_near_minimizer(paper2d_oracle):
 def test_step_constant_sets_flag():
     obj, region = catalog_get("const3")
     state = useq_init(obj, region, 64)
-    nxt = useq_step(state, obj)
+    nxt = useq_step(state)
     assert nxt.stopped
     assert nxt.threshold == pytest.approx(3.0)
     assert nxt.node_count == state.node_count
@@ -89,3 +89,10 @@ def test_rel_tol_stops_after_small_improvement():
     assert len(states) == 2
     assert not any(s.stopped for s in states)
     assert fstar == states[-1].threshold
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_run_rejects_max_iter_below_one(max_iter):
+    obj, region = catalog_get("paper1d")
+    with pytest.raises(ValueError, match="max_iter"):
+        useq_run(obj, region, 64, max_iter=max_iter)
