@@ -6,11 +6,11 @@ grows.  Each tau kind owns ``log_tau(f)``, ``dlog_tau_df(f)`` and
 ``resolved(f)``, which fixes a data-dependent shift once.  Everything is
 evaluated in log space on the two levels of ``integrate.levels``, held as
 frozen ``DensityLevel`` records (nodes, weight, mesh, f, log tau) built once
-with the resolved tau and mu.  Per k, one log-sum of k log tau per level gives
-log Z(k) and log E^(k)(tau) = log Z(k+1) - log Z(k), and one softmax pass per
-level gives E f, E f^2, E log tau and E x, each with the levels' difference as
-its error.  ``with_k`` clones share the levels, the per-k log-sums and
-``Moments``, so a k-continuation run pays the f evaluations once.
+with the resolved tau and mu.  A log-sum of k log tau per (k, level), made when
+first read, gives log Z(k) (finest level) and log E^(k)(tau) = log Z(k+1) -
+log Z(k); one softmax pass per level gives E f, E f^2, E log tau and E x, each
+with the levels' difference as its error.  ``with_k`` clones share the levels,
+the log-sums and ``Moments``, so a k-continuation run pays the f evaluations once.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class NascentMD:
         self.k = float(k)
         self.integrator = integrator or default_config(region.dim)
         # shared across with_k clones (one tau kind): density levels, measure,
-        # resolved tau, and per-k log-sums and moments
+        # resolved tau, per-(k, level) log-sums and per-k moments
         self._shared = _shared if _shared is not None else {"log_sums": {}, "moments": {}}
 
     def with_k(self, k: float) -> "NascentMD":
@@ -162,16 +162,16 @@ class NascentMD:
         """Normalized density weights on a level's nodes (they sum to 1)."""
         return softmax(self.k * level.log_tau)
 
-    def _log_sums(self, k: float) -> list[float]:
-        """logsumexp(k log tau) on each level, coarsest first; cached per k."""
+    def _log_sum(self, k: float, level: int) -> float:
+        """logsumexp(k log tau) on level 0 (coarse) or 1 (finest), made when first read."""
         cache = self._shared["log_sums"]
-        if k not in cache:
-            cache[k] = [float(logsumexp(k * lv.log_tau)) for lv in self.levels()]
-        return cache[k]
+        if (k, level) not in cache:
+            cache[k, level] = float(logsumexp(k * self.levels()[level].log_tau))
+        return cache[k, level]
 
     def log_Z(self) -> float:
         """log of the normalizer at the finest level."""
-        return self._log_sums(self.k)[-1] + self.levels()[-1].log_node_weight
+        return self._log_sum(self.k, 1) + self.levels()[1].log_node_weight
 
     def region_measure(self) -> float:
         """mu(Omega) as the quadrature levels measure it."""
@@ -300,8 +300,8 @@ class NascentMD:
 
     def log_expect_tau(self) -> tuple[float, float]:
         """(log E^(k)(tau), absolute error of E^(k)(tau)); fully log-stable."""
-        logs = [b - a for a, b in zip(self._log_sums(self.k), self._log_sums(self.k + 1.0))]
-        return logs[-1], abs(np.exp(logs[-1]) - np.exp(logs[-2]))
+        logs = [self._log_sum(self.k + 1.0, i) - self._log_sum(self.k, i) for i in (0, 1)]
+        return logs[1], abs(np.exp(logs[1]) - np.exp(logs[0]))
 
     def variance_f(self) -> Estimate:
         """Var^(k)(f) = E(f^2) - E(f)^2, clamped at zero."""

@@ -2,7 +2,8 @@
 
 A region is an axis-aligned box optionally intersected with inequality
 constraints ``g_i(x) >= 0``.  Constraint callables must be vectorized:
-they take an ``(N, dim)`` array and return an ``(N,)`` array.
+they take an ``(N, dim)`` array and return an ``(N,)`` array.  Grid nodes are
+coordinate-major: each ``nodes[:, j]`` is contiguous.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class GridMesh:
     """Cell-centered tensor grid restricted to region members.
 
     ``nodes`` holds member points in row-major order over the full lattice,
-    so masks from two meshes of identical resolution line up index-by-index.
+    so masks from two meshes of identical resolution line up index-by-index;
+    it is the transpose of a C-ordered ``(dim, N)`` array (coordinate-major).
     ``lattice_mask`` is the membership mask over the full lattice (shape
     ``resolution``), needed for neighbor queries.
     """
@@ -152,7 +154,7 @@ class CompactRegion:
         return Estimate(self.box_volume * p, float(err))
 
     def build_grid(self, resolution: int | Sequence[int]) -> GridMesh:
-        """Deterministic cell-centered mesh filtered by membership."""
+        """Deterministic cell-centered mesh filtered by membership, filled axis by axis."""
         res = np.atleast_1d(np.asarray(resolution, dtype=int))
         if res.shape[0] == 1:
             res = np.full(self.dim, res[0])
@@ -161,19 +163,18 @@ class CompactRegion:
         if np.any(res < 2):
             raise RegionError("grid resolution must be at least 2 per axis")
         widths = (self.upper - self.lower) / res
-        axes = tuple(
-            self.lower[j] + (np.arange(res[j]) + 0.5) * widths[j]
-            for j in range(self.dim)
-        )
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        mask = self.contains(pts) if self.constraints else np.ones(pts.shape[0], dtype=bool)
+        axes = tuple(lo + (np.arange(r) + 0.5) * w for lo, r, w in zip(self.lower, res, widths))
+        shape = tuple(int(r) for r in res)
+        coords = np.empty((self.dim, int(np.prod(res))))  # one contiguous row per axis
+        for j, ax in enumerate(axes):
+            coords[j].reshape(shape)[...] = ax.reshape((-1,) + (1,) * (self.dim - 1 - j))
+        mask = self.contains(coords.T) if self.constraints else np.ones(coords.shape[1], dtype=bool)
         return GridMesh(
             region=self,
-            resolution=tuple(int(r) for r in res),
+            resolution=shape,
             axes=axes,
-            lattice_mask=mask.reshape(tuple(res)),
-            nodes=pts[mask] if self.constraints else pts,
+            lattice_mask=mask.reshape(shape),
+            nodes=(np.compress(mask, coords, axis=1) if self.constraints else coords).T,
             cell_volume=float(np.prod(widths)),
         )
 

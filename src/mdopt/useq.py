@@ -4,7 +4,8 @@ own average until the average stops improving.
 Each step replaces the current node set by the nodes at or below the mean of
 f over that set.  Thresholds decrease strictly for non-constant f and are
 always lower-bounded by the true minimum, since every surviving set contains
-the mesh argmin.
+the mesh argmin.  States share one f array and hold survivor indices, so a
+step's work falls with the set; a state's mask is rebuilt when asked for.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ MIN_NODES = 16  # below this the set mean is unreliable; stop and keep the best
 class UniformSeqState:
     iteration: int
     mesh: GridMesh
-    fvals: np.ndarray
-    mask: np.ndarray
+    fvals: np.ndarray  # f on every mesh node, shared by all states of a run
+    survivors: np.ndarray | None  # ascending node indices of the set; None: every node
     threshold: float
     measure: float
     best_value: float
@@ -33,16 +34,22 @@ class UniformSeqState:
 
     @property
     def node_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return len(self.fvals if self.survivors is None else self.survivors)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Membership of every mesh node in the set, rebuilt from the indices."""
+        mask = np.zeros(self.fvals.shape[0], dtype=bool)
+        mask[slice(None) if self.survivors is None else self.survivors] = True
+        return mask
 
 
 def _state(iteration: int, mesh: GridMesh, fvals: np.ndarray,
-           mask: np.ndarray) -> UniformSeqState:
-    """The state whose set is the masked nodes: threshold its mean of f, measure
-    its cell volume, best value its minimum of f."""
-    kept = fvals[mask]
+           survivors: np.ndarray | None, kept: np.ndarray) -> UniformSeqState:
+    """The state whose set is the survivors, with f values ``kept`` on them:
+    threshold their mean, measure their cell volume, best value their minimum."""
     return UniformSeqState(
-        iteration=iteration, mesh=mesh, fvals=fvals, mask=mask,
+        iteration=iteration, mesh=mesh, fvals=fvals, survivors=survivors,
         threshold=float(np.mean(kept)),
         measure=float(mesh.cell_volume * kept.shape[0]),
         best_value=float(np.min(kept)),
@@ -53,20 +60,22 @@ def useq_init(obj: Objective, region: CompactRegion, mesh_resolution) -> Uniform
     """Initial state: the whole mesh, threshold = mean of f over the region."""
     mesh = region.build_grid(mesh_resolution)
     fvals = evaluate_batch(obj, mesh.nodes)
-    return _state(0, mesh, fvals, np.ones(fvals.shape[0], dtype=bool))
+    return _state(0, mesh, fvals, None, fvals)
 
 
 def useq_step(state: UniformSeqState) -> UniformSeqState:
     """One shrink: keep the nodes at or below the current set average.
 
-    If the mask would not shrink (constant f) or would drop below MIN_NODES,
+    If the set would not shrink (constant f) or would drop below MIN_NODES,
     the state comes back with the stop flag set instead of raising.
     """
-    new_mask = state.mask & (state.fvals <= state.threshold)
-    count = int(np.count_nonzero(new_mask))
+    kept = state.fvals if state.survivors is None else state.fvals[state.survivors]
+    passed = np.flatnonzero(kept <= state.threshold)
+    count = passed.shape[0]
     if count == 0 or count == state.node_count or count < MIN_NODES:
         return replace(state, stopped=True)
-    return _state(state.iteration + 1, state.mesh, state.fvals, new_mask)
+    survivors = passed if state.survivors is None else state.survivors[passed]
+    return _state(state.iteration + 1, state.mesh, state.fvals, survivors, kept[passed])
 
 
 def useq_run(obj: Objective, region: CompactRegion, mesh_resolution,
@@ -85,10 +94,9 @@ def useq_run(obj: Objective, region: CompactRegion, mesh_resolution,
         if nxt.stopped:
             history[-1] = nxt
             break
-        improvement = abs(state.threshold - nxt.threshold)
-        scale = max(abs(nxt.threshold), 1.0)
+        small = abs(state.threshold - nxt.threshold) < rel_tol * max(abs(nxt.threshold), 1.0)
         history.append(nxt)
         state = nxt
-        if improvement < rel_tol * scale:
+        if small:
             break
     return history, history[-1].threshold

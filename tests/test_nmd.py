@@ -251,6 +251,23 @@ def test_log_Z_and_log_expect_tau_share_log_sums(monkeypatch):
     assert len(calls) == 4
 
 
+def test_log_Z_alone_sums_only_the_finest_level(monkeypatch):
+    """log Z at a fresh k makes one logsumexp: the coarse level's is not read."""
+    calls = []
+    logsumexp = nmd.logsumexp
+
+    def counting(x):
+        calls.append(x.shape)
+        return logsumexp(x)
+    monkeypatch.setattr(nmd, "logsumexp", counting)
+    obj, region = catalog_get("paper1d")
+    m = NascentMD(obj, region, k=3.0, integrator=GRID_1D)
+    m.log_Z()
+    assert calls == [m.levels()[-1].log_tau.shape]
+    m.with_k(7.0).log_Z()
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("method", ["grad_density", "ddk_density"])
 def test_pointwise_derivatives_reject_batches(paper1d_md, method):
     m = paper1d_md.with_k(3.0)

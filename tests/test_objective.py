@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdopt.objective import (EvaluationError, Objective, StencilError,
+from mdopt.objective import (BLOCK_ROWS, EvaluationError, Objective, StencilError,
                              UnknownFunctionError, catalog_get, catalog_names,
                              evaluate_batch, gradient)
 
@@ -66,6 +66,38 @@ def test_evaluate_batch_nonfinite():
     with pytest.raises(EvaluationError) as err:
         evaluate_batch(bad, np.array([[0.1], [0.9]]))
     assert err.value.point is not None
+
+
+def test_evaluate_batch_in_blocks_matches_one_call():
+    obj, _ = catalog_get("rastrigin")
+    rows = []
+
+    def fn(p):
+        rows.append(p.shape[0])
+        return obj.fn(p)
+    xs = np.random.default_rng(0).uniform(-5.12, 5.12, (2 * BLOCK_ROWS + 5, 2))
+    vals = evaluate_batch(Objective(name="blocks", dim=2, fn=fn), xs)
+    assert BLOCK_ROWS == 2 ** 14
+    assert rows == [BLOCK_ROWS, BLOCK_ROWS, 5]
+    assert np.array_equal(vals, obj.fn(xs))
+
+
+def test_evaluate_batch_nan_in_last_block_names_the_point():
+    xs = np.linspace(0.0, 1.0, 2 * BLOCK_ROWS + 5)[:, None]
+    bad = xs[-3]
+    obj = Objective(name="late_nan", dim=1,
+                    fn=lambda p: np.where(p[:, 0] == bad[0], np.nan, p[:, 0]))
+    with pytest.raises(EvaluationError, match="late_nan") as err:
+        evaluate_batch(obj, xs)
+    assert np.array_equal(err.value.point, bad)
+
+
+@pytest.mark.parametrize("fn", [lambda p: 3.0, lambda p: p[:, :1]],
+                         ids=["scalar", "column"])
+def test_evaluate_batch_rejects_results_not_one_per_row(fn):
+    obj = Objective(name="misshapen", dim=1, fn=fn)
+    with pytest.raises(ValueError, match="misshapen"):
+        evaluate_batch(obj, np.linspace(0.0, 1.0, BLOCK_ROWS + 5)[:, None])
 
 
 def test_non_finite_f_raises_naming_the_point():

@@ -85,6 +85,30 @@ def test_build_grid_filters_members(disk_region):
     assert np.all(disk_region.contains(mesh.nodes))
 
 
+def _meshgrid_nodes(region, res):
+    """The nodes of a meshgrid + stack build (the former construction)."""
+    widths = (region.upper - region.lower) / res
+    axes = [region.lower[j] + (np.arange(res) + 0.5) * widths[j] for j in range(region.dim)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return pts[region.contains(pts)] if region.constraints else pts
+
+
+@pytest.mark.parametrize("region, res", [
+    (box(-1.0, 2.0), 37),
+    (box([0.0, -1.0], [3.5, 2.0]), 33),
+    (box([0.0, -1.0, 2.0], [1.0, 1.0, 3.0]), 9),
+    (CompactRegion(np.zeros(2), np.ones(2), (disk_constraint,)), 64),
+], ids=["1d", "2d", "3d", "disk"])
+def test_build_grid_coordinate_major_nodes(region, res):
+    mesh = region.build_grid(res)
+    want = _meshgrid_nodes(region, res)
+    assert mesh.nodes.shape == want.shape
+    assert np.array_equal(mesh.nodes, want)
+    assert all(mesh.nodes[:, j].flags.c_contiguous for j in range(region.dim))
+    assert mesh.lattice_mask.shape == (res,) * region.dim
+    assert np.count_nonzero(mesh.lattice_mask) == want.shape[0]
+
+
 def test_build_grid_bad_resolution():
     with pytest.raises(RegionError):
         box(0.0, 1.0).build_grid(1)

@@ -96,3 +96,49 @@ def test_run_rejects_max_iter_below_one(max_iter):
     obj, region = catalog_get("paper1d")
     with pytest.raises(ValueError, match="max_iter"):
         useq_run(obj, region, 64, max_iter=max_iter)
+
+
+def _mask_recurrence(obj, region, res, max_iter=64, rel_tol=1e-6):
+    """(threshold, measure, node_count, best_value, mask) per state, from a
+    boolean mask over all nodes narrowed step by step (the former recurrence)."""
+    mesh = region.build_grid(res)
+    f = obj.fn(mesh.nodes)
+    mask = np.ones(f.shape[0], dtype=bool)
+    rows = [(np.mean(f[mask]), mesh.cell_volume * np.count_nonzero(mask),
+             np.count_nonzero(mask), np.min(f[mask]), mask)]
+    for _ in range(max_iter):
+        new = mask & (f <= rows[-1][0])
+        count = np.count_nonzero(new)
+        if count == 0 or count == rows[-1][2] or count < 16:
+            break
+        rows.append((np.mean(f[new]), mesh.cell_volume * count, count, np.min(f[new]), new))
+        mask = new
+        if abs(rows[-2][0] - rows[-1][0]) < rel_tol * max(abs(rows[-1][0]), 1.0):
+            break
+    return rows
+
+
+@pytest.mark.parametrize("name", ["paper2d", "rastrigin"])
+def test_states_match_mask_recurrence(name):
+    obj, region = catalog_get(name)
+    states, _ = useq_run(obj, region, 256)
+    want = _mask_recurrence(obj, region, 256)
+    assert len(states) == len(want) > 5
+    for s, (threshold, measure, count, best, mask) in zip(states, want):
+        assert (s.threshold, s.measure, s.node_count, s.best_value) == (
+            threshold, measure, count, best)
+        assert np.array_equal(s.mask, mask)
+
+
+def test_states_share_f_and_hold_only_survivors():
+    obj, region = catalog_get("rastrigin")
+    states, _ = useq_run(obj, region, 256)
+    n = 256 * 256
+    assert states[0].survivors is None and states[0].node_count == n
+    for s in states:
+        assert s.fvals is states[0].fvals
+        held = [v for v in vars(s).values() if isinstance(v, np.ndarray) and v is not s.fvals]
+        assert all(v.shape[0] < n for v in held)
+    for a, b in zip(states[1:], states[2:]):
+        assert np.all(np.diff(b.survivors) > 0)
+        assert np.all(np.isin(b.survivors, a.survivors))
