@@ -25,6 +25,9 @@ from .objective import UnknownFunctionError, catalog_get, catalog_names, gradien
 from .region import GridMesh
 
 
+_FLOAT = "{:.17g}".format
+
+
 def _write_csv(path: Path, columns: dict):
     """Write equal-length columns as CSV: floats with 17 significant digits,
     other values with ``str``, CRLF line ends (``csv.writer``'s bytes for
@@ -33,7 +36,7 @@ def _write_csv(path: Path, columns: dict):
     cells = []
     for col in columns.values():
         arr = np.asarray(col)
-        fmt = "{:.17g}".format if arr.dtype.kind == "f" else str
+        fmt = _FLOAT if arr.dtype.kind == "f" else str
         cells.append(map(fmt, arr.tolist()))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
@@ -169,8 +172,8 @@ def minimize(function, tau, p, grid, mc, seed, out, k0, growth, stages, var_tol)
 def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
     """Extract the three set families per k; write measures, masks, profiles."""
     ks = [float(s) for s in k.split(",") if s.strip() != ""]
-    if not ks:
-        raise click.UsageError("--k needs at least one value")
+    if not ks or min(ks) < 0:
+        raise click.UsageError("--k needs at least one value, none negative")
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
     md0 = NascentMD(obj, region, tau=tau_kind, k=ks[0], integrator=integ)
     mesh = _set_mesh(md0)
@@ -181,6 +184,7 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
     found = [sets_mod.extract_set(m, kind, mesh) for m in ms for kind in sets_mod.SetKind]
     log_tau = md0.resolved_tau().log_tau(md0.mesh_f(prof_mesh))
     n = prof_mesh.nodes.shape[0]
+    fmt = np.frompyfunc(_FLOAT, 1, 1)  # k and coordinates formatted once, written as strings
     _write_outputs(out, {
         "measures.csv": {
             "k": [s.k for s in found], "kind": [s.kind.value for s in found],
@@ -188,8 +192,8 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
         "masks.json": [{"k": s.k, "kind": s.kind.value, "resolution": list(mesh.resolution),
                         "rle": _rle(s.mask)} for s in found],
         "density_profiles.csv": {
-            "k": np.repeat(ks, n),
-            **{f"x{j}": np.tile(prof_mesh.nodes[:, j], len(ks)) for j in range(region.dim)},
+            "k": np.repeat(fmt(ks), n),
+            **{f"x{j}": np.tile(fmt(prof_mesh.nodes[:, j]), len(ks)) for j in range(region.dim)},
             "density": np.concatenate([np.exp(m.k * log_tau - m.log_Z()) for m in ms])},
     }, k=ks, mesh_resolution=mesh.resolution[0], profile_resolution=prof_res)
     click.echo(f"wrote measures for k={ks} to {out}")
@@ -197,7 +201,7 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
 
 @main.command()
 @common_options
-@click.option("--k", type=float, default=8.0, show_default=True)
+@click.option("--k", type=click.FloatRange(0), default=8.0, show_default=True)
 @click.option("--dk", type=click.FloatRange(0, min_open=True), default=0.01, show_default=True)
 @click.option("--grad-min", type=float, default=0.1, show_default=True,
               help="skip boundary points with smaller gradient norm")

@@ -40,9 +40,11 @@ def logsumexp(a: np.ndarray) -> float:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """exp(x) / sum(exp(x)) of a 1-d array, max-shifted."""
-    e = np.exp(x - np.max(x))
-    return e / np.sum(e)
+    """exp(x) / sum(exp(x)) of a 1-d array, max-shifted, in one new array."""
+    e = x - np.max(x)
+    np.exp(e, out=e)
+    e /= np.sum(e)
+    return e
 
 
 @dataclass(frozen=True)

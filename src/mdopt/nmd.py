@@ -11,6 +11,11 @@ first read, gives log Z(k) (finest level) and log E^(k)(tau) = log Z(k+1) -
 log Z(k); one softmax pass per level gives E f, E f^2, E log tau and E x, each
 with the levels' difference as its error.  ``with_k`` clones share the levels,
 the log-sums and ``Moments``, so a k-continuation run pays the f evaluations once.
+Weights are formed on the support of m^(k), the nodes whose weight is not exactly
+0 (exp underflows below -745.13), and a larger k starts from the last support.
+A level is cut only when at most half its nodes survive, so no copy of a barely
+smaller level sits next to the full-size temporaries.  ``expectation(h)``
+evaluates h, and checks ``DomainError``, on the support.  k must be >= 0.
 """
 
 from __future__ import annotations
@@ -96,6 +101,11 @@ class DensityLevel(Level):
     f: np.ndarray
     log_tau: np.ndarray
 
+    def restrict(self, keep: np.ndarray) -> "DensityLevel":
+        """The nodes where ``keep`` holds, coordinate-major, with no mesh."""
+        return DensityLevel(np.compress(keep, self.nodes.T, axis=1).T, self.log_node_weight,
+                            None, self.f[keep], self.log_tau[keep])
+
 
 @dataclass(frozen=True)
 class Moments:
@@ -110,8 +120,8 @@ class Moments:
 class NascentMD:
     """The density m^(k) bound to (objective, region, tau kind, integrator).
 
-    Immutable except for internal caches; cache fills are idempotent so
-    concurrent first use is safe.
+    Immutable except for internal caches; any cache state gives the same values
+    (up to summation order, for the support) so concurrent use is safe.
     """
 
     def __init__(self, objective: Objective, region: CompactRegion,
@@ -120,14 +130,16 @@ class NascentMD:
                  _shared: dict | None = None):
         if objective.dim != region.dim:
             raise ValueError("objective and region dimensions differ")
+        if not k >= 0:
+            raise ValueError(f"k must be non-negative, got {k}")
         self.objective = objective
         self.region = region
         self.tau = tau if tau is not None else Exponential()
         self.k = float(k)
         self.integrator = integrator or default_config(region.dim)
         # shared across with_k clones (one tau kind): density levels, measure,
-        # resolved tau, per-(k, level) log-sums and per-k moments
-        self._shared = _shared if _shared is not None else {"log_sums": {}, "moments": {}}
+        # resolved tau, per-(k, level) log-sums, per-k moments, per-level support
+        self._shared = _shared or {"log_sums": {}, "moments": {}, "support": {}}
 
     def with_k(self, k: float) -> "NascentMD":
         """Same density family at a different k, sharing all node caches."""
@@ -158,9 +170,20 @@ class NascentMD:
         self.levels()
         return self._shared["tau"]
 
-    def _weights(self, level: DensityLevel) -> np.ndarray:
-        """Normalized density weights on a level's nodes (they sum to 1)."""
-        return softmax(self.k * level.log_tau)
+    def _support(self, i: int) -> tuple[DensityLevel, np.ndarray]:
+        """Level i (0 coarse, 1 finest) or its support, and the weights; the one place
+        weights are made.  Starts from the cached support if cut at k0 <= k (k log tau <
+        max - 746 weighs 0 at any k >= k0); caches a cut when at most half survives."""
+        k0, level = self._shared["support"].get(i, (np.inf, None))
+        level = level if self.k >= k0 else self.levels()[i]
+        a = self.k * level.log_tau
+        keep = a >= np.max(a) - 746.0
+        if 2 * np.count_nonzero(keep) <= keep.size:
+            del a  # the full-size array goes before the copies are made
+            level = level.restrict(keep)
+            self._shared["support"][i] = (self.k, level)
+            a = self.k * level.log_tau
+        return level, softmax(a)
 
     def _log_sum(self, k: float, level: int) -> float:
         """logsumexp(k log tau) on level 0 (coarse) or 1 (finest), made when first read."""
@@ -243,8 +266,8 @@ class NascentMD:
         gets a read-only vector value and the norm of the difference.
         """
         avgs = []
-        for level in self.levels():
-            w = self._weights(level)
+        for i in (0, 1):
+            level, w = self._support(i)
             hs = [h(level) for h in integrands]
             avgs.append([w @ h for h in hs])
         return [self._estimate(coarse, fine, w, h) for coarse, fine, h in zip(*avgs, hs)]

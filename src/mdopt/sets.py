@@ -261,8 +261,7 @@ def basin_masses(m: NascentMD, minimizers, radius: float) -> BasinReport:
         for j in range(i + 1, len(centers)):
             if np.linalg.norm(centers[i] - centers[j]) <= 2.0 * radius:
                 raise BasinError("basin balls overlap")
-    fine = m.levels()[-1]
-    w = m._weights(fine)
+    fine, w = m._support(1)  # zero-weight nodes add nothing to a mass
     masses = [float(np.sum(w[np.linalg.norm(fine.nodes - c, axis=1) <= radius]))
               for c in centers]
     return BasinReport(minimizers=centers, radius=radius, masses=masses, k=m.k)

@@ -125,6 +125,7 @@ def test_sets_builds_only_the_density_level_meshes(runner, tmp_path, monkeypatch
     ["useq", "--function", "paper1d", "--max-iter", "0"],
     ["sets", "--function", "paper1d", "--k", "1", "--profile-res", "1"],
     ["shrinkrate", "--function", "paper1d", "--dk", "0"],
+    ["shrinkrate", "--function", "paper1d", "--k", "-1"],
 ], ids=lambda argv: argv[-2])
 def test_out_of_range_option_usage_error(runner, tmp_path, argv):
     result = runner.invoke(main, [*argv, "--out", str(tmp_path / "run")])
@@ -203,6 +204,14 @@ def test_sets_empty_k_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["sets", "--function", "paper1d",
                                   "--k", "", "--out", str(tmp_path)])
     assert result.exit_code == 2
+
+
+def test_sets_negative_k_usage_error(runner, tmp_path):
+    result = runner.invoke(main, ["sets", "--function", "paper1d",
+                                  "--k", "0,-1", "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2
+    assert "none negative" in result.output
+    assert not (tmp_path / "run").exists()
 
 
 def test_shrinkrate_ratios(runner, tmp_path):

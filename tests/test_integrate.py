@@ -157,3 +157,11 @@ def test_kernels_reproduce_scipy(a):
     assert logsumexp(a) == scipy_logsumexp(a)
     if np.isfinite(a.max()):
         assert np.array_equal(softmax(a), scipy_softmax(a))
+
+
+@pytest.mark.parametrize("a", [a for a in _kernel_inputs() if np.isfinite(a.max())])
+def test_softmax_is_the_textbook_formula_and_leaves_its_input(a):
+    before = a.copy()
+    e = np.exp(a - a.max())
+    assert np.array_equal(softmax(a), e / np.sum(e))
+    assert np.array_equal(a, before)

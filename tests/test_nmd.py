@@ -222,9 +222,8 @@ def test_lower_bound(paper1d_md, paper1d_oracle):
 def test_mass_concentration(paper1d_md, paper1d_oracle):
     xs, _ = paper1d_oracle
     m = paper1d_md.with_k(1000.0)
-    fine = m.levels()[-1]
+    fine, w = m._support(1)
     nodes = fine.nodes[:, 0]
-    w = m._weights(fine)
     assert np.sum(w[np.abs(nodes - xs) <= 0.1]) > 0.99
 
 
@@ -304,3 +303,81 @@ def test_moments_record_matches_generic_path(tau, integrator):
         # one record per k, shared by every clone at that k
         assert base.with_k(k).moments() is m.moments()
     assert base.with_k(2.0).moments() is not base.with_k(7.0).moments()
+
+
+def test_negative_k_rejected(paper1d_md):
+    obj, region = catalog_get("paper1d")
+    with pytest.raises(ValueError, match="non-negative"):
+        NascentMD(obj, region, k=-1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        paper1d_md.with_k(-1e-300)
+
+
+LADDER = (0.0, *np.exp(np.arange(13.0)))  # 0, 1, e, ..., e^12
+
+
+def _dense_moments(m: NascentMD) -> dict:
+    """E f, E f^2, E log tau and E x with their errors from softmax(k log tau)
+    over every node of both levels, the reference for the support path."""
+    avgs = []
+    for lv in m.levels():
+        a = m.k * lv.log_tau
+        e = np.exp(a - a.max())
+        w = e / np.sum(e)
+        hs = {"f": lv.f, "f2": lv.f ** 2.0, "log_tau": lv.log_tau, "x": lv.nodes}
+        avgs.append({name: (w @ h, w, h) for name, h in hs.items()})
+    out = {}
+    for name, (fine, w, h) in avgs[1].items():
+        coarse = avgs[0][name][0]
+        if name == "x":
+            err = float(np.linalg.norm(fine - coarse))
+        elif m.integrator.kind == "mc":
+            err = 3.0 * float(np.sqrt(np.sum(w ** 2 * (h - fine) ** 2)))
+        else:
+            err = abs(float(fine) - float(coarse))
+        out[name] = (fine, err)
+    return out
+
+
+def _complex_rows(nodes: np.ndarray) -> np.ndarray:
+    """2-d nodes as complex numbers, so np.isin can match rows."""
+    return nodes[:, 0] + 1j * nodes[:, 1]
+
+
+@pytest.mark.parametrize("tau", [Exponential(), Rational(p=1.0)])
+@pytest.mark.parametrize("integrator", [GRID_2D, IntegratorConfig(kind="mc", n=4000, seed=3)])
+def test_support_moments_match_dense_reference(tau, integrator):
+    """Up, down and up the k ladder, each pass starting from the support the
+    last one left: the moments equal the dense ones up to summation order, and
+    no node whose dense weight is positive is ever dropped."""
+    obj, region = catalog_get("paper2d")
+    base = NascentMD(obj, region, tau=tau, k=0.0, integrator=integrator)
+    for ks in (LADDER, LADDER[::-1], LADDER):
+        base._shared["moments"].clear()  # recompute from the current support
+        for k in ks:
+            m = base.with_k(k)
+            mom, ref = m.moments(), _dense_moments(m)
+            for name, (value, err) in ref.items():
+                got = getattr(mom, name)
+                scale = np.max(np.abs(value))
+                assert np.max(np.abs(got.value - value)) <= 1e-13 * scale, (k, name)
+                assert abs(got.error - err) <= 1e-13 * scale, (k, name)
+            for i, lv in enumerate(m.levels()):
+                sub, w = m._support(i)
+                a = k * lv.log_tau
+                weighted = lv.nodes[np.exp(a - a.max()) > 0.0]
+                assert np.all(np.isin(_complex_rows(weighted), _complex_rows(sub.nodes)))
+                assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("tau", [Exponential(), Rational(p=1.0)])
+def test_support_is_whole_at_k0_and_smaller_at_large_k(tau):
+    obj, region = catalog_get("paper2d")
+    m = NascentMD(obj, region, tau=tau, k=0.0, integrator=GRID_2D)
+    for i, lv in enumerate(m.levels()):
+        sub, w = m._support(i)
+        assert sub is lv
+        assert np.all(w == 1.0 / lv.f.size)
+        sub, _ = m.with_k(np.exp(10.0))._support(i)
+        assert sub.f.size < lv.f.size
+        assert sub.mesh is None and sub.nodes.flags.f_contiguous

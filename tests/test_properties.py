@@ -78,3 +78,16 @@ def test_df_sets_nested(d):
         for inner, outer in zip(sets[1:], sets):
             ok, violations = containment_check(inner, outer)
             assert ok, (inner.k, outer.k, violations)
+
+
+@SETTINGS
+@given(densities, st.permutations(KS))
+def test_support_expectation_matches_dense_in_any_k_order(d, ks):
+    """E f on the support of m^(k), each k starting from whatever support the
+    previous one left, equals softmax(k log tau) @ f over every finest node."""
+    m = _density(**d)
+    fine = m.levels()[-1]
+    for k in ks:
+        dense = float(softmax(k * fine.log_tau) @ fine.f)
+        got = m.with_k(k).expect_f().value
+        assert abs(got - dense) <= _slack(dense), k
