@@ -88,6 +88,13 @@ def _set_mesh(m: NascentMD) -> GridMesh:
     return m.grid(m.integrator.resolutions(m.region.dim)[-1])
 
 
+def _finite(ctx, param, value):
+    """Click callback: reject inf and nan, which the numeric ranges let through."""
+    if not np.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 def common_options(f, density: bool = True):
     opts = [click.option("--function", required=True, help="catalog function name")]
     if density:
@@ -134,11 +141,12 @@ def main(ctx, config_path):
 
 @main.command()
 @common_options
-@click.option("--k0", type=click.FloatRange(0, min_open=True), default=1.0, show_default=True)
+@click.option("--k0", type=click.FloatRange(0, min_open=True), default=1.0, show_default=True,
+              callback=_finite)
 @click.option("--growth", type=click.FloatRange(1, min_open=True), default=float(np.e),
-              show_default=True)
+              show_default=True, callback=_finite)
 @click.option("--stages", type=click.IntRange(min=1), default=16, show_default=True)
-@click.option("--var-tol", type=float, default=1e-8, show_default=True)
+@click.option("--var-tol", type=float, default=1e-8, show_default=True, callback=_finite)
 def minimize(function, tau, p, grid, mc, seed, out, k0, growth, stages, var_tol):
     """Run the k-continuation and write trace.csv + result.json."""
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
@@ -171,9 +179,12 @@ def minimize(function, tau, p, grid, mc, seed, out, k0, growth, stages, var_tol)
               help="resolution of the density profile output (default 1024 in 1-d, 128 in 2-d)")
 def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
     """Extract the three set families per k; write measures, masks, profiles."""
-    ks = [float(s) for s in k.split(",") if s.strip() != ""]
-    if not ks or min(ks) < 0:
-        raise click.UsageError("--k needs at least one value, none negative")
+    try:
+        ks = [float(s) for s in k.split(",") if s.strip() != ""]
+    except ValueError as exc:
+        raise click.UsageError(f"--k: {exc}")
+    if not ks or not np.all(np.isfinite(ks)) or min(ks) < 0:
+        raise click.UsageError("--k needs at least one value, none negative, all finite")
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
     md0 = NascentMD(obj, region, tau=tau_kind, k=ks[0], integrator=integ)
     mesh = _set_mesh(md0)
@@ -201,9 +212,11 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
 
 @main.command()
 @common_options
-@click.option("--k", type=click.FloatRange(0), default=8.0, show_default=True)
-@click.option("--dk", type=click.FloatRange(0, min_open=True), default=0.01, show_default=True)
-@click.option("--grad-min", type=float, default=0.1, show_default=True,
+@click.option("--k", type=click.FloatRange(0), default=8.0, show_default=True,
+              callback=_finite)
+@click.option("--dk", type=click.FloatRange(0, min_open=True), default=0.01, show_default=True,
+              callback=_finite)
+@click.option("--grad-min", type=float, default=0.1, show_default=True, callback=_finite,
               help="skip boundary points with smaller gradient norm")
 def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     """Compare predicted vs measured boundary speed of the D0 set."""
@@ -232,7 +245,7 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
 @click.option("--resolution", type=click.IntRange(min=2), default=None,
               help="mesh resolution per axis (default 65536 in 1-d, 1024 in 2-d)")
 @click.option("--max-iter", type=click.IntRange(min=1), default=64, show_default=True)
-@click.option("--rel-tol", type=float, default=1e-6, show_default=True)
+@click.option("--rel-tol", type=float, default=1e-6, show_default=True, callback=_finite)
 def useq_cmd(function, seed, out, resolution, max_iter, rel_tol):
     """Run the shrinking-average optimizer and write the iteration trace.
 

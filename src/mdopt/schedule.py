@@ -29,6 +29,9 @@ class ContinuationConfig:
     tau: TauKind = field(default_factory=Exponential)
 
     def __post_init__(self):
+        for name in ("k0", "growth", "var_tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k0 <= 0:
             raise ValueError("k0 must be positive")
         if self.growth <= 1.0:
@@ -63,7 +66,14 @@ def run_continuation(obj: Objective, region: CompactRegion,
     stop_reason = "max_stages"
     stall = 0
     for j in range(cfg.max_stages):
-        m = md.with_k(cfg.k0 * cfg.growth ** j)
+        try:
+            k = cfg.k0 * cfg.growth ** j
+        except OverflowError:
+            k = np.inf
+        if not np.isfinite(k):
+            raise OverflowError(f"stage {j}: k = {cfg.k0:g} * {cfg.growth:g}^{j} "
+                                "is not a finite float")
+        m = md.with_k(k)
         ef = m.expect_f()
         var = m.variance_f()
         trace.append(TraceRecord(

@@ -200,6 +200,35 @@ def test_shrinkrate_computes_gradients_twice(runner, tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["minimize", "--k0", "inf"], "--k0"),
+    (["minimize", "--growth", "inf"], "--growth"),
+    (["minimize", "--var-tol", "nan"], "--var-tol"),
+    (["sets", "--k", "0,inf"], "--k"),
+    (["sets", "--k", "0,nan"], "--k"),
+    (["sets", "--k", "0,one"], "--k"),
+    (["shrinkrate", "--k", "inf"], "--k"),
+    (["shrinkrate", "--dk", "inf"], "--dk"),
+    (["shrinkrate", "--grad-min", "nan"], "--grad-min"),
+    (["useq", "--rel-tol", "nan"], "--rel-tol"),
+], ids=["k0-inf", "growth-inf", "var-tol-nan", "sets-k-inf", "sets-k-nan", "sets-k-text",
+        "shrinkrate-k-inf", "shrinkrate-dk-inf", "shrinkrate-grad-min-nan", "useq-rel-tol-nan"])
+def test_non_finite_or_malformed_option_usage_error(runner, tmp_path, argv, name):
+    result = runner.invoke(main, [*argv, "--function", "paper1d",
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert name in result.output
+    assert not (tmp_path / "run").exists()
+
+
+def test_overflowing_ladder_exits_3_naming_stage_and_k(runner, tmp_path):
+    result = runner.invoke(main, ["minimize", "--function", "paper1d", "--growth", "1e300",
+                                  "--var-tol", "0", "--stages", "3",
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 3
+    assert "stage 2: k = 1 * 1e+300^2 is not a finite float" in result.stderr
+
+
 def test_sets_empty_k_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["sets", "--function", "paper1d",
                                   "--k", "", "--out", str(tmp_path)])

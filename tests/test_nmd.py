@@ -7,6 +7,7 @@ from mdopt.integrate import IntegratorConfig, integrate
 from mdopt.nmd import DomainError, Exponential, InvalidShiftError, NascentMD, Rational
 from mdopt.objective import Objective, catalog_get
 from mdopt.region import box
+from mdopt.schedule import run_continuation
 
 import oracles
 
@@ -313,6 +314,15 @@ def test_negative_k_rejected(paper1d_md):
         paper1d_md.with_k(-1e-300)
 
 
+@pytest.mark.parametrize("k", [np.inf, np.nan])
+def test_non_finite_k_rejected(paper1d_md, k):
+    obj, region = catalog_get("paper1d")
+    with pytest.raises(ValueError, match="k=(inf|nan)"):
+        NascentMD(obj, region, k=k)
+    with pytest.raises(ValueError, match="k=(inf|nan)"):
+        paper1d_md.with_k(k)
+
+
 LADDER = (0.0, *np.exp(np.arange(13.0)))  # 0, 1, e, ..., e^12
 
 
@@ -381,3 +391,44 @@ def test_support_is_whole_at_k0_and_smaller_at_large_k(tau):
         sub, _ = m.with_k(np.exp(10.0))._support(i)
         assert sub.f.size < lv.f.size
         assert sub.mesh is None and sub.nodes.flags.f_contiguous
+
+
+def test_weight_pass_stays_on_exp_fast_path(monkeypatch):
+    """Annealing rastrigin at 256^2 reaches k where many k log tau lie more than
+    708 below the maximum, where np.exp leaves its fast path.  The weight pass
+    never hands exp such an input, no weight is subnormal, and the moments
+    still equal the dense ones."""
+    obj, region = catalog_get("rastrigin")
+    exp, support = np.exp, NascentMD._support
+    exp_min, normal, by_k = [], [], {}
+
+    def spy_exp(x, *args, **kwargs):
+        exp_min.append(float(np.min(x)))
+        return exp(x, *args, **kwargs)
+
+    def spy_support(self, i):
+        level, w = support(self, i)
+        normal.append(bool(np.all((w == 0.0) | (w >= np.finfo(float).tiny))))
+        by_k[self.k] = self
+        return level, w
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "exp", spy_exp)
+        mp.setattr(NascentMD, "_support", spy_support)
+        run_continuation(obj, region)
+    assert exp_min and min(exp_min) >= -708.0
+    assert normal and all(normal)
+    slow = 0
+    for k, m in by_k.items():
+        for lv in m.levels():
+            slow += np.count_nonzero(k * lv.log_tau < k * lv.log_tau_max - 708.0)
+        fine = m.levels()[1]
+        w = nmd.softmax(k * fine.log_tau)
+        hs = {"f": fine.f, "f2": fine.f ** 2.0, "log_tau": fine.log_tau, "x": fine.nodes}
+        mom = m.moments()
+        for name, (value, err) in _dense_moments(m).items():
+            got = getattr(mom, name)
+            # E|h|, the size of the summands: E x is 0 by symmetry, up to rounding
+            scale = np.max(w @ np.abs(hs[name]))
+            assert np.max(np.abs(got.value - value)) <= 1e-13 * scale, (k, name)
+            assert abs(got.error - err) <= 1e-13 * scale, (k, name)
+    assert slow > 0  # the dense pass would have taken the slow path

@@ -101,6 +101,20 @@ def test_config_validation():
         ContinuationConfig(max_stages=0)
 
 
+@pytest.mark.parametrize("name", ["k0", "growth", "var_tol"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ContinuationConfig(**{name: value})
+
+
+def test_overflowing_ladder_names_stage_and_k():
+    obj, region = catalog_get("paper1d")
+    cfg = ContinuationConfig(growth=1e300, var_tol=0.0, max_stages=3)
+    with pytest.raises(OverflowError, match=r"stage 2: k = 1 \* 1e\+300\^2"):
+        run_continuation(obj, region, cfg)
+
+
 def test_one_weight_pass_per_level_per_stage(monkeypatch):
     calls = []
     softmax = nmd.softmax
