@@ -8,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import mdopt.cli
 import mdopt.sets
-from mdopt.cli import _write_csv, main
-from mdopt.objective import Objective
+from mdopt.cli import _ROWS, _write_csv, main
+from mdopt.integrate import default_config
+from mdopt.nmd import NascentMD
+from mdopt.objective import Objective, catalog_get
 from mdopt.region import CompactRegion, box
 
 
@@ -114,6 +117,30 @@ def test_sets_builds_only_the_density_level_meshes(runner, tmp_path, monkeypatch
     assert built == [(128, 128), (256, 256)]
 
 
+def test_sets_profile_round_trips_bit_for_bit(runner, tmp_path):
+    """The profile's 2 x 16,384 rows span several writer blocks; every cell
+    parses back to the exact float the command computed."""
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["sets", "--function", "paper2d", "--k", "0,1",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = read_csv(out / "density_profiles.csv")
+    assert len(rows) > 2 * _ROWS
+    got = {name: np.array([float(r[name]) for r in rows]) for name in rows[0]}
+    obj, region = catalog_get("paper2d")
+    md0 = NascentMD(obj, region, k=0.0, integrator=default_config(2))
+    mesh = md0.grid(128)
+    ks = [0.0, 1.0]
+    log_tau = md0.resolved_tau().log_tau(md0.mesh_f(mesh))
+    want = {"k": np.repeat(ks, len(mesh.nodes)),
+            **{f"x{j}": np.tile(mesh.nodes[:, j], len(ks)) for j in range(2)},
+            "density": np.concatenate([np.exp(m.k * log_tau - m.log_Z())
+                                       for m in map(md0.with_k, ks)])}
+    assert list(got) == list(want)
+    for name, value in want.items():
+        assert np.array_equal(got[name].view(np.int64), value.view(np.int64)), name
+
+
 @pytest.mark.parametrize("argv", [
     ["minimize", "--function", "paper1d", "--grid", "1"],
     ["minimize", "--function", "paper1d", "--mc", "50"],
@@ -178,6 +205,7 @@ def test_numerical_failure_exits_3_naming_the_point(runner, tmp_path, monkeypatc
     result = runner.invoke(main, ["minimize", "--function", "halfnan",
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 3
+    assert result.stderr.startswith("error: minimize: ")
     assert "halfnan returned non-finite value at [" in result.stderr
     point = float(result.stderr.split("[")[1].split("]")[0])
     assert 0.5 < point <= 1.0
@@ -345,3 +373,37 @@ def test_write_csv_matches_csv_writer(tmp_path, n):
         for row in zip(ints, strs, floats, ints, floats):
             w.writerow([format(v, ".17g") if isinstance(v, float) else str(v) for v in row])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# values that format alike but differ in bits, and the ends of the float range
+_SPECIAL = [0.0, -0.0, float(np.copysign(np.nan, -1.0)), np.nan, np.inf, -np.inf, 5e-324]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(n=st.sampled_from([0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 3]),
+       floats=st.lists(st.floats(), max_size=6), words=st.lists(
+           st.text("abcDf0 _-.", max_size=4), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_write_csv_matches_csv_writer_across_blocks(tmp_path_factory, n, floats, words, seed):
+    """Block by block, with values repeating inside and across blocks, the
+    writer's bytes equal csv.writer's with format(v, ".17g") and str cells."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(_SPECIAL + floats)
+    f64 = pool[rng.integers(len(pool), size=n)]
+    f64[:len(_SPECIAL)] = _SPECIAL[:n]  # 0.0 and -0.0 in the first block
+    with np.errstate(over="ignore"):  # float32 overflows to inf, a value like any other
+        f32 = f64.astype(np.float32)
+    columns = {"f64": f64, "f32": f32,
+               "i": rng.integers(-3, 3, size=n) * 2 ** 40, "b": rng.random(n) < 0.5,
+               "s": [words[i] for i in rng.integers(len(words), size=n)], "r": range(n)}
+    path = tmp_path_factory.mktemp("csv")
+    _write_csv(path / "new.csv", columns)
+    cells = []
+    for col in map(np.asarray, columns.values()):
+        fmt = (lambda v: format(v, ".17g")) if col.dtype.kind == "f" else str
+        cells.append(map(fmt, col.tolist()))
+    with open(path / "ref.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(list(columns))
+        w.writerows(zip(*cells))
+    assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()

@@ -328,7 +328,8 @@ LADDER = (0.0, *np.exp(np.arange(13.0)))  # 0, 1, e, ..., e^12
 
 def _dense_moments(m: NascentMD) -> dict:
     """E f, E f^2, E log tau and E x with their errors from softmax(k log tau)
-    over every node of both levels, the reference for the support path."""
+    over every node of both levels, the reference for the support path, and
+    the finest level's E|h|, the size of the summands that rounding follows."""
     avgs = []
     for lv in m.levels():
         a = m.k * lv.log_tau
@@ -345,7 +346,7 @@ def _dense_moments(m: NascentMD) -> dict:
             err = 3.0 * float(np.sqrt(np.sum(w ** 2 * (h - fine) ** 2)))
         else:
             err = abs(float(fine) - float(coarse))
-        out[name] = (fine, err)
+        out[name] = (fine, err, np.max(w @ np.abs(h)))
     return out
 
 
@@ -354,22 +355,21 @@ def _complex_rows(nodes: np.ndarray) -> np.ndarray:
     return nodes[:, 0] + 1j * nodes[:, 1]
 
 
-@pytest.mark.parametrize("tau", [Exponential(), Rational(p=1.0)])
-@pytest.mark.parametrize("integrator", [GRID_2D, IntegratorConfig(kind="mc", n=4000, seed=3)])
-def test_support_moments_match_dense_reference(tau, integrator):
+def _check_support_ladder(function, tau, integrator, scale_of):
     """Up, down and up the k ladder, each pass starting from the support the
-    last one left: the moments equal the dense ones up to summation order, and
-    no node whose dense weight is positive is ever dropped."""
-    obj, region = catalog_get("paper2d")
+    last one left: the moments equal the dense ones within 1e-13 of
+    ``scale_of(value, E|h|)``, and no node whose dense weight is positive is
+    ever dropped."""
+    obj, region = catalog_get(function)
     base = NascentMD(obj, region, tau=tau, k=0.0, integrator=integrator)
     for ks in (LADDER, LADDER[::-1], LADDER):
         base._shared["moments"].clear()  # recompute from the current support
         for k in ks:
             m = base.with_k(k)
             mom, ref = m.moments(), _dense_moments(m)
-            for name, (value, err) in ref.items():
+            for name, (value, err, abs_mean) in ref.items():
                 got = getattr(mom, name)
-                scale = np.max(np.abs(value))
+                scale = np.max(scale_of(value, abs_mean))
                 assert np.max(np.abs(got.value - value)) <= 1e-13 * scale, (k, name)
                 assert abs(got.error - err) <= 1e-13 * scale, (k, name)
             for i, lv in enumerate(m.levels()):
@@ -378,6 +378,20 @@ def test_support_moments_match_dense_reference(tau, integrator):
                 weighted = lv.nodes[np.exp(a - a.max()) > 0.0]
                 assert np.all(np.isin(_complex_rows(weighted), _complex_rows(sub.nodes)))
                 assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("tau", [Exponential(), Rational(p=1.0)])
+@pytest.mark.parametrize("integrator", [GRID_2D, IntegratorConfig(kind="mc", n=4000, seed=3)])
+def test_support_moments_match_dense_reference(tau, integrator):
+    """The support path's moments equal the dense ones up to summation order."""
+    _check_support_ladder("paper2d", tau, integrator, lambda value, abs_mean: np.abs(value))
+
+
+@pytest.mark.parametrize("tau", [Exponential(), Rational(p=1.0)])
+def test_support_moments_match_dense_reference_rastrigin(tau):
+    """As above on rastrigin, where E x is 0 by symmetry up to rounding, so the
+    tolerance scales with E|h| instead of |E h|."""
+    _check_support_ladder("rastrigin", tau, GRID_2D, lambda value, abs_mean: abs_mean)
 
 
 @pytest.mark.parametrize("tau", [Exponential(), Rational(p=1.0)])
@@ -421,14 +435,10 @@ def test_weight_pass_stays_on_exp_fast_path(monkeypatch):
     for k, m in by_k.items():
         for lv in m.levels():
             slow += np.count_nonzero(k * lv.log_tau < k * lv.log_tau_max - 708.0)
-        fine = m.levels()[1]
-        w = nmd.softmax(k * fine.log_tau)
-        hs = {"f": fine.f, "f2": fine.f ** 2.0, "log_tau": fine.log_tau, "x": fine.nodes}
         mom = m.moments()
-        for name, (value, err) in _dense_moments(m).items():
+        # scaled by E|h|: E x is 0 by symmetry, up to rounding
+        for name, (value, err, scale) in _dense_moments(m).items():
             got = getattr(mom, name)
-            # E|h|, the size of the summands: E x is 0 by symmetry, up to rounding
-            scale = np.max(w @ np.abs(hs[name]))
             assert np.max(np.abs(got.value - value)) <= 1e-13 * scale, (k, name)
             assert abs(got.error - err) <= 1e-13 * scale, (k, name)
     assert slow > 0  # the dense pass would have taken the slow path
