@@ -1,7 +1,7 @@
 """Global optimization of continuous functions on compact sets via annealed
 densities, shrinking significant sets, and a uniform-sequence optimizer."""
 
-from .integrate import IntegratorConfig, default_config, integrate, log_integrate_exp
+from .integrate import IntegratorConfig, default_config, log_integrate_exp
 from .nmd import DensityLevel, Exponential, NascentMD, Rational
 from .objective import Objective, catalog_get, catalog_names, evaluate_batch, gradient
 from .region import CompactRegion, Estimate, GridMesh, box

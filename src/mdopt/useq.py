@@ -4,8 +4,10 @@ own average until the average stops improving.
 Each step replaces the current node set by the nodes at or below the mean of
 f over that set.  Thresholds decrease strictly for non-constant f and are
 always lower-bounded by the true minimum, since every surviving set contains
-the mesh argmin.  States share one f array and hold survivor indices, so a
-step's work falls with the set; a state's mask is rebuilt when asked for.
+the mesh argmin.  By induction every set is a sublevel set {f <= l} of the
+mesh, so a state holds only f on its set (in mesh order) and a step's work
+falls with the set.  Its mask {f <= max of f on the set} is exact: every node
+of the set passes, and a node that passes has f <= l, so it is in the set.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class UniformSeqState:
     iteration: int
     mesh: GridMesh
     fvals: np.ndarray  # f on every mesh node, shared by all states of a run
-    survivors: np.ndarray | None  # ascending node indices of the set; None: every node
+    values: np.ndarray  # f on the set's nodes in mesh order; fvals itself for every node
     threshold: float
     measure: float
     best_value: float
@@ -34,25 +36,23 @@ class UniformSeqState:
 
     @property
     def node_count(self) -> int:
-        return len(self.fvals if self.survivors is None else self.survivors)
+        return len(self.values)
 
     @property
     def mask(self) -> np.ndarray:
-        """Membership of every mesh node in the set, rebuilt from the indices."""
-        mask = np.zeros(self.fvals.shape[0], dtype=bool)
-        mask[slice(None) if self.survivors is None else self.survivors] = True
-        return mask
+        """Membership of every mesh node in the set, the sublevel set of its max."""
+        return self.fvals <= np.max(self.values)
 
 
 def _state(iteration: int, mesh: GridMesh, fvals: np.ndarray,
-           survivors: np.ndarray | None, kept: np.ndarray) -> UniformSeqState:
-    """The state whose set is the survivors, with f values ``kept`` on them:
-    threshold their mean, measure their cell volume, best value their minimum."""
+           values: np.ndarray) -> UniformSeqState:
+    """The state whose set holds f ``values``: threshold their mean, measure
+    their cell volume, best value their minimum."""
     return UniformSeqState(
-        iteration=iteration, mesh=mesh, fvals=fvals, survivors=survivors,
-        threshold=float(np.mean(kept)),
-        measure=float(mesh.cell_volume * kept.shape[0]),
-        best_value=float(np.min(kept)),
+        iteration=iteration, mesh=mesh, fvals=fvals, values=values,
+        threshold=float(np.mean(values)),
+        measure=float(mesh.cell_volume * values.shape[0]),
+        best_value=float(np.min(values)),
     )
 
 
@@ -60,7 +60,7 @@ def useq_init(obj: Objective, region: CompactRegion, mesh_resolution) -> Uniform
     """Initial state: the whole mesh, threshold = mean of f over the region."""
     mesh = region.build_grid(mesh_resolution)
     fvals = evaluate_batch(obj, mesh.nodes)
-    return _state(0, mesh, fvals, None, fvals)
+    return _state(0, mesh, fvals, fvals)
 
 
 def useq_step(state: UniformSeqState) -> UniformSeqState:
@@ -69,13 +69,10 @@ def useq_step(state: UniformSeqState) -> UniformSeqState:
     If the set would not shrink (constant f) or would drop below MIN_NODES,
     the state comes back with the stop flag set instead of raising.
     """
-    kept = state.fvals if state.survivors is None else state.fvals[state.survivors]
-    passed = np.flatnonzero(kept <= state.threshold)
-    count = passed.shape[0]
-    if count == 0 or count == state.node_count or count < MIN_NODES:
+    values = state.values[state.values <= state.threshold]
+    if values.shape[0] == state.node_count or values.shape[0] < MIN_NODES:
         return replace(state, stopped=True)
-    survivors = passed if state.survivors is None else state.survivors[passed]
-    return _state(state.iteration + 1, state.mesh, state.fvals, survivors, kept[passed])
+    return _state(state.iteration + 1, state.mesh, state.fvals, values)
 
 
 def useq_run(obj: Objective, region: CompactRegion, mesh_resolution,

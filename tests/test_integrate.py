@@ -165,3 +165,12 @@ def test_softmax_is_the_textbook_formula_and_leaves_its_input(a):
     e = np.exp(a - a.max())
     assert np.array_equal(softmax(a), e / np.sum(e))
     assert np.array_equal(a, before)
+
+
+def test_package_attribute_is_the_module():
+    """``mdopt.integrate`` is the module; its function is ``mdopt.integrate.integrate``."""
+    import mdopt
+    import mdopt.integrate as module
+    assert mdopt.integrate is module
+    assert mdopt.integrate.Estimate is Estimate
+    assert mdopt.integrate.integrate is integrate

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdopt.objective import Objective, catalog_get
 from mdopt.region import box
@@ -130,15 +131,47 @@ def test_states_match_mask_recurrence(name):
         assert np.array_equal(s.mask, mask)
 
 
-def test_states_share_f_and_hold_only_survivors():
+def test_states_share_f_and_hold_only_their_values():
     obj, region = catalog_get("rastrigin")
     states, _ = useq_run(obj, region, 256)
     n = 256 * 256
-    assert states[0].survivors is None and states[0].node_count == n
+    assert states[0].values is states[0].fvals and states[0].node_count == n
     for s in states:
         assert s.fvals is states[0].fvals
         held = [v for v in vars(s).values() if isinstance(v, np.ndarray) and v is not s.fvals]
         assert all(v.shape[0] < n for v in held)
-    for a, b in zip(states[1:], states[2:]):
-        assert np.all(np.diff(b.survivors) > 0)
-        assert np.all(np.isin(b.survivors, a.survivors))
+        assert np.array_equal(s.values, s.fvals[s.mask])
+        assert s.values.shape[0] == s.node_count
+
+
+# ties, -0.0 against 0.0, the smallest subnormal, a huge value, and 0.1, whose
+# mean over three copies rounds above 0.1
+TABLE_VALUES = (0.1, 0.1 + 2.0 ** -56, 1.0 / 3.0, -0.0, 0.0, 5e-324, 1e300, -2.5)
+
+
+@st.composite
+def tables(draw):
+    """n from 2 to 300 values from a palette of one to three pool values: long
+    runs of ties, so that a set mean often lands exactly on a table value."""
+    n = draw(st.integers(2, 300))
+    palette = draw(st.lists(st.sampled_from(TABLE_VALUES), min_size=1, max_size=3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).choice(np.array(palette), n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(tables())
+def test_sets_are_sublevel_sets_of_the_mask_recurrence(table):
+    """On f = table[floor(x)] over [0, n] at resolution n (one node per cell),
+    every state's numbers and mask equal the boolean-mask recurrence's."""
+    n = table.shape[0]
+    obj = Objective(name="table", dim=1, fn=lambda p: table[np.floor(p[:, 0]).astype(np.intp)])
+    region = box(0.0, float(n))
+    states, _ = useq_run(obj, region, n)
+    want = _mask_recurrence(obj, region, n)
+    assert len(states) == len(want)
+    for s, (threshold, measure, count, best, mask) in zip(states, want):
+        assert (s.threshold, s.measure, s.node_count, s.best_value) == (
+            threshold, measure, count, best)
+        assert np.array_equal(s.mask, mask)
+        assert np.array_equal(s.values, s.fvals[mask])
