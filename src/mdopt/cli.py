@@ -25,7 +25,6 @@ from . import schedule, sets as sets_mod, useq as useq_mod
 from .integrate import IntegratorConfig, default_config
 from .nmd import Exponential, NascentMD, Rational
 from .objective import UnknownFunctionError, catalog_get, catalog_names, gradient
-from .region import GridMesh
 
 
 _ROWS = 4096  # rows formatted and written per block
@@ -85,7 +84,7 @@ def _rle(mask: np.ndarray) -> list[list[int]]:
     return [[int(v[i]), int(n)] for i, n in zip(starts, np.diff(starts, append=v.size))]
 
 
-def _resolve(function, tau="exp", p=1.0, grid=None, mc=None, seed=0):
+def _resolve(function, tau="exp", p=Rational.p, grid=None, mc=None, seed=0):
     try:
         obj, region = catalog_get(function)
     except UnknownFunctionError:
@@ -98,11 +97,6 @@ def _resolve(function, tau="exp", p=1.0, grid=None, mc=None, seed=0):
     else:
         integ = default_config(region.dim, seed=seed)
     return obj, region, tau_kind, integ
-
-
-def _set_mesh(m: NascentMD) -> GridMesh:
-    """The density's finest-level mesh; under Monte Carlo, a grid on the top rung."""
-    return m.grid(m.integrator.resolutions(m.region.dim)[-1])
 
 
 def _finite(ctx, param, value):
@@ -118,7 +112,7 @@ def common_options(f, density: bool = True):
         opts += [
             click.option("--tau", type=click.Choice(["exp", "rational"]), default="exp",
                          show_default=True, help="density transform kind"),
-            click.option("--p", type=click.FloatRange(0, min_open=True), default=1.0,
+            click.option("--p", type=click.FloatRange(0, min_open=True), default=Rational.p,
                          show_default=True, help="rational transform offset"),
             click.option("--grid", type=click.IntRange(min=2), default=None,
                          help="grid resolution per axis (default picked per dimension)"),
@@ -126,7 +120,7 @@ def common_options(f, density: bool = True):
                          help="Monte Carlo sample count"),
         ]
     opts += [
-        click.option("--seed", type=int, default=0, show_default=True),
+        click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True),
         click.option("--out", type=click.Path(path_type=Path), default=Path("out"),
                      show_default=True, help="output directory"),
     ]
@@ -158,12 +152,14 @@ def main(ctx, config_path):
 
 @main.command()
 @common_options
-@click.option("--k0", type=click.FloatRange(0, min_open=True), default=1.0, show_default=True,
-              callback=_finite)
-@click.option("--growth", type=click.FloatRange(1, min_open=True), default=float(np.e),
+@click.option("--k0", type=click.FloatRange(0, min_open=True),
+              default=schedule.ContinuationConfig.k0, show_default=True, callback=_finite)
+@click.option("--growth", type=click.FloatRange(1, min_open=True),
+              default=schedule.ContinuationConfig.growth, show_default=True, callback=_finite)
+@click.option("--stages", type=click.IntRange(min=1),
+              default=schedule.ContinuationConfig.max_stages, show_default=True)
+@click.option("--var-tol", type=float, default=schedule.ContinuationConfig.var_tol,
               show_default=True, callback=_finite)
-@click.option("--stages", type=click.IntRange(min=1), default=16, show_default=True)
-@click.option("--var-tol", type=float, default=1e-8, show_default=True, callback=_finite)
 def minimize(function, tau, p, grid, mc, seed, out, k0, growth, stages, var_tol):
     """Run the k-continuation and write trace.csv + result.json."""
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
@@ -204,7 +200,7 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
         raise click.UsageError("--k needs at least one value, none negative, all finite")
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
     md0 = NascentMD(obj, region, tau=tau_kind, k=ks[0], integrator=integ)
-    mesh = _set_mesh(md0)
+    mesh = md0.grid(integ.resolution)
     prof_res = profile_resolution or (1024 if region.dim == 1 else 128)
     prof_mesh = md0.grid(prof_res)
 
@@ -238,7 +234,7 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     """Compare predicted vs measured boundary speed of the D0 set."""
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
     m = NascentMD(obj, region, tau=tau_kind, k=k, integrator=integ)
-    mesh = _set_mesh(m)
+    mesh = m.grid(integ.resolution)
     d0 = sets_mod.extract_set(m, sets_mod.SetKind.D0, mesh)
     pts = np.reshape(sets_mod.boundary_points(d0), (-1, region.dim))
     g = gradient(obj, pts)

@@ -49,10 +49,11 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Backend selection: kind "grid" (resolution per axis) or "mc" (n, seed)."""
+    """Backend selection: kind "grid" (``resolution`` cells on every axis) or
+    "mc" (n, seed).  Under Monte Carlo, ``resolution`` is the set commands' mesh."""
 
     kind: str = "grid"
-    resolution: tuple[int, ...] | int = 1024
+    resolution: int = 1024
     n: int = 100_000
     seed: int = 0
 
@@ -61,15 +62,10 @@ class IntegratorConfig:
             raise ValueError(f"unknown integrator kind {self.kind!r}")
         if self.kind == "mc" and self.n < 100:
             raise ValueError("Monte Carlo needs n >= 100")
-
-    def resolutions(self, dim: int) -> list[np.ndarray]:
-        """The two-rung ladder [max(res // 2, 2), res] per axis, coarsest first."""
-        res = np.atleast_1d(np.asarray(self.resolution, dtype=int))
-        if res.shape[0] == 1:
-            res = np.full(dim, res[0])
-        if np.any(res < 2):
-            raise ValueError("grid resolution must be at least 2 per axis")
-        return [np.maximum(res // 2, 2), res]
+        if self.resolution < 2:
+            raise ValueError("grid resolution must be at least 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def default_config(dim: int, seed: int = 0) -> IntegratorConfig:
@@ -96,7 +92,7 @@ def levels(region: CompactRegion,
            cfg: IntegratorConfig | None = None) -> tuple[list[Level], Estimate]:
     """The two quadrature levels, coarsest first, and the region's measure mu.
 
-    Grid: one mesh per rung of the resolution ladder, mu from the finest one.
+    Grid: meshes at max(res // 2, 2) and res cells per axis, mu from the finest.
     Monte Carlo: the first n/2 and all n points of one uniform member sample,
     with mu from a Monte Carlo measure of the same seed.
     """
@@ -107,7 +103,7 @@ def levels(region: CompactRegion,
         return [Level(pts[:m], float(np.log(mu.value) - np.log(m)), None)
                 for m in (cfg.n // 2, cfg.n)], mu
     out = []
-    for res in cfg.resolutions(region.dim):
+    for res in (max(cfg.resolution // 2, 2), cfg.resolution):
         mesh = region.build_grid(res)
         if mesh.nodes.shape[0] == 0:
             raise EmptyRegionError("no member nodes at grid resolution")

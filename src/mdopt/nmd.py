@@ -227,17 +227,16 @@ class NascentMD:
         self.levels()
         return self._shared["mu"]
 
-    def _grid_level(self, region: CompactRegion, resolution: tuple) -> DensityLevel | None:
+    def _grid_level(self, region: CompactRegion, shape: tuple) -> DensityLevel | None:
         """The quadrature level whose mesh has this layout (same region object,
-        same per-axis resolution), if any."""
+        same lattice shape), if any."""
         return next((lv for lv in self.levels() if lv.mesh is not None
-                     and lv.mesh.region is region and lv.mesh.resolution == resolution), None)
+                     and lv.mesh.region is region and lv.mesh.resolution == shape), None)
 
-    def grid(self, resolution) -> GridMesh:
+    def grid(self, resolution: int) -> GridMesh:
         """A quadrature level's mesh when it has this resolution, else a new grid."""
-        res = tuple(int(r) for r in np.broadcast_to(resolution, self.region.dim))
-        level = self._grid_level(self.region, res)
-        return level.mesh if level is not None else self.region.build_grid(res)
+        level = self._grid_level(self.region, (resolution,) * self.region.dim)
+        return level.mesh if level is not None else self.region.build_grid(resolution)
 
     def mesh_f(self, mesh: GridMesh) -> np.ndarray:
         """f on the mesh nodes; a quadrature level's cached values when the

@@ -9,7 +9,7 @@ coordinate-major: each ``nodes[:, j]`` is contiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -153,19 +153,16 @@ class CompactRegion:
         err = 3.0 * self.box_volume * np.sqrt(p * (1.0 - p) / mc_n)
         return Estimate(self.box_volume * p, float(err))
 
-    def build_grid(self, resolution: int | Sequence[int]) -> GridMesh:
-        """Deterministic cell-centered mesh filtered by membership, filled axis by axis."""
-        res = np.atleast_1d(np.asarray(resolution, dtype=int))
-        if res.shape[0] == 1:
-            res = np.full(self.dim, res[0])
-        if res.shape[0] != self.dim:
-            raise RegionError(f"resolution must have length {self.dim}")
-        if np.any(res < 2):
-            raise RegionError("grid resolution must be at least 2 per axis")
+    def build_grid(self, resolution: int) -> GridMesh:
+        """Deterministic cell-centered mesh with ``resolution`` cells on every axis,
+        filtered by membership, filled axis by axis."""
+        res = int(resolution)
+        if res < 2:
+            raise RegionError("grid resolution must be at least 2")
         widths = (self.upper - self.lower) / res
-        axes = tuple(lo + (np.arange(r) + 0.5) * w for lo, r, w in zip(self.lower, res, widths))
-        shape = tuple(int(r) for r in res)
-        coords = np.empty((self.dim, int(np.prod(res))))  # one contiguous row per axis
+        axes = tuple(lo + (np.arange(res) + 0.5) * w for lo, w in zip(self.lower, widths))
+        shape = (res,) * self.dim
+        coords = np.empty((self.dim, res ** self.dim))  # one contiguous row per axis
         for j, ax in enumerate(axes):
             coords[j].reshape(shape)[...] = ax.reshape((-1,) + (1,) * (self.dim - 1 - j))
         mask = self.contains(coords.T) if self.constraints else np.ones(coords.shape[1], dtype=bool)

@@ -59,7 +59,11 @@ class MinimizeResult:
 
 def run_continuation(obj: Objective, region: CompactRegion,
                      cfg: ContinuationConfig | None = None) -> MinimizeResult:
-    """Anneal k geometrically and record E^(k)(f), Var^(k)(f), mean location."""
+    """Anneal k geometrically and record E^(k)(f), Var^(k)(f), mean location.
+
+    x* is the finest level's node where log tau is largest, the first in mesh
+    order on ties; f* is the last stage's E^(k)(f).
+    """
     cfg = cfg or ContinuationConfig()
     md = NascentMD(obj, region, tau=cfg.tau, k=cfg.k0, integrator=cfg.integrator)
     trace: list[TraceRecord] = []
@@ -90,10 +94,11 @@ def run_continuation(obj: Objective, region: CompactRegion,
                 break
         else:
             stall = 0
-    last = trace[-1]
+    # m^(k) is proportional to tau^k, so at every k > 0 this node weighs most
+    fine = md.levels()[-1]
     return MinimizeResult(
-        fstar_estimate=last.Ef,
-        xstar_estimate=last.mean_x,
+        fstar_estimate=trace[-1].Ef,
+        xstar_estimate=fine.nodes[np.argmax(fine.log_tau)].copy(),
         trace=trace,
         stop_reason=stop_reason,
     )

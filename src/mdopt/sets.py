@@ -150,11 +150,11 @@ def _level_crossing(m: NascentMD, log_level: float, x0, v, lo, hi, g_lo, g_hi):
 brentq = _level_crossing
 
 
-def boundary_points(sset: SignificantSet, rel_tol: float = 1e-10) -> list[np.ndarray]:
+def boundary_points(sset: SignificantSet) -> list[np.ndarray]:
     """Discrete boundary of D0, refined onto the exact density level set.
 
     Solves the level crossing on every lattice edge whose member ends straddle
-    the set (axis by axis, row-major) and keeps |m^(k)(x) * mu - 1| <= rel_tol.
+    the set (axis by axis, row-major) and keeps |m^(k)(x) * mu - 1| <= 1e-10.
     """
     if sset.kind is not SetKind.D0:
         raise ValueError("boundary extraction is defined for D0 sets only")
@@ -175,7 +175,7 @@ def boundary_points(sset: SignificantSet, rel_tol: float = 1e-10) -> list[np.nda
     solve = ga * gb < 0.0
     t, gap = brentq(m, log_level, a[solve], (b - a)[solve], 0.0, 1.0, ga[solve], gb[solve])
     x[solve] = a[solve] + t[:, None] * (b - a)[solve]
-    on_level[solve] = np.abs(np.expm1(gap)) <= rel_tol
+    on_level[solve] = np.abs(np.expm1(gap)) <= 1e-10
     return list(x[on_level])
 
 

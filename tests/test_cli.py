@@ -117,6 +117,21 @@ def test_sets_builds_only_the_density_level_meshes(runner, tmp_path, monkeypatch
     assert built == [(128, 128), (256, 256)]
 
 
+def test_set_meshes_off_the_density_levels(runner, tmp_path):
+    """A profile resolution that no level has gets its own grid; under --mc the
+    set mesh is a grid at the integrator's resolution."""
+    out = tmp_path / "sets"
+    result = runner.invoke(main, ["sets", "--function", "paper2d", "--k", "0,1", "--grid", "64",
+                                  "--profile-res", "48", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(read_csv(out / "density_profiles.csv")) == 2 * 48 ** 2
+    out = tmp_path / "shrinkrate"
+    result = runner.invoke(main, ["shrinkrate", "--function", "paper1d", "--mc", "2000",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "config.json").read_text())["mesh_resolution"] == 1024
+
+
 def test_sets_profile_round_trips_bit_for_bit(runner, tmp_path):
     """The profile's 2 x 16,384 rows span several writer blocks; every cell
     parses back to the exact float the command computed."""
@@ -148,6 +163,7 @@ def test_sets_profile_round_trips_bit_for_bit(runner, tmp_path):
     ["minimize", "--function", "paper1d", "--growth", "1"],
     ["minimize", "--function", "paper1d", "--k0", "0"],
     ["minimize", "--function", "paper1d", "--tau", "rational", "--p", "0"],
+    ["minimize", "--function", "paper1d", "--mc", "1000", "--seed", "-1"],
     ["useq", "--function", "paper1d", "--resolution", "1"],
     ["useq", "--function", "paper1d", "--max-iter", "0"],
     ["sets", "--function", "paper1d", "--k", "1", "--profile-res", "1"],

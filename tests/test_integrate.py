@@ -102,6 +102,10 @@ def test_config_validation():
         IntegratorConfig(kind="bogus")
     with pytest.raises(ValueError):
         IntegratorConfig(kind="mc", n=10)
+    with pytest.raises(ValueError):
+        IntegratorConfig(resolution=1)
+    with pytest.raises(ValueError):
+        IntegratorConfig(kind="mc", seed=-1)
 
 
 @pytest.mark.parametrize("cfg", [IntegratorConfig(kind="grid", resolution=256),

@@ -1,7 +1,8 @@
 """Property tests of the paper's invariants on random smooth 1-d objectives.
 
 Over both rungs of the density's node set: E^(k)(f) is non-increasing in k
-and never below the smallest node value of f, and the Df sets are nested.
+and never below the smallest node value of f, and each of the three significant
+set families (Df, Dtau, D0) is nested in k.
 """
 
 import numpy as np
@@ -69,12 +70,13 @@ def test_expectation_above_node_minimum(d):
     assert all(m.with_k(k).expect_f().value >= fmin - _slack(fmin) for k in KS)
 
 
+@pytest.mark.parametrize("kind", list(SetKind), ids=lambda kind: kind.value)
 @SETTINGS
-@given(densities)
-def test_df_sets_nested(d):
+@given(d=densities)
+def test_sets_nested(kind, d):
     m = _density(**d)
     for lv in m.levels():
-        sets = [extract_set(m.with_k(k), SetKind.DF, lv.mesh) for k in KS]
+        sets = [extract_set(m.with_k(k), kind, lv.mesh) for k in KS]
         for inner, outer in zip(sets[1:], sets):
             ok, violations = containment_check(inner, outer)
             assert ok, (inner.k, outer.k, violations)

@@ -112,8 +112,6 @@ def test_build_grid_coordinate_major_nodes(region, res):
 def test_build_grid_bad_resolution():
     with pytest.raises(RegionError):
         box(0.0, 1.0).build_grid(1)
-    with pytest.raises(RegionError):
-        CompactRegion(np.zeros(2), np.ones(2)).build_grid([4, 4, 4])
 
 
 def test_sample_deterministic():

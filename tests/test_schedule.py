@@ -8,7 +8,7 @@ from mdopt.cli import main
 from mdopt.integrate import IntegratorConfig
 from mdopt import nmd
 from mdopt.nmd import Rational
-from mdopt.objective import catalog_get
+from mdopt.objective import catalog_get, catalog_names
 from mdopt.schedule import ContinuationConfig, run_continuation
 
 import oracles
@@ -61,6 +61,16 @@ def test_quadratic_mean_converges_to_origin():
                              integrator=IntegratorConfig(kind="grid", resolution=256))
     result = run_continuation(obj, region, cfg)
     assert np.linalg.norm(result.xstar_estimate) < 0.05
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if n != "const<c>"])
+def test_xstar_is_no_worse_than_fstar(name):
+    """x* is the max-weight node, and min f never exceeds a weighted mean of f;
+    the weights can sum to 1 - eps, hence the slack."""
+    obj, region = catalog_get(name)
+    result = run_continuation(obj, region)
+    fstar = result.fstar_estimate
+    assert obj(result.xstar_estimate) <= fstar + 1e-12 * max(1.0, abs(fstar))
 
 
 def test_rational_tau_also_monotone():

@@ -285,8 +285,8 @@ def test_rates_on_a_batch_equal_single_points(name, tau):
     obj, region = catalog_get(name)
     kwargs = {} if tau is None else {"tau": tau}
     m = NascentMD(obj, region, k=8.0, **kwargs)
-    res = m.integrator.resolutions(region.dim)[-1][0]
-    pts = np.array(boundary_points(extract_set(m, SetKind.D0, region.build_grid(res))))
+    mesh = region.build_grid(m.integrator.resolution)
+    pts = np.array(boundary_points(extract_set(m, SetKind.D0, mesh)))
     assert len(pts) > 0
     t, d = solve_boundary_move(m, pts, 0.01)
     batched = {
