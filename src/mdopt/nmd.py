@@ -8,9 +8,11 @@ evaluated in log space on the two levels of ``integrate.levels``, held as
 frozen ``DensityLevel`` records (nodes, weight, mesh, f, log tau) built once
 with the resolved tau and mu.  A log-sum of k log tau per (k, level), made when
 first read, gives log Z(k) (finest level) and log E^(k)(tau) = log Z(k+1) -
-log Z(k); one softmax pass per level gives E f, E f^2, E log tau and E x, each
-with the levels' difference as its error.  ``with_k`` clones share the levels,
-the log-sums and ``Moments``, so a k-continuation run pays the f evaluations once.
+log Z(k); one softmax pass per level gives E f, E (f - c)^2, E log tau and E x,
+each with the levels' difference as its error, where c is the finest level's
+min f, so Var^(k)(f) = E (f - c)^2 - (E f - c)^2 does not move when a constant
+is added to f.  ``with_k`` clones share the levels, the log-sums and
+``Moments``, so a k-continuation run pays the f evaluations once.
 Weights are formed on the support of m^(k), the nodes whose weight is not exactly
 0 (exp underflows below -745.13), and a larger k starts from the last support.
 A level is cut only when at most half its nodes survive, so no copy of a barely
@@ -125,7 +127,8 @@ class Moments:
     """The moments of m^(k) that a continuation stage needs, at one k."""
 
     f: Estimate
-    f2: Estimate
+    fc2: Estimate  # E (f - c)^2
+    c: float  # the finest level's min f, the shift that keeps Var free of cancellation
     log_tau: Estimate
     x: Estimate  # a read-only vector value
 
@@ -178,7 +181,7 @@ class NascentMD:
             log_tau = tau.log_tau(f)
             levels.append(DensityLevel(lv.nodes, lv.log_node_weight, lv.mesh, f, log_tau,
                                        float(np.max(log_tau)), float(np.min(log_tau))))
-        self._shared.update(mu=mu.value, tau=tau, levels=levels)
+        self._shared.update(mu=mu.value, tau=tau, levels=levels, f_min=float(np.min(fs[-1])))
         return levels
 
     def resolved_tau(self) -> TauKind:
@@ -242,7 +245,7 @@ class NascentMD:
         """f on the mesh nodes; a quadrature level's cached values when the
         mesh has that level's layout."""
         level = self._grid_level(mesh.region, mesh.resolution)
-        return level.f if level is not None else evaluate_batch(self.objective, mesh.nodes)
+        return level.f if level is not None else evaluate_batch(self.objective, mesh)
 
     # --- pointwise evaluation ------------------------------------------------
 
@@ -311,16 +314,18 @@ class NascentMD:
         return Estimate(float(fine), abs(float(fine) - float(coarse)))
 
     def moments(self) -> Moments:
-        """E f, E f^2, E log tau and E x from one weight pass per level.
+        """E f, E (f - c)^2, E log tau and E x from one weight pass per level.
 
         Cached per k and shared by ``with_k`` clones.
         """
         cache = self._shared["moments"]
         if self.k not in cache:
-            f, f2, log_tau, x = self._estimates(
-                lambda lv: lv.f, lambda lv: lv.f ** 2.0, lambda lv: lv.log_tau,
+            self.levels()
+            c = self._shared["f_min"]
+            f, fc2, log_tau, x = self._estimates(
+                lambda lv: lv.f, lambda lv: self._square(lv.f - c), lambda lv: lv.log_tau,
                 lambda lv: lv.nodes)
-            cache[self.k] = Moments(f=f, f2=f2, log_tau=log_tau, x=x)
+            cache[self.k] = Moments(f=f, fc2=fc2, c=c, log_tau=log_tau, x=x)
         return cache[self.k]
 
     def expectation(self, h: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -336,6 +341,11 @@ class NascentMD:
 
         return self._estimates(
             lambda lv: self._power(np.asarray(fn(lv.nodes + off), float), nu))[0]
+
+    @staticmethod
+    def _square(d: np.ndarray) -> np.ndarray:
+        """d^2 in place, so a level's moments make one new array, as f^2 did."""
+        return np.multiply(d, d, out=d)
 
     @staticmethod
     def _power(vals: np.ndarray, nu: float) -> np.ndarray:
@@ -357,10 +367,11 @@ class NascentMD:
         return logs[1], abs(np.exp(logs[1]) - np.exp(logs[0]))
 
     def variance_f(self) -> Estimate:
-        """Var^(k)(f) = E(f^2) - E(f)^2, clamped at zero."""
+        """Var^(k)(f) = E (f - c)^2 - (E f - c)^2 with c the finest level's min f,
+        clamped at zero; unlike E f^2 - (E f)^2 it does not cancel when f is large."""
         mom = self.moments()
-        value = max(mom.f2.value - mom.f.value ** 2, 0.0)
-        err = mom.f2.error + 2.0 * abs(mom.f.value) * mom.f.error
+        value = max(mom.fc2.value - (mom.f.value - mom.c) ** 2, 0.0)
+        err = mom.fc2.error + 2.0 * abs(mom.f.value - mom.c) * mom.f.error
         return Estimate(value, err)
 
     def mean_location(self, with_error: bool = False):

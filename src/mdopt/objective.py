@@ -2,8 +2,8 @@
 
 Objectives are vectorized and row-wise: ``fn`` maps an ``(N, dim)`` array to
 an ``(N,)`` array whose i-th value depends on row i only, since batches are
-evaluated in blocks of ``BLOCK_ROWS`` rows.  Gradients are analytic when
-registered, central finite differences otherwise.
+evaluated in blocks of ``BLOCK_ROWS`` rows and grid meshes slab by slab.
+Gradients are analytic when registered, central finite differences otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .region import CompactRegion, _as_points, box
+from .region import (BLOCK_ROWS, CompactRegion, DimensionMismatchError, GridMesh, _as_points,
+                     box)
 
 
 class EvaluationError(ValueError):
@@ -34,7 +35,6 @@ class StencilError(ValueError):
 
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-BLOCK_ROWS = 2 ** 14  # rows per fn call: keeps fn's temporaries cache-sized
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,30 @@ class Objective:
 
 
 def evaluate_batch(obj: Objective, xs) -> np.ndarray:
-    """f per row, one fn call per BLOCK_ROWS rows; rejects non-finite or misshapen values."""
-    pts, _ = _as_points(xs, obj.dim)
-    vals = np.empty(pts.shape[0])
-    for i in range(0, len(pts), BLOCK_ROWS):
-        block = vals[i:i + BLOCK_ROWS]  # a view, filled in place
-        out = np.asarray(obj.fn(pts[i:i + BLOCK_ROWS]), dtype=float)
-        if out.shape != block.shape:
+    """f per row of a batch, one fn call per BLOCK_ROWS rows, or per node of a grid
+    mesh, one fn call per slab of at most BLOCK_ROWS lattice points written from
+    its axes (no node array is made); rejects non-finite or misshapen values and
+    names the first non-finite point in row or mesh order."""
+    if isinstance(xs, GridMesh):
+        if xs.region.dim != obj.dim:
+            raise DimensionMismatchError(
+                f"expected points of dimension {obj.dim}, got a mesh of dimension {xs.region.dim}")
+        vals, blocks = np.empty(xs.node_count), xs.blocks(BLOCK_ROWS)
+    else:
+        pts, _ = _as_points(xs, obj.dim)
+        vals = np.empty(pts.shape[0])
+        blocks = (pts[i:i + BLOCK_ROWS] for i in range(0, len(pts), BLOCK_ROWS))
+    i, bad = 0, None
+    for block in blocks:
+        out = np.asarray(obj.fn(block), dtype=float)
+        if out.shape != (len(block),):
             raise ValueError(f"{obj.name} returned shape {out.shape} for {len(block)} rows")
-        block[:] = out
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise EvaluationError(f"{obj.name} returned non-finite value at {pts[i]}", point=pts[i])
+        vals[i:i + len(block)] = out
+        if bad is None and not np.isfinite(out).all():
+            bad = block[np.argmin(np.isfinite(out))].copy()
+        i += len(block)
+    if bad is not None:
+        raise EvaluationError(f"{obj.name} returned non-finite value at {bad}", point=bad)
     return vals
 
 

@@ -2,16 +2,21 @@
 
 A region is an axis-aligned box optionally intersected with inequality
 constraints ``g_i(x) >= 0``.  Constraint callables must be vectorized:
-they take an ``(N, dim)`` array and return an ``(N,)`` array.  Grid nodes are
+they take an ``(N, dim)`` array and return an ``(N,)`` array.  A grid mesh
+holds its axes and membership mask; its points are written slab by slab from
+the axes (``GridMesh.blocks``), and its node array is built only when read,
 coordinate-major: each ``nodes[:, j]`` is contiguous.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterator
 
 import numpy as np
+
+BLOCK_ROWS = 2 ** 14  # lattice points per slab: keeps each block's temporaries cache-sized
 
 
 class RegionError(ValueError):
@@ -58,23 +63,83 @@ class Estimate:
     error: float
 
 
+def _slabs(axes: tuple[np.ndarray, ...], rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The lattice of ``axes`` in row-major order as (start, coords) slabs of at most
+    ``rows`` points; ``coords`` is a ``(dim, n)`` view of one reused buffer holding
+    lattice points start .. start + n - 1.
+
+    A slab is whole trailing sub-lattices, the largest that fit, or a piece of one
+    lattice row when a row is longer than ``rows``.  Each axis is written by
+    broadcasting: the leading axes' coordinates once per sub-lattice, the trailing
+    axes' as the axis itself.
+    """
+    dim, res = len(axes), len(axes[0])
+    t = 1  # trailing axes per sub-lattice
+    while t < dim and res ** (t + 1) <= rows:
+        t += 1
+    lead_shape = (res,) * (dim - t)
+    n_lead = res ** (dim - t)
+    step = max(rows // res ** t, 1)  # sub-lattices per slab
+    width = min(res, rows)  # cells of axis dim - t per slab: a row piece when res > rows
+    buf = np.empty((dim, min(rows, res ** dim)))
+    for g in range(0, n_lead, step):
+        q = min(step, n_lead - g)
+        lead = np.unravel_index(np.arange(g, g + q), lead_shape) if t < dim else ()
+        for c in range(0, res, width):
+            w = min(width, res - c)
+            coords = buf[:, :q * w * res ** (t - 1)]
+            for j in range(dim - t):
+                coords[j].reshape(q, -1)[...] = axes[j][lead[j]][:, None]
+            shape = (q, w) + (res,) * (t - 1)
+            for j in range(dim - t, dim):
+                ax = axes[j][c:c + w] if j == dim - t else axes[j]
+                coords[j].reshape(shape)[...] = ax.reshape((-1,) + (1,) * (dim - 1 - j))
+            yield g * res ** t + c * res ** (t - 1), coords
+
+
 @dataclass(frozen=True)
 class GridMesh:
     """Cell-centered tensor grid restricted to region members.
 
-    ``nodes`` holds member points in row-major order over the full lattice,
-    so masks from two meshes of identical resolution line up index-by-index;
-    it is the transpose of a C-ordered ``(dim, N)`` array (coordinate-major).
-    ``lattice_mask`` is the membership mask over the full lattice (shape
-    ``resolution``), needed for neighbor queries.
+    The mesh holds its ``axes`` and ``lattice_mask``, the membership mask over
+    the full lattice (shape ``resolution``), needed for neighbor queries.  Its
+    member points are taken in row-major order over the full lattice, so masks
+    from two meshes of identical resolution line up index-by-index; ``blocks``
+    writes them slab by slab from the axes, and ``nodes``, their ``(N, dim)``
+    array, is built on first read as the transpose of a C-ordered ``(dim, N)``
+    array (coordinate-major).
     """
 
     region: "CompactRegion"
     resolution: tuple[int, ...]
     axes: tuple[np.ndarray, ...]
     lattice_mask: np.ndarray
-    nodes: np.ndarray
     cell_volume: float
+
+    @cached_property
+    def node_count(self) -> int:
+        """The number of member points."""
+        return int(np.count_nonzero(self.lattice_mask))
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """The member points, coordinate-major, built when first read."""
+        ((_, coords),) = _slabs(self.axes, self.lattice_mask.size)
+        if self.region.constraints:
+            coords = np.compress(self.lattice_mask.reshape(-1), coords, axis=1)
+        return coords.T
+
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """The member points in mesh order as ``(n, dim)`` blocks, one per slab of at
+        most ``rows`` lattice points that holds a member; each block is a view of a
+        reused buffer, valid until the next is made."""
+        member = self.lattice_mask.reshape(-1)
+        for start, coords in _slabs(self.axes, rows):
+            if self.region.constraints:
+                coords = np.compress(member[start:start + coords.shape[1]], coords, axis=1)
+                if coords.shape[1] == 0:
+                    continue
+            yield coords.T
 
     def same_layout(self, other: "GridMesh") -> bool:
         """Same lattice and same member nodes, so masks line up index by index."""
@@ -113,7 +178,7 @@ class CompactRegion:
     def _probe_nonempty(self) -> bool:
         """Any member among 16^d cell centers (d <= 3), else 2^16 seeded box points."""
         if self.dim <= 3:
-            return self.build_grid(16).nodes.shape[0] > 0
+            return self.build_grid(16).node_count > 0
         rng = np.random.Generator(np.random.Philox(0))
         pts = self.lower + rng.random((2 ** 16, self.dim)) * (self.upper - self.lower)
         return bool(np.any(self.contains(pts)))
@@ -155,25 +220,20 @@ class CompactRegion:
 
     def build_grid(self, resolution: int) -> GridMesh:
         """Deterministic cell-centered mesh with ``resolution`` cells on every axis,
-        filtered by membership, filled axis by axis."""
+        filtered by membership, which is tested slab by slab; no node array is made."""
         res = int(resolution)
         if res < 2:
             raise RegionError("grid resolution must be at least 2")
         widths = (self.upper - self.lower) / res
         axes = tuple(lo + (np.arange(res) + 0.5) * w for lo, w in zip(self.lower, widths))
         shape = (res,) * self.dim
-        coords = np.empty((self.dim, res ** self.dim))  # one contiguous row per axis
-        for j, ax in enumerate(axes):
-            coords[j].reshape(shape)[...] = ax.reshape((-1,) + (1,) * (self.dim - 1 - j))
-        mask = self.contains(coords.T) if self.constraints else np.ones(coords.shape[1], dtype=bool)
-        return GridMesh(
-            region=self,
-            resolution=shape,
-            axes=axes,
-            lattice_mask=mask.reshape(shape),
-            nodes=(np.compress(mask, coords, axis=1) if self.constraints else coords).T,
-            cell_volume=float(np.prod(widths)),
-        )
+        mask = np.ones(shape, dtype=bool)
+        if self.constraints:
+            member = mask.reshape(-1)
+            for start, coords in _slabs(axes, BLOCK_ROWS):
+                member[start:start + coords.shape[1]] = self.contains(coords.T)
+        return GridMesh(region=self, resolution=shape, axes=axes, lattice_mask=mask,
+                        cell_volume=float(np.prod(widths)))
 
     def sample_uniform(self, n: int, seed: int = 0) -> np.ndarray:
         """n i.i.d.-uniform member points by rejection from the box.

@@ -59,7 +59,7 @@ def _state(iteration: int, mesh: GridMesh, fvals: np.ndarray,
 def useq_init(obj: Objective, region: CompactRegion, mesh_resolution) -> UniformSeqState:
     """Initial state: the whole mesh, threshold = mean of f over the region."""
     mesh = region.build_grid(mesh_resolution)
-    fvals = evaluate_batch(obj, mesh.nodes)
+    fvals = evaluate_batch(obj, mesh)
     return _state(0, mesh, fvals, fvals)
 
 

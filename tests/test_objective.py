@@ -5,9 +5,10 @@ from mdopt.objective import (BLOCK_ROWS, EvaluationError, Objective, StencilErro
                              UnknownFunctionError, catalog_get, catalog_names,
                              evaluate_batch, gradient)
 
+from mdopt import objective, region as region_mod
 from mdopt.integrate import IntegratorConfig
 from mdopt.nmd import NascentMD
-from mdopt.region import box
+from mdopt.region import CompactRegion, DimensionMismatchError, box
 from mdopt.sets import descent_rate
 
 import oracles
@@ -98,6 +99,106 @@ def test_evaluate_batch_rejects_results_not_one_per_row(fn):
     obj = Objective(name="misshapen", dim=1, fn=fn)
     with pytest.raises(ValueError, match="misshapen"):
         evaluate_batch(obj, np.linspace(0.0, 1.0, BLOCK_ROWS + 5)[:, None])
+
+
+def _disk(p):
+    return 0.25 - np.sum((p - 0.5) ** 2, axis=1)
+
+
+def _catalog_obj(name, dim=None):
+    obj, region = catalog_get(name)
+    if dim is None:
+        return obj, region
+    # rastrigin's fn reads the dimension from its input
+    return (Objective(name=f"{name}{dim}", dim=dim, fn=obj.fn),
+            box([-5.12] * dim, [5.12] * dim))
+
+
+# (objective, region, resolution, rows per slab): 1-, 2- and 3-d lattices, a
+# constrained disk, resolutions that do not divide BLOCK_ROWS, and slabs shorter
+# than one lattice row
+MESH_CASES = [
+    (*_catalog_obj("paper1d"), 65536, BLOCK_ROWS),
+    (*_catalog_obj("paper1d"), 1000, 64),
+    (*_catalog_obj("paper2d"), 300, BLOCK_ROWS),
+    (*_catalog_obj("rastrigin"), 1000, BLOCK_ROWS),
+    (*_catalog_obj("ackley"), 300, BLOCK_ROWS),
+    (*_catalog_obj("rastrigin"), 300, 128),
+    (*_catalog_obj("rastrigin", 3), 30, BLOCK_ROWS),
+    (*_catalog_obj("rastrigin", 3), 30, 7),
+    (Objective(name="disk_paper2d", dim=2, fn=catalog_get("paper2d")[0].fn),
+     CompactRegion(np.zeros(2), np.ones(2), (_disk,)), 1000, BLOCK_ROWS),
+    (Objective(name="disk_paper2d", dim=2, fn=catalog_get("paper2d")[0].fn),
+     CompactRegion(np.zeros(2), np.ones(2), (_disk,)), 300, 100),
+]
+
+
+@pytest.mark.parametrize("obj, region, res, rows", MESH_CASES,
+                         ids=[f"{c[0].name}-{c[2]}-{c[3]}" for c in MESH_CASES])
+def test_mesh_evaluation_is_bit_identical_to_nodes(monkeypatch, obj, region, res, rows):
+    """f from the mesh's slabs equals f on its node array bit for bit, with no
+    node array made and no fn call longer than a slab."""
+    want_mask = region.build_grid(res).lattice_mask
+    monkeypatch.setattr(objective, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(region_mod, "BLOCK_ROWS", rows)
+    mesh = region.build_grid(res)
+    assert np.array_equal(mesh.lattice_mask, want_mask)  # the mask, slab by slab
+    sizes = []
+
+    def fn(p):
+        sizes.append(len(p))
+        return obj.fn(p)
+    got = evaluate_batch(Objective(name=obj.name, dim=obj.dim, fn=fn), mesh)
+    assert "nodes" not in vars(mesh)
+    want = evaluate_batch(obj, mesh.nodes)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert sum(sizes) == mesh.node_count == len(mesh.nodes)
+    assert max(sizes) <= rows
+    if not region.constraints and res ** region.dim > rows:
+        # whole trailing sub-lattices per slab, the largest that fit, or a piece of one row
+        fits = [res ** t for t in range(1, region.dim) if res ** t <= rows]
+        inner = max(fits) if fits else rows
+        assert sizes[0] == rows // inner * inner
+
+
+def _error(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    return err
+
+
+@pytest.mark.parametrize("rows", [BLOCK_ROWS, 100])
+def test_mesh_evaluation_names_the_first_non_finite_point(monkeypatch, rows):
+    monkeypatch.setattr(objective, "BLOCK_ROWS", rows)
+    region = CompactRegion(np.zeros(2), np.ones(2), (_disk,))
+    mesh = region.build_grid(256)
+    nodes = mesh.nodes
+    first, later = nodes[len(nodes) // 2], nodes[-3]  # in different slabs
+
+    def fn(p):
+        hit = np.all(p == first, axis=1) | np.all(p == later, axis=1)
+        return np.where(hit, np.nan, p[:, 0])
+    obj = Objective(name="nan_at", dim=2, fn=fn)
+    got = _error(lambda: evaluate_batch(obj, mesh))
+    want = _error(lambda: evaluate_batch(obj, nodes))
+    assert got.type is want.type is EvaluationError
+    assert str(got.value) == str(want.value)
+    assert np.array_equal(got.value.point, first) and np.array_equal(want.value.point, first)
+
+
+def test_mesh_evaluation_shape_errors_match_nodes():
+    """256^2 slabs are BLOCK_ROWS long, so both paths name the same row count; a
+    misshapen block wins over a non-finite value in an earlier one, as before."""
+    mesh = box([0.0, 0.0], [1.0, 1.0]).build_grid(256)
+    for fn in (lambda p: 3.0, lambda p: p[:, :1],
+               lambda p: np.full(len(p) - (p[0, 0] > 0.5), np.nan)):
+        obj = Objective(name="misshapen", dim=2, fn=fn)
+        got = _error(lambda: evaluate_batch(obj, mesh))
+        want = _error(lambda: evaluate_batch(obj, mesh.nodes))
+        assert got.type is want.type is ValueError
+        assert str(got.value) == str(want.value)
+    with pytest.raises(DimensionMismatchError):
+        evaluate_batch(catalog_get("paper1d")[0], mesh)
 
 
 def test_non_finite_f_raises_naming_the_point():

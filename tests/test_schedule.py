@@ -7,8 +7,9 @@ from click.testing import CliRunner
 from mdopt.cli import main
 from mdopt.integrate import IntegratorConfig
 from mdopt import nmd
-from mdopt.nmd import Rational
-from mdopt.objective import catalog_get, catalog_names
+from mdopt.nmd import NascentMD, Rational
+from mdopt.objective import Objective, catalog_get, catalog_names
+from mdopt.region import box
 from mdopt.schedule import ContinuationConfig, run_continuation
 
 import oracles
@@ -149,3 +150,23 @@ def test_coarse_quadrature_stops_stalled():
     assert len(result.trace) == 4
     for prev, rec in zip(result.trace[-4:], result.trace[-3:]):
         assert prev.Ef - rec.Ef < rec.Ef_error
+
+
+def _offset_square(c: float) -> Objective:
+    return Objective(name=f"{c}+x^2", dim=1, fn=lambda p: c + p[:, 0] ** 2)
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_variance_does_not_move_with_a_constant_offset(offset):
+    """Var^(k)(f) is taken about the finest level's min f, so adding a constant
+    to f leaves the run alone; E f^2 - (E f)^2 lost it to cancellation (at 1e8
+    it read 2.0 at k = 1 and stopped the run after 2 stages)."""
+    var = [NascentMD(_offset_square(c), box(0.0, 1.0), k=1.0).variance_f().value
+           for c in (0.0, offset)]
+    assert var[1] == pytest.approx(var[0], rel=1e-6)
+    base, shifted = (run_continuation(_offset_square(c), box(0.0, 1.0)) for c in (0.0, offset))
+    assert len(shifted.trace) == len(base.trace) == 10
+    assert shifted.stop_reason == base.stop_reason == "var_tol"
+    assert abs(shifted.fstar_estimate - offset) < 1e-4
+    for a, b in zip(base.trace, shifted.trace):
+        assert b.Varf == pytest.approx(a.Varf, rel=1e-3)

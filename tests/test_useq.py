@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,3 +177,22 @@ def test_sets_are_sublevel_sets_of_the_mask_recurrence(table):
             threshold, measure, count, best)
         assert np.array_equal(s.mask, mask)
         assert np.array_equal(s.values, s.fvals[mask])
+
+
+def test_useq_holds_no_node_array():
+    """The mesh keeps its axes and mask; f is evaluated from them, so the run's
+    peak is about f plus the history's first set, not the (N, 2) nodes: at most
+    3 x 8N bytes (the node array alone would be 2 x 8N)."""
+    obj, region = catalog_get("rastrigin")
+    mesh = region.build_grid(64)
+    assert "nodes" not in vars(mesh)
+    assert mesh.nodes.shape == (64 * 64, 2) and "nodes" in vars(mesh)
+    n = 512 ** 2
+    tracemalloc.start()
+    try:
+        states, _ = useq_run(obj, region, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "nodes" not in vars(states[0].mesh)
+    assert peak <= 3 * 8 * n
