@@ -20,6 +20,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import schedule, sets as sets_mod, useq as useq_mod
 from .integrate import IntegratorConfig, default_config
@@ -85,6 +86,11 @@ def _rle(mask: np.ndarray) -> list[list[int]]:
 
 
 def _resolve(function, tau="exp", p=Rational.p, grid=None, mc=None, seed=0):
+    if grid is not None and mc is not None:
+        raise click.UsageError("--grid and --mc pick different integrators; give one")
+    ctx = click.get_current_context()
+    if tau != "rational" and ctx.get_parameter_source("p") is ParameterSource.COMMANDLINE:
+        raise click.UsageError("--p applies only with --tau rational")
     try:
         obj, region = catalog_get(function)
     except UnknownFunctionError:
@@ -200,14 +206,13 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
         raise click.UsageError("--k needs at least one value, none negative, all finite")
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
     md0 = NascentMD(obj, region, tau=tau_kind, k=ks[0], integrator=integ)
-    mesh = md0.grid(integ.resolution)
+    mesh = region.build_grid(integ.resolution)
     prof_res = profile_resolution or (1024 if region.dim == 1 else 128)
-    prof_mesh = md0.grid(prof_res)
+    prof_mesh = region.build_grid(prof_res)
 
     ms = [md0.with_k(k) for k in ks]
     found = [sets_mod.extract_set(m, kind, mesh) for m in ms for kind in sets_mod.SetKind]
-    log_tau = md0.resolved_tau().log_tau(md0.mesh_f(prof_mesh))
-    n = prof_mesh.nodes.shape[0]
+    _, log_tau = md0.mesh_values(prof_mesh)
     _write_outputs(out, {
         "measures.csv": {
             "k": [s.k for s in found], "kind": [s.kind.value for s in found],
@@ -215,7 +220,7 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
         "masks.json": [{"k": s.k, "kind": s.kind.value, "resolution": list(mesh.resolution),
                         "rle": _rle(s.mask)} for s in found],
         "density_profiles.csv": {
-            "k": np.repeat(ks, n),
+            "k": np.repeat(ks, prof_mesh.node_count),
             **{f"x{j}": np.tile(prof_mesh.nodes[:, j], len(ks)) for j in range(region.dim)},
             "density": np.concatenate([np.exp(m.k * log_tau - m.log_Z()) for m in ms])},
     }, k=ks, mesh_resolution=mesh.resolution[0], profile_resolution=prof_res)
@@ -234,8 +239,7 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     """Compare predicted vs measured boundary speed of the D0 set."""
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
     m = NascentMD(obj, region, tau=tau_kind, k=k, integrator=integ)
-    mesh = m.grid(integ.resolution)
-    d0 = sets_mod.extract_set(m, sets_mod.SetKind.D0, mesh)
+    d0 = sets_mod.extract_set(m, sets_mod.SetKind.D0, region.build_grid(integ.resolution))
     pts = np.reshape(sets_mod.boundary_points(d0), (-1, region.dim))
     g = gradient(obj, pts)
     gn = np.sqrt(np.vecdot(g, g))  # BLAS dot, as np.linalg.norm of one row
@@ -248,7 +252,7 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
         **{f"x{j}": pts[:, j] for j in range(region.dim)},
         "k": np.full(len(pts), k), "dk": np.full(len(pts), dk), "grad_norm": gn,
         "theoretical": theo, "empirical": emp, "ratio": ratio,
-        "descent_rate": descent}}, mesh_resolution=mesh.resolution[0])
+        "descent_rate": descent}}, mesh_resolution=integ.resolution)
     click.echo(f"{len(pts)} boundary samples written to {out}")
 
 

@@ -11,8 +11,9 @@ first read, gives log Z(k) (finest level) and log E^(k)(tau) = log Z(k+1) -
 log Z(k); one softmax pass per level gives E f, E (f - c)^2, E log tau and E x,
 each with the levels' difference as its error, where c is the finest level's
 min f, so Var^(k)(f) = E (f - c)^2 - (E f - c)^2 does not move when a constant
-is added to f.  ``with_k`` clones share the levels, the log-sums and
-``Moments``, so a k-continuation run pays the f evaluations once.
+is added to f.  ``with_k`` clones share the levels, the log-sums, ``Moments``
+and the f and log tau that ``mesh_values`` evaluated on the latest mesh without a
+level's layout (``GridMesh.same_layout``), so they pay each f evaluation once.
 Weights are formed on the support of m^(k), the nodes whose weight is not exactly
 0 (exp underflows below -745.13), and a larger k starts from the last support.
 A level is cut only when at most half its nodes survive, so no copy of a barely
@@ -153,9 +154,9 @@ class NascentMD:
         self.tau = tau if tau is not None else Exponential()
         self.k = float(k)
         self.integrator = integrator or default_config(region.dim)
-        # shared across with_k clones (one tau kind): density levels, measure,
-        # resolved tau, per-(k, level) log-sums, per-k moments, per-level support
-        self._shared = _shared or {"log_sums": {}, "moments": {}, "support": {}}
+        # shared across with_k clones (one tau kind): density levels, measure, resolved
+        # tau, per-(k, level) log-sums, per-k moments, per-level support, one other mesh
+        self._shared = _shared or {"log_sums": {}, "moments": {}, "support": {}, "mesh": []}
 
     def with_k(self, k: float) -> "NascentMD":
         """Same density family at a different k, sharing all node caches."""
@@ -230,22 +231,16 @@ class NascentMD:
         self.levels()
         return self._shared["mu"]
 
-    def _grid_level(self, region: CompactRegion, shape: tuple) -> DensityLevel | None:
-        """The quadrature level whose mesh has this layout (same region object,
-        same lattice shape), if any."""
-        return next((lv for lv in self.levels() if lv.mesh is not None
-                     and lv.mesh.region is region and lv.mesh.resolution == shape), None)
-
-    def grid(self, resolution: int) -> GridMesh:
-        """A quadrature level's mesh when it has this resolution, else a new grid."""
-        level = self._grid_level(self.region, (resolution,) * self.region.dim)
-        return level.mesh if level is not None else self.region.build_grid(resolution)
-
-    def mesh_f(self, mesh: GridMesh) -> np.ndarray:
-        """f on the mesh nodes; a quadrature level's cached values when the
-        mesh has that level's layout."""
-        level = self._grid_level(mesh.region, mesh.resolution)
-        return level.f if level is not None else evaluate_batch(self.objective, mesh)
+    def mesh_values(self, mesh: GridMesh) -> tuple[np.ndarray, np.ndarray]:
+        """f and log tau (resolved tau) on the mesh: a level's when ``GridMesh.same_layout``
+        matches its mesh, else evaluated once and held, the latest such mesh only."""
+        held = [(lv.mesh, lv.f, lv.log_tau) for lv in self.levels() if lv.mesh is not None]
+        for other, f, log_tau in held + self._shared["mesh"]:
+            if other.same_layout(mesh):
+                return f, log_tau
+        f = evaluate_batch(self.objective, mesh)
+        self._shared["mesh"] = [(mesh, f, (log_tau := self._shared["tau"].log_tau(f)))]
+        return f, log_tau  # not read back from the cache, which another thread may replace
 
     # --- pointwise evaluation ------------------------------------------------
 

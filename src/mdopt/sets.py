@@ -69,11 +69,11 @@ def extract_set(m: NascentMD, kind: SetKind, mesh: GridMesh) -> SignificantSet:
 
     Inequalities are inclusive; threshold ties are members, so comparisons
     carry a machine-precision slack (exact ties such as m^(0) = 1/mu land a
-    few ulps off after the log-domain round trip).  f comes from the density's
-    finest level when the mesh has that level's layout.
+    few ulps off after the log-domain round trip).  f and log tau are read from
+    ``m.mesh_values(mesh)``, which evaluates a mesh once for the density family.
     """
     kind = SetKind(kind)
-    f = m.mesh_f(mesh)
+    f, log_tau = m.mesh_values(mesh)
     if kind is SetKind.DF:
         thr = m.expect_f().value
         tie = 1e-12 * max(1.0, abs(thr))
@@ -81,14 +81,14 @@ def extract_set(m: NascentMD, kind: SetKind, mesh: GridMesh) -> SignificantSet:
     elif kind is SetKind.DTAU:
         log_thr, _ = m.log_expect_tau()
         tie = 1e-12 * max(1.0, abs(log_thr))
-        mask = m.resolved_tau().log_tau(f) >= log_thr - tie
+        mask = log_tau >= log_thr - tie
         thr = float(np.exp(log_thr))
     else:
         mu = m.region_measure()
         thr = 1.0 / mu
         log_thr = -np.log(mu)
         tie = 1e-12 * max(1.0, abs(log_thr), abs(m.log_Z()))
-        mask = m.k * m.resolved_tau().log_tau(f) - m.log_Z() >= log_thr - tie
+        mask = m.k * log_tau - m.log_Z() >= log_thr - tie
     return SignificantSet(
         kind=kind, k=m.k, mesh=mesh, mask=mask,
         measure=float(mesh.cell_volume * np.count_nonzero(mask)),
@@ -110,7 +110,7 @@ def equivalence_check_dtau(m: NascentMD, mesh: GridMesh) -> int:
     The two conditions are analytically the same set; disagreements are only
     counted outside a band of twice the threshold's integrator error.
     """
-    lt = m.resolved_tau().log_tau(m.mesh_f(mesh))
+    _, lt = m.mesh_values(mesh)
     log_thr_a, err_tau = m.log_expect_tau()
     m_next = m.with_k(m.k + 1.0)
     log_thr_b = m_next.log_Z() - m.log_Z()

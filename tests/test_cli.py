@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from mdopt.cli import _ROWS, _write_csv, main
 from mdopt.integrate import default_config
 from mdopt.nmd import NascentMD
 from mdopt.objective import Objective, catalog_get
-from mdopt.region import CompactRegion, box
+from mdopt.region import box
 
 
 @pytest.fixture
@@ -102,19 +103,37 @@ def test_sets_density_concentrates(runner, tmp_path):
     assert peak["9"] > 5 * peak["0"]
 
 
-def test_sets_builds_only_the_density_level_meshes(runner, tmp_path, monkeypatch):
-    built = []
-    build_grid = CompactRegion.build_grid
+@pytest.fixture
+def f_evals(monkeypatch):
+    """The number of points at which the CLI's catalog functions evaluate f."""
+    count = [0]
 
-    def counting(self, resolution):
-        mesh = build_grid(self, resolution)
-        built.append(mesh.resolution)
-        return mesh
-    monkeypatch.setattr(CompactRegion, "build_grid", counting)
-    result = runner.invoke(main, ["sets", "--function", "paper2d", "--k", "0,1",
+    def counted(name):
+        obj, region = catalog_get(name)
+
+        def fn(p):
+            count[0] += p.shape[0]
+            return obj.fn(p)
+        return dataclasses.replace(obj, fn=fn), region
+    monkeypatch.setattr(mdopt.cli, "catalog_get", counted)
+    return count
+
+
+def test_sets_evaluates_f_only_on_the_density_levels(runner, tmp_path, f_evals):
+    """The set mesh and the profile mesh have the two levels' layouts (256^2, 128^2)."""
+    result = runner.invoke(main, ["sets", "--function", "paper2d", "--k", "0,1,4",
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
-    assert built == [(128, 128), (256, 256)]
+    assert f_evals[0] == 128 ** 2 + 256 ** 2 == 81_920
+
+
+def test_sets_evaluates_its_mc_set_mesh_once(runner, tmp_path, f_evals):
+    """Under --mc the 1024^2 set mesh serves every k and kind from one evaluation,
+    and the 128^2 profile mesh gets one more."""
+    result = runner.invoke(main, ["sets", "--function", "paper2d", "--k", "0,1,4",
+                                  "--mc", "1000", "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert f_evals[0] == 1024 ** 2 + 128 ** 2 + 1000
 
 
 def test_set_meshes_off_the_density_levels(runner, tmp_path):
@@ -144,9 +163,9 @@ def test_sets_profile_round_trips_bit_for_bit(runner, tmp_path):
     got = {name: np.array([float(r[name]) for r in rows]) for name in rows[0]}
     obj, region = catalog_get("paper2d")
     md0 = NascentMD(obj, region, k=0.0, integrator=default_config(2))
-    mesh = md0.grid(128)
+    mesh = region.build_grid(128)
     ks = [0.0, 1.0]
-    log_tau = md0.resolved_tau().log_tau(md0.mesh_f(mesh))
+    _, log_tau = md0.mesh_values(mesh)
     want = {"k": np.repeat(ks, len(mesh.nodes)),
             **{f"x{j}": np.tile(mesh.nodes[:, j], len(ks)) for j in range(2)},
             "density": np.concatenate([np.exp(m.k * log_tau - m.log_Z())
@@ -177,18 +196,19 @@ def test_out_of_range_option_usage_error(runner, tmp_path, argv):
     assert not (tmp_path / "run").exists()
 
 
-_DENSITY_OPTIONS = (["--tau", "rational", "--p", "2", "--grid", "64", "--mc", "200"],
-                    {"tau": "rational", "p": 2.0, "grid": 64, "mc": 200})
+_RATIONAL = (["--tau", "rational", "--p", "2"], {"tau": "rational", "p": 2.0})
 
 
 @pytest.mark.parametrize("argv, parsed", [
-    (["minimize", *_DENSITY_OPTIONS[0], "--k0", "2", "--growth", "3", "--stages", "2",
+    (["minimize", *_RATIONAL[0], "--mc", "200", "--k0", "2", "--growth", "3", "--stages", "2",
       "--var-tol", "0.001"],
-     {**_DENSITY_OPTIONS[1], "k0": 2.0, "growth": 3.0, "stages": 2, "var_tol": 0.001}),
-    (["sets", *_DENSITY_OPTIONS[0], "--k", "0,2", "--profile-res", "32"],
-     {**_DENSITY_OPTIONS[1], "k": [0.0, 2.0], "profile_resolution": 32}),
-    (["shrinkrate", *_DENSITY_OPTIONS[0], "--k", "4", "--dk", "0.02", "--grad-min", "0.2"],
-     {**_DENSITY_OPTIONS[1], "k": 4.0, "dk": 0.02, "grad_min": 0.2}),
+     {**_RATIONAL[1], "grid": None, "mc": 200, "k0": 2.0, "growth": 3.0, "stages": 2,
+      "var_tol": 0.001}),
+    (["sets", *_RATIONAL[0], "--grid", "64", "--k", "0,2", "--profile-res", "32"],
+     {**_RATIONAL[1], "grid": 64, "mc": None, "k": [0.0, 2.0], "profile_resolution": 32}),
+    (["shrinkrate", *_RATIONAL[0], "--mc", "200", "--k", "4", "--dk", "0.02",
+      "--grad-min", "0.2"],
+     {**_RATIONAL[1], "grid": None, "mc": 200, "k": 4.0, "dk": 0.02, "grad_min": 0.2}),
     (["useq", "--resolution", "64", "--max-iter", "5", "--rel-tol", "0.001"],
      {"resolution": 64, "max_iter": 5, "rel_tol": 0.001}),
 ], ids=["minimize", "sets", "shrinkrate", "useq"])
@@ -203,6 +223,31 @@ def test_config_records_every_option(runner, tmp_path, argv, parsed):
     assert config["command"] == argv[0]
     for name, value in {"function": "paper1d", "seed": 3, **parsed}.items():
         assert config[name] == value, name
+
+
+@pytest.mark.parametrize("command", [["minimize"], ["sets", "--k", "1"], ["shrinkrate"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("extra, named", [(["--grid", "64", "--mc", "500"], "--grid and --mc"),
+                                          (["--p", "2"], "--p"),
+                                          (["--tau", "exp", "--p", "2"], "--p")],
+                         ids=["grid-and-mc", "p", "p-with-exp"])
+def test_ignored_density_options_usage_error(runner, tmp_path, command, extra, named):
+    """An option the run would drop is an error: one integrator at a time, and
+    --p only with --tau rational."""
+    result = runner.invoke(main, [*command, "--function", "paper1d", *extra,
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert named in result.output
+    assert not (tmp_path / "run").exists()
+
+
+def test_p_from_a_config_file_is_a_default(runner, tmp_path):
+    """--p in a --config file is a per-command default, so an exp run takes it silently."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"minimize": {"p": 2.0}}))
+    result = runner.invoke(main, ["--config", str(cfg), "minimize", "--function", "const3",
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
 
 
 def test_minimize_mc_integrator(runner, tmp_path):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import softmax
@@ -231,6 +234,60 @@ def test_mass_concentration(paper1d_md, paper1d_oracle):
 def test_with_k_shares_caches(paper1d_md):
     m2 = paper1d_md.with_k(5.0)
     assert m2._shared is paper1d_md._shared
+
+
+@pytest.mark.parametrize("tau", [Exponential(), Rational(p=0.5)])
+def test_mesh_values_hold_one_mesh_off_the_levels(tau):
+    """Under Monte Carlo no level has a mesh: a mesh is evaluated once for all
+    with_k clones, and a second mesh replaces it, so at most one is held."""
+    obj, region = catalog_get("paper1d")
+    calls = []
+
+    def fn(p):
+        calls.append(p.shape[0])
+        return obj.fn(p)
+    m = NascentMD(Objective(obj.name, obj.dim, fn), region, tau=tau, k=1.0,
+                  integrator=IntegratorConfig(kind="mc", n=500, seed=1))
+    a, b = region.build_grid(300), region.build_grid(200)
+    f, log_tau = m.mesh_values(a)
+    assert np.array_equal(f, obj(a.nodes))
+    assert np.array_equal(log_tau, m.resolved_tau().log_tau(f))
+    assert sum(calls) == 500 + 300
+    assert m.with_k(9.0).mesh_values(region.build_grid(300))[1] is log_tau
+    assert sum(calls) == 500 + 300
+    m.mesh_values(b)
+    m.mesh_values(a)
+    assert sum(calls) == 500 + 300 + 200 + 300
+    assert len(m._shared["mesh"]) == 1
+
+
+def test_mesh_values_under_concurrent_clones():
+    """Threads that swap the held mesh under each other still each get their own
+    mesh's values."""
+    obj, region = catalog_get("paper1d")
+    m = NascentMD(obj, region, integrator=IntegratorConfig(kind="mc", n=500, seed=1))
+    meshes = [region.build_grid(n) for n in (200, 300, 400)]
+    want = [obj(mesh.nodes) for mesh in meshes]
+    wrong = []
+
+    def work(i):
+        for j in range(60):
+            mesh_i = (i + j) % len(meshes)
+            f, _ = m.with_k(float(i)).mesh_values(meshes[mesh_i])
+            if not np.array_equal(f, want[mesh_i]):
+                wrong.append((i, j))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_log_Z_and_log_expect_tau_share_log_sums(monkeypatch):

@@ -253,6 +253,8 @@ def test_rational_rates_match_closed_forms(paper1d_mesh):
 
 
 def test_extract_set_reuses_finest_level_f():
+    """A mesh with a level's layout reads that level's f, whatever region object
+    built it; any other mesh is evaluated once for every k and kind."""
     obj, region = catalog_get("paper1d")
     calls = []
 
@@ -265,19 +267,17 @@ def test_extract_set_reuses_finest_level_f():
     base.region_measure()  # fills the node caches
     twin = type(region)(region.lower, region.upper)  # same layout, another object
     cases = [(region.build_grid(1024), 0), (region.build_grid(512), 0),
-             (region.build_grid(300), 1), (twin.build_grid(1024), 1)]
-    masks = {}
-    for mesh, evals_per_call in cases:
+             (twin.build_grid(1024), 0), (region.build_grid(300), 300)]
+    for mesh, evals in cases:
+        before = sum(calls)
         for k in (1.0, 4.0):
             for kind in SetKind:
-                before = len(calls)
-                s = extract_set(base.with_k(k), kind, mesh)
-                assert len(calls) - before == evals_per_call
-                if mesh.resolution == (1024,):
-                    masks.setdefault((k, kind), []).append(s.mask)
-    # cached and freshly evaluated f give the same sets
-    for first, second in masks.values():
-        assert np.array_equal(first, second)
+                extract_set(base.with_k(k), kind, mesh)
+            equivalence_check_dtau(base.with_k(k), mesh)
+        assert sum(calls) - before == evals
+    # the cached f is the f a fresh evaluation gives
+    twin_mesh = cases[2][0]
+    assert np.array_equal(base.mesh_values(twin_mesh)[0], obj(twin_mesh.nodes))
 
 
 @pytest.mark.parametrize("name, tau", [("paper2d", None), ("paper1d", Rational(p=1.0))])
