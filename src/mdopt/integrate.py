@@ -105,12 +105,12 @@ def levels(region: CompactRegion,
     out = []
     for res in (max(cfg.resolution // 2, 2), cfg.resolution):
         mesh = region.build_grid(res)
-        if mesh.nodes.shape[0] == 0:
+        if mesh.node_count == 0:
             raise EmptyRegionError("no member nodes at grid resolution")
         out.append(Level(mesh.nodes, float(np.log(mesh.cell_volume)), mesh))
     if not region.constraints:
         return out, Estimate(region.box_volume, 0.0)
-    vols = [lv.mesh.cell_volume * lv.nodes.shape[0] for lv in out]
+    vols = [lv.mesh.cell_volume * lv.mesh.node_count for lv in out]
     return out, Estimate(vols[-1], abs(vols[-1] - vols[-2]))
 
 

@@ -173,9 +173,9 @@ class NascentMD:
         nodesets, mu = quadrature_levels(self.region, self.integrator)
         if self.integrator.kind == "mc":  # levels are prefixes of one sample
             f = evaluate_batch(self.objective, nodesets[-1].nodes)
-            fs = [f[:lv.nodes.shape[0]] for lv in nodesets]
+            fs = [f[:len(lv.nodes)] for lv in nodesets]
         else:
-            fs = [evaluate_batch(self.objective, lv.nodes) for lv in nodesets]
+            fs = [evaluate_batch(self.objective, lv.mesh) for lv in nodesets]
         tau = self.tau.resolved(fs[-1])
         levels = []
         for lv, f in zip(nodesets, fs):
@@ -339,7 +339,7 @@ class NascentMD:
 
     @staticmethod
     def _square(d: np.ndarray) -> np.ndarray:
-        """d^2 in place, so a level's moments make one new array, as f^2 did."""
+        """d^2 in place, so a level's moments make one new array."""
         return np.multiply(d, d, out=d)
 
     @staticmethod
@@ -356,10 +356,10 @@ class NascentMD:
     def expect_log_tau(self) -> Estimate:
         return self.moments().log_tau
 
-    def log_expect_tau(self) -> tuple[float, float]:
-        """(log E^(k)(tau), absolute error of E^(k)(tau)); fully log-stable."""
-        logs = [self._log_sum(self.k + 1.0, i) - self._log_sum(self.k, i) for i in (0, 1)]
-        return logs[1], abs(np.exp(logs[1]) - np.exp(logs[0]))
+    def log_expect_tau(self) -> Estimate:
+        """log E^(k)(tau), with the levels' difference of it as the error."""
+        coarse, fine = (self._log_sum(self.k + 1.0, i) - self._log_sum(self.k, i) for i in (0, 1))
+        return Estimate(fine, abs(fine - coarse))
 
     def variance_f(self) -> Estimate:
         """Var^(k)(f) = E (f - c)^2 - (E f - c)^2 with c the finest level's min f,

@@ -68,33 +68,24 @@ def _slabs(axes: tuple[np.ndarray, ...], rows: int) -> Iterator[tuple[int, np.nd
     ``rows`` points; ``coords`` is a ``(dim, n)`` view of one reused buffer holding
     lattice points start .. start + n - 1.
 
-    A slab is whole trailing sub-lattices, the largest that fit, or a piece of one
-    lattice row when a row is longer than ``rows``.  Each axis is written by
-    broadcasting: the leading axes' coordinates once per sub-lattice, the trailing
-    axes' as the axis itself.
+    A slab is whole rows of the last axis, as many as fit, or a piece of one row
+    when a row is longer than ``rows``.  Each axis is written by broadcasting: the
+    leading axes' coordinates once per row, the last axis as the axis itself.
     """
     dim, res = len(axes), len(axes[0])
-    t = 1  # trailing axes per sub-lattice
-    while t < dim and res ** (t + 1) <= rows:
-        t += 1
-    lead_shape = (res,) * (dim - t)
-    n_lead = res ** (dim - t)
-    step = max(rows // res ** t, 1)  # sub-lattices per slab
-    width = min(res, rows)  # cells of axis dim - t per slab: a row piece when res > rows
-    buf = np.empty((dim, min(rows, res ** dim)))
-    for g in range(0, n_lead, step):
-        q = min(step, n_lead - g)
-        lead = np.unravel_index(np.arange(g, g + q), lead_shape) if t < dim else ()
+    per, width = max(rows // res, 1), min(res, rows)  # rows per slab, points per row piece
+    n_rows = res ** (dim - 1)
+    buf = np.empty((dim, min(per, n_rows) * width))
+    for g in range(0, n_rows, per):
+        row = np.arange(g, min(g + per, n_rows))
         for c in range(0, res, width):
             w = min(width, res - c)
-            coords = buf[:, :q * w * res ** (t - 1)]
-            for j in range(dim - t):
-                coords[j].reshape(q, -1)[...] = axes[j][lead[j]][:, None]
-            shape = (q, w) + (res,) * (t - 1)
-            for j in range(dim - t, dim):
-                ax = axes[j][c:c + w] if j == dim - t else axes[j]
-                coords[j].reshape(shape)[...] = ax.reshape((-1,) + (1,) * (dim - 1 - j))
-            yield g * res ** t + c * res ** (t - 1), coords
+            coords = buf[:, :len(row) * w]
+            grid = coords.reshape(dim, len(row), w)
+            for j in range(dim - 1):
+                grid[j] = axes[j][row // res ** (dim - 2 - j) % res][:, None]
+            grid[-1] = axes[-1][c:c + w]
+            yield g * res + c, coords
 
 
 @dataclass(frozen=True)
@@ -179,9 +170,13 @@ class CompactRegion:
         """Any member among 16^d cell centers (d <= 3), else 2^16 seeded box points."""
         if self.dim <= 3:
             return self.build_grid(16).node_count > 0
-        rng = np.random.Generator(np.random.Philox(0))
-        pts = self.lower + rng.random((2 ** 16, self.dim)) * (self.upper - self.lower)
-        return bool(np.any(self.contains(pts)))
+        return bool(np.any(self.contains(next(self._box_draws(0, 2 ** 16)))))
+
+    def _box_draws(self, seed: int, n: int) -> Iterator[np.ndarray]:
+        """Batches of n uniform box points from one Philox stream of the seed."""
+        rng = np.random.Generator(np.random.Philox(seed))
+        while True:
+            yield self.lower + rng.random((n, self.dim)) * (self.upper - self.lower)
 
     @property
     def dim(self) -> int:
@@ -210,9 +205,7 @@ class CompactRegion:
             return Estimate(self.box_volume, 0.0)
         if mc_n is None or mc_n < 100:
             raise RegionError("Monte Carlo measure needs mc_n >= 100 samples")
-        rng = np.random.Generator(np.random.Philox(seed))
-        pts = self.lower + rng.random((mc_n, self.dim)) * (self.upper - self.lower)
-        p = float(np.mean(self.contains(pts)))
+        p = float(np.mean(self.contains(next(self._box_draws(seed, mc_n)))))
         if p == 0.0:
             raise EmptyRegionError("no member points in Monte Carlo measure sample")
         err = 3.0 * self.box_volume * np.sqrt(p * (1.0 - p) / mc_n)
@@ -243,17 +236,14 @@ class CompactRegion:
         """
         if n < 1:
             raise RegionError("need n >= 1")
-        rng = np.random.Generator(np.random.Philox(seed))
         if not self.constraints:
-            return self.lower + rng.random((n, self.dim)) * (self.upper - self.lower)
-        out = []
-        got = 0
-        tried = 0
-        batch = max(1024, 2 * n)
+            return next(self._box_draws(seed, n))
+        out, got, tried = [], 0, 0
+        draws = self._box_draws(seed, max(1024, 2 * n))
         while got < n:
-            pts = self.lower + rng.random((batch, self.dim)) * (self.upper - self.lower)
+            pts = next(draws)
             keep = pts[self.contains(pts)]
-            tried += batch
+            tried += len(pts)
             got += keep.shape[0]
             out.append(keep)
             if tried >= 10**6 and got / tried < 1e-6:

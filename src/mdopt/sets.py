@@ -79,7 +79,7 @@ def extract_set(m: NascentMD, kind: SetKind, mesh: GridMesh) -> SignificantSet:
         tie = 1e-12 * max(1.0, abs(thr))
         mask = f <= thr + tie
     elif kind is SetKind.DTAU:
-        log_thr, _ = m.log_expect_tau()
+        log_thr = m.log_expect_tau().value
         tie = 1e-12 * max(1.0, abs(log_thr))
         mask = log_tau >= log_thr - tie
         thr = float(np.exp(log_thr))
@@ -111,14 +111,12 @@ def equivalence_check_dtau(m: NascentMD, mesh: GridMesh) -> int:
     counted outside a band of twice the threshold's integrator error.
     """
     _, lt = m.mesh_values(mesh)
-    log_thr_a, err_tau = m.log_expect_tau()
-    m_next = m.with_k(m.k + 1.0)
-    log_thr_b = m_next.log_Z() - m.log_Z()
-    # error on the tau scale converts to a log-band by dividing by E(tau)
-    band = 2.0 * err_tau / max(np.exp(log_thr_a), np.finfo(float).tiny)
-    cond_a = lt >= log_thr_a
+    thr_a = m.log_expect_tau()
+    log_thr_b = m.with_k(m.k + 1.0).log_Z() - m.log_Z()
+    band = 2.0 * thr_a.error
+    cond_a = lt >= thr_a.value
     cond_b = lt >= log_thr_b
-    decisive = (np.abs(lt - log_thr_a) > band) & (np.abs(lt - log_thr_b) > band)
+    decisive = (np.abs(lt - thr_a.value) > band) & (np.abs(lt - log_thr_b) > band)
     return int(np.count_nonzero((cond_a != cond_b) & decisive))
 
 
@@ -155,21 +153,24 @@ def boundary_points(sset: SignificantSet) -> list[np.ndarray]:
 
     Solves the level crossing on every lattice edge whose member ends straddle
     the set (axis by axis, row-major) and keeps |m^(k)(x) * mu - 1| <= 1e-10.
+    The gaps at the edge ends are read from ``m.mesh_values``, not evaluated again.
     """
     if sset.kind is not SetKind.D0:
         raise ValueError("boundary extraction is defined for D0 sets only")
     m, member = sset.source, sset.mesh.lattice_mask
     log_level = -np.log(m.region_measure())
-    inside = np.zeros(member.shape, dtype=bool)
+    inside, gaps = np.zeros(member.shape, dtype=bool), np.zeros(member.shape)
     inside[member] = sset.mask
+    gaps[member] = m.k * m.mesh_values(sset.mesh)[1] - m.log_Z() - log_level
     ends = []  # lattice indices of the straddling edges' ends, axis by axis
     for d, step in enumerate(np.eye(member.ndim, dtype=int)):
         both = np.delete(member, -1, axis=d) & np.delete(member, 0, axis=d)
         ix = np.argwhere(both & np.diff(inside, axis=d))  # bool diff: the ends differ
         ends.append((ix, ix + step))
+    ia, ib = map(np.concatenate, zip(*ends))
     a, b = (np.stack([ax[ix[:, j]] for j, ax in enumerate(sset.mesh.axes)], axis=1)
-            for ix in map(np.concatenate, zip(*ends)))
-    ga, gb = np.split(m.log_density(np.concatenate([a, b])) - log_level, 2)
+            for ix in (ia, ib))
+    ga, gb = gaps[tuple(ia.T)], gaps[tuple(ib.T)]
     x = np.where((ga == 0.0)[:, None], a, b)  # exact hits keep their node
     on_level = (ga == 0.0) | (gb == 0.0)
     solve = ga * gb < 0.0
@@ -261,7 +262,6 @@ def basin_masses(m: NascentMD, minimizers, radius: float) -> BasinReport:
         for j in range(i + 1, len(centers)):
             if np.linalg.norm(centers[i] - centers[j]) <= 2.0 * radius:
                 raise BasinError("basin balls overlap")
-    fine, w = m._support(1)  # zero-weight nodes add nothing to a mass
-    masses = [float(np.sum(w[np.linalg.norm(fine.nodes - c, axis=1) <= radius]))
+    masses = [m.expectation(lambda p, c=c: np.linalg.norm(p - c, axis=1) <= radius).value
               for c in centers]
     return BasinReport(minimizers=centers, radius=radius, masses=masses, k=m.k)

@@ -9,7 +9,7 @@ from mdopt import nmd
 from mdopt.integrate import IntegratorConfig, integrate
 from mdopt.nmd import DomainError, Exponential, InvalidShiftError, NascentMD, Rational
 from mdopt.objective import Objective, catalog_get
-from mdopt.region import box
+from mdopt.region import GridMesh, box
 from mdopt.schedule import run_continuation
 
 import oracles
@@ -304,8 +304,37 @@ def test_log_Z_and_log_expect_tau_share_log_sums(monkeypatch):
     first = m.log_expect_tau()
     assert len(calls) == 4  # k and k + 1 on both levels
     assert m.log_expect_tau() == first
-    assert m.with_k(4.0).log_Z() == pytest.approx(m.log_Z() + first[0], abs=1e-12)
+    assert m.with_k(4.0).log_Z() == pytest.approx(m.log_Z() + first.value, abs=1e-12)
     assert len(calls) == 4
+
+
+def test_log_expect_tau_error_survives_a_large_shift():
+    """log E tau and its levels' difference stay finite when f is far below -709,
+    where E tau itself overflows; the error matches the unshifted run's up to the
+    rounding of log-sums near 4000 (spacing 4.5e-13)."""
+    obj, region = catalog_get("paper1d")
+    shifted = Objective("paper1d-1000", 1, lambda p: obj.fn(p) - 1000.0)
+    plain, low = (NascentMD(o, region, k=3.0).log_expect_tau() for o in (obj, shifted))
+    assert np.isfinite(low.error) and low.error > 0.0
+    assert low.value == pytest.approx(plain.value + 1000.0, rel=1e-15)
+    assert low.error == pytest.approx(plain.error, rel=0, abs=4 * np.spacing(4000.0))
+
+
+def test_grid_levels_evaluate_f_through_their_meshes(monkeypatch):
+    """The f pass of a grid density hands ``evaluate_batch`` each level's mesh."""
+    args = []
+    evaluate_batch = nmd.evaluate_batch
+
+    def spy(obj, xs):
+        args.append(xs)
+        return evaluate_batch(obj, xs)
+    monkeypatch.setattr(nmd, "evaluate_batch", spy)
+    obj, region = catalog_get("paper2d")
+    levels = NascentMD(obj, region, integrator=GRID_2D).levels()
+    assert [type(xs) for xs in args] == [GridMesh, GridMesh]
+    assert all(xs is lv.mesh for xs, lv in zip(args, levels))
+    for lv in levels:
+        assert np.array_equal(lv.f, obj(lv.nodes))
 
 
 def test_log_Z_alone_sums_only_the_finest_level(monkeypatch):

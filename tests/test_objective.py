@@ -155,10 +155,8 @@ def test_mesh_evaluation_is_bit_identical_to_nodes(monkeypatch, obj, region, res
     assert sum(sizes) == mesh.node_count == len(mesh.nodes)
     assert max(sizes) <= rows
     if not region.constraints and res ** region.dim > rows:
-        # whole trailing sub-lattices per slab, the largest that fit, or a piece of one row
-        fits = [res ** t for t in range(1, region.dim) if res ** t <= rows]
-        inner = max(fits) if fits else rows
-        assert sizes[0] == rows // inner * inner
+        # whole rows of the last axis per slab, as many as fit, or a piece of one row
+        assert sizes[0] == (rows // res * res if res <= rows else rows)
 
 
 def _error(call):

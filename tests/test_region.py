@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,19 @@ def test_high_dimensional_ball_constructs():
     assert ball.dim == 12
     with pytest.raises(EmptyRegionError):
         CompactRegion(-np.ones(12), np.ones(12), (lambda p: -np.ones(p.shape[0]),))
+
+
+def _small_disk(p):
+    return 0.01 - np.sum((p - 0.5) ** 2, axis=1)
+
+
+def test_seeded_box_draws_keep_their_bits():
+    """Sampling and the Monte Carlo measure read one Philox stream per seed; these
+    digests pin its bits, so a refactor of the draws cannot move them."""
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+    thin = CompactRegion(np.zeros(2), np.ones(2), (_small_disk,))  # several batches
+    assert digest(thin.sample_uniform(100, seed=11)) == "45fbce2e1412f70a"
+    assert digest(box([-1.0, 0.0], [2.0, 3.0]).sample_uniform(500, seed=11)) == "5adb22fb5b3c109c"
+    mu = thin.measure(mc_n=5000, seed=3)
+    assert (mu.value.hex(), mu.error.hex()) == ("0x1.0624dd2f1a9fcp-5", "0x1.e95c45479d814p-8")

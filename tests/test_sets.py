@@ -327,6 +327,44 @@ def test_boundary_solver_evaluation_counts():
     assert (sum(calls) - before) / len(pts) <= 72.0
 
 
+
+def test_boundary_points_evaluate_f_at_no_mesh_node():
+    """The gaps at the straddling edges' ends come from ``mesh_values``: every f
+    evaluation in ``boundary_points`` is a root-solver step between nodes."""
+    obj, region = catalog_get("paper2d")
+    seen = []
+
+    def fn(p):
+        seen.append(p.copy())
+        return obj.fn(p)
+    m = NascentMD(dataclasses.replace(obj, fn=fn), region, k=8.0)
+    mesh = region.build_grid(256)
+    s = extract_set(m, SetKind.D0, mesh)
+    seen.clear()
+    assert len(boundary_points(s)) > 0
+    points = np.concatenate(seen)
+    assert len(points) > 0
+    nodes = mesh.nodes[:, 0] + 1j * mesh.nodes[:, 1]
+    assert not np.any(np.isin(points[:, 0] + 1j * points[:, 1], nodes))
+
+
+@pytest.mark.parametrize("name, centers, ks", [
+    ("doublewell", [[-1.0], [1.0]], (1.0, 5.0, 1e4)),
+    ("stability1d", [[np.sqrt(2.0 * np.pi)], [np.sqrt(6.0 * np.pi)]], (3.0, 9.0, 1e3)),
+])
+def test_basin_masses_are_support_weight_sums(name, centers, ks):
+    """Each mass is the expectation of the ball's indicator: the finest support's
+    weights summed over the ball, up to summation order."""
+    obj, region = catalog_get(name)
+    md = NascentMD(obj, region, integrator=GRID_1D)
+    for k in ks:
+        m = md.with_k(k)
+        rep = basin_masses(m, centers, 0.25)
+        fine, w = m._support(1)
+        for c, mass in zip(centers, rep.masses):
+            ball = np.linalg.norm(fine.nodes - np.asarray(c), axis=1) <= 0.25
+            assert mass == pytest.approx(float(np.sum(w[ball])), rel=0, abs=1e-14)
+
 def test_containment_rejects_meshes_with_different_members():
     # same box and resolution, complementary halves of 2,048 nodes each
     obj, region = catalog_get("quadratic")
