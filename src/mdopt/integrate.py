@@ -1,11 +1,12 @@
 """Quadrature node sets over a region, integration, and a log-domain variant.
 
 ``levels`` builds every node set that ``integrate``, ``log_integrate_exp`` and
-the density engine use, always two rungs, coarsest first: the member nodes of
-cell-centered grid meshes at resolutions max(res // 2, 2) and res (midpoint
-rule; error from the difference of the two), or the first n/2 and all n points
-of one seeded uniform member sample weighted mu/n (Monte Carlo; 3-sigma error,
-plus the measure's own on constrained regions).  The max-shifted ``logsumexp`` and
+the density engine use, always two rungs, coarsest first: cell-centered grid
+meshes at resolutions max(res // 2, 2) and res (midpoint rule; error from the
+difference of the two), held as meshes whose node arrays are built only when
+read, or the first n/2 and all n points of one seeded uniform member sample
+weighted mu/n (Monte Carlo; 3-sigma error, plus the measure's own on
+constrained regions).  The max-shifted ``logsumexp`` and
 ``softmax`` here serve ``log_integrate_exp`` and the density engine's weights.
 """
 
@@ -81,11 +82,25 @@ def default_config(dim: int, seed: int = 0) -> IntegratorConfig:
 
 @dataclass(frozen=True)
 class Level:
-    """Member nodes, log node weight, and grid mesh (``None`` for Monte Carlo)."""
+    """A node set and its log node weight: a grid mesh with ``points`` None, or
+    explicit member ``points`` (a Monte Carlo sample) with ``mesh`` None."""
 
-    nodes: np.ndarray
+    points: np.ndarray | None
     log_node_weight: float
     mesh: GridMesh | None
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The member points; a grid level's are the mesh's, built when first read."""
+        return self.points if self.mesh is None else self.mesh.nodes
+
+    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
+        """sum_i w_i x_i over the nodes, from the lattice marginals on a grid mesh."""
+        return w @ self.points if self.mesh is None else self.mesh.weighted_sum(w)
+
+    def node(self, i: int) -> np.ndarray:
+        """Member point i as a new array, read from the axes on a grid mesh."""
+        return self.points[i].copy() if self.mesh is None else self.mesh.node(i)
 
 
 def levels(region: CompactRegion,
@@ -107,7 +122,7 @@ def levels(region: CompactRegion,
         mesh = region.build_grid(res)
         if mesh.node_count == 0:
             raise EmptyRegionError("no member nodes at grid resolution")
-        out.append(Level(mesh.nodes, float(np.log(mesh.cell_volume)), mesh))
+        out.append(Level(None, float(np.log(mesh.cell_volume)), mesh))
     if not region.constraints:
         return out, Estimate(region.box_volume, 0.0)
     vols = [lv.mesh.cell_volume * lv.mesh.node_count for lv in out]

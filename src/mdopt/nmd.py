@@ -5,15 +5,17 @@ rational 1/(f - L + p)), so m^(k) concentrates on the global minimizers as k
 grows.  Each tau kind owns ``log_tau(f)``, ``dlog_tau_df(f)`` and
 ``resolved(f)``, which fixes a data-dependent shift once.  Everything is
 evaluated in log space on the two levels of ``integrate.levels``, held as
-frozen ``DensityLevel`` records (nodes, weight, mesh, f, log tau) built once
-with the resolved tau and mu.  A log-sum of k log tau per (k, level), made when
-first read, gives log Z(k) (finest level) and log E^(k)(tau) = log Z(k+1) -
-log Z(k); one softmax pass per level gives E f, E (f - c)^2, E log tau and E x,
-each with the levels' difference as its error, where c is the finest level's
-min f, so Var^(k)(f) = E (f - c)^2 - (E f - c)^2 does not move when a constant
-is added to f.  ``with_k`` clones share the levels, the log-sums, ``Moments``
-and the f and log tau that ``mesh_values`` evaluated on the latest mesh without a
-level's layout (``GridMesh.same_layout``), so they pay each f evaluation once.
+frozen ``DensityLevel`` records (points or mesh, weight, f, log tau) built once
+with the resolved tau and mu; a grid level keeps its mesh and no node array.  A
+log-sum of k log tau per (k, level), made when first read, gives log Z(k)
+(finest level) and log E^(k)(tau) = log Z(k+1) - log Z(k); one softmax pass per
+level gives E f, E (f - c)^2, E log tau and E x (on a grid level, from the
+weights' lattice marginals), each with the levels' difference as its error,
+where c is the finest level's min f, so Var^(k)(f) = E (f - c)^2 - (E f - c)^2
+does not move when a constant is added to f.  ``with_k`` clones share the
+levels, the log-sums, ``Moments`` and the f and log tau that ``mesh_values``
+evaluated on the latest mesh without a level's layout (``GridMesh.same_layout``),
+so they pay each f evaluation once.
 Weights are formed on the support of m^(k), the nodes whose weight is not exactly
 0 (exp underflows below -745.13), and a larger k starts from the last support.
 A level is cut only when at most half its nodes survive, so no copy of a barely
@@ -115,12 +117,14 @@ class DensityLevel(Level):
     log_tau_min: float
 
     def restrict(self, keep: np.ndarray) -> "DensityLevel":
-        """The nodes where ``keep`` holds, coordinate-major, with no mesh; ``keep``
+        """The nodes where ``keep`` holds as coordinate-major points, with no mesh (a
+        grid level's are compressed slab by slab, without its node array); ``keep``
         must hold at a node where log tau is maximal.  The min stays the whole
         level's, a lower bound."""
-        return DensityLevel(np.compress(keep, self.nodes.T, axis=1).T, self.log_node_weight,
-                            None, self.f[keep], self.log_tau[keep], self.log_tau_max,
-                            self.log_tau_min)
+        points = (np.compress(keep, self.points.T, axis=1).T if self.mesh is None
+                  else self.mesh.compress(keep))
+        return DensityLevel(points, self.log_node_weight, None, self.f[keep],
+                            self.log_tau[keep], self.log_tau_max, self.log_tau_min)
 
 
 @dataclass(frozen=True)
@@ -172,15 +176,15 @@ class NascentMD:
             return levels
         nodesets, mu = quadrature_levels(self.region, self.integrator)
         if self.integrator.kind == "mc":  # levels are prefixes of one sample
-            f = evaluate_batch(self.objective, nodesets[-1].nodes)
-            fs = [f[:len(lv.nodes)] for lv in nodesets]
+            f = evaluate_batch(self.objective, nodesets[-1].points)
+            fs = [f[:len(lv.points)] for lv in nodesets]
         else:
             fs = [evaluate_batch(self.objective, lv.mesh) for lv in nodesets]
         tau = self.tau.resolved(fs[-1])
         levels = []
         for lv, f in zip(nodesets, fs):
             log_tau = tau.log_tau(f)
-            levels.append(DensityLevel(lv.nodes, lv.log_node_weight, lv.mesh, f, log_tau,
+            levels.append(DensityLevel(lv.points, lv.log_node_weight, lv.mesh, f, log_tau,
                                        float(np.max(log_tau)), float(np.min(log_tau))))
         self._shared.update(mu=mu.value, tau=tau, levels=levels, f_min=float(np.min(fs[-1])))
         return levels
@@ -280,19 +284,22 @@ class NascentMD:
 
     # --- expectations --------------------------------------------------------
 
-    def _estimates(self, *integrands: Callable[[DensityLevel], np.ndarray]) -> list[Estimate]:
-        """E^(k) of each integrand, a map from a level to its node values, from
-        one softmax pass per level; the one place where weights meet node values.
+    def _estimates(self, *integrands: Callable[[DensityLevel], np.ndarray | Callable]
+                   ) -> list[Estimate]:
+        """E^(k) of each integrand, a map from a level to its node values or to a
+        map from the weights to the weighted sum (the location x, which a grid
+        level sums from its lattice marginals), from one softmax pass per level;
+        the one place where weights meet node values.
 
         The error is the two levels' difference, or 3 sigma on the finest level
-        under Monte Carlo.  An integrand with a row per node (the location x)
-        gets a read-only vector value and the norm of the difference.
+        under Monte Carlo.  A vector-valued integrand (the location x) gets a
+        read-only vector value and the norm of the difference.
         """
         avgs = []
         for i in (0, 1):
             level, w = self._support(i)
             hs = [h(level) for h in integrands]
-            avgs.append([w @ h for h in hs])
+            avgs.append([h(w) if callable(h) else w @ h for h in hs])
         w2 = w ** 2 if self.integrator.kind == "mc" else None
         return [self._estimate(coarse, fine, w2, h) for coarse, fine, h in zip(*avgs, hs)]
 
@@ -319,7 +326,7 @@ class NascentMD:
             c = self._shared["f_min"]
             f, fc2, log_tau, x = self._estimates(
                 lambda lv: lv.f, lambda lv: self._square(lv.f - c), lambda lv: lv.log_tau,
-                lambda lv: lv.nodes)
+                lambda lv: lv.weighted_sum)
             cache[self.k] = Moments(f=f, fc2=fc2, c=c, log_tau=log_tau, x=x)
         return cache[self.k]
 

@@ -132,6 +132,37 @@ class GridMesh:
                     continue
             yield coords.T
 
+    def compress(self, keep: np.ndarray) -> np.ndarray:
+        """The member points where ``keep`` (one flag per member) holds, as a
+        coordinate-major ``(count, dim)`` array written slab by slab from ``blocks``."""
+        out = np.empty((len(self.axes), np.count_nonzero(keep)))
+        i = n = 0
+        for block in self.blocks(BLOCK_ROWS):
+            sel = keep[i:i + len(block)]
+            i, m = i + len(block), np.count_nonzero(sel)
+            np.compress(sel, block.T, axis=1, out=out[:, n:n + m])
+            n += m
+        return out.T
+
+    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
+        """sum_i w_i x_i over the member points: each axis's lattice marginal of the
+        weights ``w`` (one per member, scattered onto the lattice with 0 off the
+        region) dotted with that axis."""
+        if self.region.constraints:
+            lat = np.zeros(self.resolution)
+            lat[self.lattice_mask] = w
+        else:
+            lat = w.reshape(self.resolution)
+        dims = range(lat.ndim)
+        return np.array([np.sum(lat, axis=tuple(a for a in dims if a != j)) @ self.axes[j]
+                         for j in dims])
+
+    def node(self, i: int) -> np.ndarray:
+        """Member point i in mesh order, read from the axes: the bits of ``nodes[i]``."""
+        if self.region.constraints:
+            i = np.flatnonzero(self.lattice_mask)[i]
+        return np.array([ax[j] for ax, j in zip(self.axes, np.unravel_index(i, self.resolution))])
+
     def same_layout(self, other: "GridMesh") -> bool:
         """Same lattice and same member nodes, so masks line up index by index."""
         return (

@@ -62,7 +62,8 @@ def run_continuation(obj: Objective, region: CompactRegion,
     """Anneal k geometrically and record E^(k)(f), Var^(k)(f), mean location.
 
     x* is the finest level's node where log tau is largest, the first in mesh
-    order on ties; f* is the last stage's E^(k)(f).
+    order on ties, read from a grid mesh's axes (the bits of that node, with no
+    node array built); f* is the last stage's E^(k)(f).
     """
     cfg = cfg or ContinuationConfig()
     md = NascentMD(obj, region, tau=cfg.tau, k=cfg.k0, integrator=cfg.integrator)
@@ -98,7 +99,7 @@ def run_continuation(obj: Objective, region: CompactRegion,
     fine = md.levels()[-1]
     return MinimizeResult(
         fstar_estimate=trace[-1].Ef,
-        xstar_estimate=fine.nodes[np.argmax(fine.log_tau)].copy(),
+        xstar_estimate=fine.node(int(np.argmax(fine.log_tau))),
         trace=trace,
         stop_reason=stop_reason,
     )

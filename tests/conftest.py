@@ -7,6 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles  # noqa: E402
+from mdopt.objective import catalog_get  # noqa: E402
+from mdopt.region import CompactRegion  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +29,13 @@ def paper2d_oracle():
     x2, fs2 = oracles.brute_min_nd(f2, [0.0, 0.0], [3.5, 3.5])
     assert abs(fs2 - oracles.PAPER2D_FSTAR) < 1e-10
     return x2, fs2
+
+
+@pytest.fixture(scope="session")
+def paper2d_disk():
+    """paper2d's objective on the disk of radius 0.7 about its box's centre: of the
+    four slabs of BLOCK_ROWS lattice points at 256^2, the first and last hold no member."""
+    obj, region = catalog_get("paper2d")
+    centre = (region.lower + region.upper) / 2.0
+    return obj, CompactRegion(region.lower, region.upper,
+                              (lambda p: 0.49 - np.sum((p - centre) ** 2, axis=1),))

@@ -3,13 +3,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import softmax
 
 from mdopt import nmd
 from mdopt.integrate import IntegratorConfig, integrate
 from mdopt.nmd import DomainError, Exponential, InvalidShiftError, NascentMD, Rational
 from mdopt.objective import Objective, catalog_get
-from mdopt.region import GridMesh, box
+from mdopt.region import BLOCK_ROWS, GridMesh, box
 from mdopt.schedule import run_continuation
 
 import oracles
@@ -498,6 +499,52 @@ def test_support_is_whole_at_k0_and_smaller_at_large_k(tau):
         sub, _ = m.with_k(np.exp(10.0))._support(i)
         assert sub.f.size < lv.f.size
         assert sub.mesh is None and sub.nodes.flags.f_contiguous
+
+
+@pytest.mark.parametrize("on_disk", [False, True])
+def test_location_from_lattice_marginals_matches_dense(paper2d_disk, on_disk):
+    """E x on a grid level is each axis's lattice marginal of w dotted with the
+    axis; it equals w @ nodes within 1e-14 of E|x|, for the dense softmax weights
+    and for the support's, which at k = 300 clip nodes to 0 on the whole level."""
+    obj, region = paper2d_disk if on_disk else catalog_get("paper2d")
+    clipped = 0
+    for k in (0.0, 1.0, np.e ** 2, np.e ** 4, 300.0):
+        m = NascentMD(obj, region, k=k, integrator=GRID_2D)
+        for i, lv in enumerate(m.levels()):
+            nodes = region.build_grid(lv.mesh.resolution[0]).nodes
+            sub, w_support = m._support(i)
+            assert sub.mesh is not None
+            clipped += np.count_nonzero(w_support == 0.0)
+            for w in (softmax(k * lv.log_tau), w_support):
+                got = lv.weighted_sum(w)
+                assert np.all(np.abs(got - w @ nodes) <= 1e-14 * (w @ np.abs(nodes))), (k, i)
+            assert "nodes" not in vars(lv.mesh)
+    assert clipped > 0
+
+
+@pytest.fixture(scope="module")
+def disk_level(paper2d_disk):
+    """The finest level of the disk density and its member nodes from a twin mesh."""
+    obj, region = paper2d_disk
+    level = NascentMD(obj, region, integrator=GRID_2D).levels()[1]
+    member_slabs = level.mesh.lattice_mask.reshape(-1, BLOCK_ROWS).any(axis=1)
+    assert not np.all(member_slabs)
+    return level, region.build_grid(GRID_2D.resolution).nodes
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(p=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_restrict_compresses_the_mesh_slab_by_slab(disk_level, p, seed):
+    """A grid level's restriction is written slab by slab, skipping member-free
+    slabs, without the level's node array: the same bits as compressing the nodes."""
+    level, nodes = disk_level
+    keep = np.random.default_rng(seed).random(level.f.size) < p
+    sub = level.restrict(keep)
+    assert sub.mesh is None and sub.nodes.flags.f_contiguous
+    assert sub.nodes.tobytes() == np.compress(keep, nodes.T, axis=1).T.tobytes()
+    assert np.array_equal(sub.f, level.f[keep]) and np.array_equal(sub.log_tau,
+                                                                   level.log_tau[keep])
+    assert "nodes" not in vars(level.mesh)
 
 
 def test_weight_pass_stays_on_exp_fast_path(monkeypatch):

@@ -72,6 +72,25 @@ def test_xstar_is_no_worse_than_fstar(name):
     result = run_continuation(obj, region)
     fstar = result.fstar_estimate
     assert obj(result.xstar_estimate) <= fstar + 1e-12 * max(1.0, abs(fstar))
+    fine = NascentMD(obj, region).levels()[-1]
+    assert result.xstar_estimate.tobytes() == fine.nodes[np.argmax(fine.log_tau)].tobytes()
+
+
+@pytest.mark.parametrize("on_disk", [False, True])
+def test_continuation_builds_no_node_array(monkeypatch, paper2d_disk, on_disk):
+    """E x, x* and the support cuts read the meshes' axes, so neither level's mesh
+    builds its (N, dim) node array; x* has the bits of the max-weight node."""
+    obj, region = paper2d_disk if on_disk else catalog_get("paper2d")
+    densities, levels = [], NascentMD.levels
+    monkeypatch.setattr(NascentMD, "levels", lambda self: densities.append(self) or levels(self))
+    result = run_continuation(obj, region)
+    monkeypatch.undo()
+    md = densities[-1]
+    assert set(md._shared["support"]) == {0, 1}  # both levels were cut
+    for lv in md.levels():
+        assert "nodes" not in vars(lv.mesh)
+    fine = md.levels()[-1]
+    assert result.xstar_estimate.tobytes() == fine.nodes[np.argmax(fine.log_tau)].tobytes()
 
 
 def test_rational_tau_also_monotone():
