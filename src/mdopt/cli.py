@@ -212,7 +212,7 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
 
     ms = [md0.with_k(k) for k in ks]
     found = [sets_mod.extract_set(m, kind, mesh) for m in ms for kind in sets_mod.SetKind]
-    _, log_tau = md0.mesh_values(prof_mesh)
+    prof_f, log_tau = md0.mesh_values(prof_mesh), md0.resolved_tau().log_tau
     _write_outputs(out, {
         "measures.csv": {
             "k": [s.k for s in found], "kind": [s.kind.value for s in found],
@@ -222,7 +222,7 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
         "density_profiles.csv": {
             "k": np.repeat(ks, prof_mesh.node_count),
             **{f"x{j}": np.tile(prof_mesh.nodes[:, j], len(ks)) for j in range(region.dim)},
-            "density": np.concatenate([np.exp(m.k * log_tau - m.log_Z()) for m in ms])},
+            "density": np.concatenate([np.exp(log_tau(prof_f, m.k) - m.log_Z()) for m in ms])},
     }, k=ks, mesh_resolution=mesh.resolution[0], profile_resolution=prof_res)
     click.echo(f"wrote measures for k={ks} to {out}")
 

@@ -2,20 +2,20 @@
 
 tau is a positive, decreasing transform of f (exponential e^{-f} or the
 rational 1/(f - L + p)), so m^(k) concentrates on the global minimizers as k
-grows.  Each tau kind owns ``log_tau(f)``, ``dlog_tau_df(f)`` and
-``resolved(f)``, which fixes a data-dependent shift once.  Everything is
-evaluated in log space on the two levels of ``integrate.levels``, held as
-frozen ``DensityLevel`` records (points or mesh, weight, f, log tau) built once
-with the resolved tau and mu; a grid level keeps its mesh and no node array.  A
+grows.  Each tau kind owns ``log_tau(f, k)`` (k log tau in one pass),
+``dlog_tau_df(f)`` and ``resolved(f)``, which fixes a data-dependent shift once.
+Everything is evaluated in log space on the two levels of ``integrate.levels``,
+held as frozen ``DensityLevel`` records (points or mesh, weight, f, max and min
+log tau) built once with the resolved tau and mu: m^(k) depends on a node only
+through f, its one per-node array, and a grid level keeps no node array.  A
 log-sum of k log tau per (k, level), made when first read, gives log Z(k)
 (finest level) and log E^(k)(tau) = log Z(k+1) - log Z(k); one softmax pass per
-level gives E f, E (f - c)^2, E log tau and E x (on a grid level, from the
-weights' lattice marginals), each with the levels' difference as its error,
-where c is the finest level's min f, so Var^(k)(f) = E (f - c)^2 - (E f - c)^2
-does not move when a constant is added to f.  ``with_k`` clones share the
-levels, the log-sums, ``Moments`` and the f and log tau that ``mesh_values``
-evaluated on the latest mesh without a level's layout (``GridMesh.same_layout``),
-so they pay each f evaluation once.
+level gives E f, E (f - c)^2 and E x (on a grid level, from the weights' lattice
+marginals), each with the levels' difference as its error, where c is the
+finest level's min f, so Var^(k)(f) = E (f - c)^2 - (E f - c)^2 does not move
+when a constant is added to f; E log tau is reduced only when read.  ``with_k``
+clones share the levels, the log-sums, ``Moments`` and the f that ``mesh_values``
+held for the latest mesh without a level's layout, so each f is evaluated once.
 Weights are formed on the support of m^(k), the nodes whose weight is not exactly
 0 (exp underflows below -745.13), and a larger k starts from the last support.
 A level is cut only when at most half its nodes survive, so no copy of a barely
@@ -27,7 +27,7 @@ leaves its fast path at inputs <= -708 (with numpy 2.4, per 10^6 inputs: 1.7 ms
 at -700, 28 ms at -708, 239 ms at -709 where the result is subnormal), and the
 mass dropped is at most N e^-650 ~ 1e-273 of Z.  Every weight is 0 or a normal
 float (>= e^-650 / N) for N < 2^31.  ``expectation(h)`` evaluates h, and checks
-``DomainError``, on the support.  k must be finite and >= 0.
+``DomainError``, on the support (slab by slab on a grid).  k must be finite and >= 0.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .integrate import (IntegratorConfig, Level, default_config,
                         levels as quadrature_levels, logsumexp, softmax)
 from .objective import Objective, evaluate_batch, gradient
-from .region import CompactRegion, Estimate, GridMesh, _as_points
+from .region import BLOCK_ROWS, CompactRegion, Estimate, GridMesh, _as_points
 
 
 class InvalidShiftError(ValueError):
@@ -58,8 +58,8 @@ class Exponential:
     def resolved(self, f: np.ndarray) -> "Exponential":
         return self
 
-    def log_tau(self, f):
-        return -f
+    def log_tau(self, f, k: float = 1.0):
+        return f * -k
 
     def dlog_tau_df(self, f) -> float:
         """d log tau / df, which is -1 everywhere."""
@@ -96,8 +96,10 @@ class Rational:
             )
         return arg
 
-    def log_tau(self, f):
-        return -np.log(self._arg(f))
+    def log_tau(self, f, k: float = 1.0):
+        """k log tau on an array f, the log taken and scaled in place: ``k * -log(arg)``."""
+        arg = self._arg(f)
+        return np.multiply(np.log(arg, out=arg), -k, out=arg)
 
     def dlog_tau_df(self, f):
         return -1.0 / self._arg(f)
@@ -108,33 +110,31 @@ TauKind = Exponential | Rational
 
 @dataclass(frozen=True)
 class DensityLevel(Level):
-    """A quadrature level with f and log tau (resolved tau) on its nodes, and the
-    max and min of log tau over the whole level."""
+    """A quadrature level with f on its nodes, and the max and min of log tau
+    (resolved tau) over the whole level."""
 
     f: np.ndarray
-    log_tau: np.ndarray
     log_tau_max: float
     log_tau_min: float
 
     def restrict(self, keep: np.ndarray) -> "DensityLevel":
         """The nodes where ``keep`` holds as coordinate-major points, with no mesh (a
         grid level's are compressed slab by slab, without its node array); ``keep``
-        must hold at a node where log tau is maximal.  The min stays the whole
-        level's, a lower bound."""
+        must hold at a node where log tau is maximal.  f is the only per-node array
+        kept; the min stays the whole level's, a lower bound."""
         points = (np.compress(keep, self.points.T, axis=1).T if self.mesh is None
                   else self.mesh.compress(keep))
         return DensityLevel(points, self.log_node_weight, None, self.f[keep],
-                            self.log_tau[keep], self.log_tau_max, self.log_tau_min)
+                            self.log_tau_max, self.log_tau_min)
 
 
 @dataclass(frozen=True)
 class Moments:
-    """The moments of m^(k) that a continuation stage needs, at one k."""
+    """The moments of m^(k) that a continuation stage reports, at one k."""
 
     f: Estimate
     fc2: Estimate  # E (f - c)^2
     c: float  # the finest level's min f, the shift that keeps Var free of cancellation
-    log_tau: Estimate
     x: Estimate  # a read-only vector value
 
 
@@ -159,7 +159,7 @@ class NascentMD:
         self.k = float(k)
         self.integrator = integrator or default_config(region.dim)
         # shared across with_k clones (one tau kind): density levels, measure, resolved
-        # tau, per-(k, level) log-sums, per-k moments, per-level support, one other mesh
+        # tau, per-(k, level) log-sums, per-k moments, per-level support, one other mesh's f
         self._shared = _shared or {"log_sums": {}, "moments": {}, "support": {}, "mesh": []}
 
     def with_k(self, k: float) -> "NascentMD":
@@ -170,7 +170,7 @@ class NascentMD:
     # --- node caches ---------------------------------------------------------
 
     def levels(self) -> list[DensityLevel]:
-        """The two quadrature levels, coarsest first, with f and log tau; fills mu and tau."""
+        """The two quadrature levels, coarsest first, with f; fills mu and tau."""
         levels = self._shared.get("levels")
         if levels is not None:
             return levels
@@ -184,7 +184,7 @@ class NascentMD:
         levels = []
         for lv, f in zip(nodesets, fs):
             log_tau = tau.log_tau(f)
-            levels.append(DensityLevel(lv.points, lv.log_node_weight, lv.mesh, f, log_tau,
+            levels.append(DensityLevel(lv.points, lv.log_node_weight, lv.mesh, f,
                                        float(np.max(log_tau)), float(np.min(log_tau))))
         self._shared.update(mu=mu.value, tau=tau, levels=levels, f_min=float(np.min(fs[-1])))
         return levels
@@ -204,7 +204,7 @@ class NascentMD:
         level = level if self.k >= k0 else self.levels()[i]
         top = self.k * level.log_tau_max  # == max(k log tau): rounding is monotone, k >= 0
         floor = top - 650.0
-        a = self.k * level.log_tau
+        a = self._shared["tau"].log_tau(level.f, self.k)
         if self.k * level.log_tau_min >= floor:  # nothing to drop or clip
             return level, softmax(a)
         keep = a >= top - 746.0
@@ -212,7 +212,7 @@ class NascentMD:
             del a  # the full-size array goes before the copies are made
             level = level.restrict(keep)
             self._shared["support"][i] = (self.k, level)
-            a = self.k * level.log_tau
+            a = self._shared["tau"].log_tau(level.f, self.k)
         clipped = np.less(a, floor, out=keep[:a.size])
         np.maximum(a, floor, out=a)
         w = softmax(a)
@@ -223,7 +223,8 @@ class NascentMD:
         """logsumexp(k log tau) on level 0 (coarse) or 1 (finest), made when first read."""
         cache = self._shared["log_sums"]
         if (k, level) not in cache:
-            cache[k, level] = float(logsumexp(k * self.levels()[level].log_tau))
+            f = self.levels()[level].f
+            cache[k, level] = float(logsumexp(self._shared["tau"].log_tau(f, k)))
         return cache[k, level]
 
     def log_Z(self) -> float:
@@ -235,16 +236,16 @@ class NascentMD:
         self.levels()
         return self._shared["mu"]
 
-    def mesh_values(self, mesh: GridMesh) -> tuple[np.ndarray, np.ndarray]:
-        """f and log tau (resolved tau) on the mesh: a level's when ``GridMesh.same_layout``
-        matches its mesh, else evaluated once and held, the latest such mesh only."""
-        held = [(lv.mesh, lv.f, lv.log_tau) for lv in self.levels() if lv.mesh is not None]
-        for other, f, log_tau in held + self._shared["mesh"]:
+    def mesh_values(self, mesh: GridMesh) -> np.ndarray:
+        """f on the mesh (k log tau is ``resolved_tau().log_tau(f, k)``): a level's when
+        ``GridMesh.same_layout`` matches its mesh, else evaluated once and held, the latest only."""
+        held = [(lv.mesh, lv.f) for lv in self.levels() if lv.mesh is not None]
+        for other, f in held + self._shared["mesh"]:
             if other.same_layout(mesh):
-                return f, log_tau
+                return f
         f = evaluate_batch(self.objective, mesh)
-        self._shared["mesh"] = [(mesh, f, (log_tau := self._shared["tau"].log_tau(f)))]
-        return f, log_tau  # not read back from the cache, which another thread may replace
+        self._shared["mesh"] = [(mesh, f)]
+        return f  # not read back from the cache, which another thread may replace
 
     # --- pointwise evaluation ------------------------------------------------
 
@@ -257,7 +258,7 @@ class NascentMD:
     def log_density(self, x):
         """k log tau(x) - log Z at a point or (N, dim) batch."""
         pts, single = _as_points(x, self.region.dim)
-        vals = (self.k * self.resolved_tau().log_tau(evaluate_batch(self.objective, pts))
+        vals = (self.resolved_tau().log_tau(evaluate_batch(self.objective, pts), self.k)
                 - self.log_Z())
         return float(vals[0]) if single else vals
 
@@ -316,7 +317,7 @@ class NascentMD:
         return Estimate(float(fine), abs(float(fine) - float(coarse)))
 
     def moments(self) -> Moments:
-        """E f, E (f - c)^2, E log tau and E x from one weight pass per level.
+        """E f, E (f - c)^2 and E x from one weight pass per level.
 
         Cached per k and shared by ``with_k`` clones.
         """
@@ -324,25 +325,28 @@ class NascentMD:
         if self.k not in cache:
             self.levels()
             c = self._shared["f_min"]
-            f, fc2, log_tau, x = self._estimates(
-                lambda lv: lv.f, lambda lv: self._square(lv.f - c), lambda lv: lv.log_tau,
-                lambda lv: lv.weighted_sum)
-            cache[self.k] = Moments(f=f, fc2=fc2, c=c, log_tau=log_tau, x=x)
+            f, fc2, x = self._estimates(
+                lambda lv: lv.f, lambda lv: self._square(lv.f - c), lambda lv: lv.weighted_sum)
+            cache[self.k] = Moments(f=f, fc2=fc2, c=c, x=x)
         return cache[self.k]
 
     def expectation(self, h: Callable[[np.ndarray], np.ndarray] | None = None,
                     nu: float = 1.0, shift=None) -> Estimate:
         """E^(k) of h^nu, optionally with the integration variable shifted.
 
-        ``h=None`` means the objective itself (its node values are cached).
+        ``h=None`` means the objective itself (its node values are cached).  h must be
+        row-wise, like ``Objective.fn``: a grid level's nodes reach it slab by slab.
         """
         if h is None and shift is None:
             return self._estimates(lambda lv: self._power(lv.f, nu))[0]
         off = np.zeros(self.region.dim) if shift is None else np.asarray(shift, float)
         fn = h if h is not None else (lambda p: evaluate_batch(self.objective, p))
 
-        return self._estimates(
-            lambda lv: self._power(np.asarray(fn(lv.nodes + off), float), nu))[0]
+        def values(lv: DensityLevel) -> np.ndarray:
+            blocks = [lv.points] if lv.mesh is None else lv.mesh.blocks(BLOCK_ROWS)
+            vals = np.concatenate([np.asarray(fn(b + off), float) for b in blocks])
+            return self._power(vals, nu)
+        return self._estimates(values)[0]
 
     @staticmethod
     def _square(d: np.ndarray) -> np.ndarray:
@@ -361,7 +365,8 @@ class NascentMD:
         return self.moments().f
 
     def expect_log_tau(self) -> Estimate:
-        return self.moments().log_tau
+        """E^(k)(log tau), reduced when read: no continuation stage reports it."""
+        return self._estimates(lambda lv: self.resolved_tau().log_tau(lv.f))[0]
 
     def log_expect_tau(self) -> Estimate:
         """log E^(k)(tau), with the levels' difference of it as the error."""

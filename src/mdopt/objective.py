@@ -45,7 +45,6 @@ class Objective:
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    oracle_fstar: Optional[float] = None
     oracle_minimizers: Optional[tuple] = None
 
     def __call__(self, x) -> float | np.ndarray:
@@ -132,7 +131,6 @@ def catalog_get(name: str) -> tuple[Objective, CompactRegion]:
             name=name, dim=1,
             fn=lambda p, c=c: np.full(p.shape[0], c),
             grad=lambda p: np.zeros_like(p),
-            oracle_fstar=c,
         )
         return obj, box(0.0, 1.0)
     raise UnknownFunctionError(name)
@@ -172,7 +170,6 @@ def _stability1d():
         name="stability1d", dim=1,
         fn=lambda p: np.cos(0.5 * p[:, 0] ** 2) + 1.0,
         grad=lambda p: (-p[:, 0] * np.sin(0.5 * p[:, 0] ** 2))[:, None],
-        oracle_fstar=0.0,
         oracle_minimizers=(np.sqrt(2.0 * np.pi), np.sqrt(6.0 * np.pi)),
     )
     return obj, box(0.0, 5.0)
@@ -196,7 +193,6 @@ def _quadratic():
         name="quadratic", dim=2,
         fn=lambda p: np.sum(p ** 2, axis=1),
         grad=lambda p: 2.0 * p,
-        oracle_fstar=0.0,
         oracle_minimizers=((0.0, 0.0),),
     )
     return obj, box([-0.5, -0.5], [1.0, 1.0])
@@ -208,7 +204,6 @@ def _doublewell():
         name="doublewell", dim=1,
         fn=lambda p: (p[:, 0] ** 2 - 1.0) ** 2,
         grad=lambda p: (4.0 * p[:, 0] * (p[:, 0] ** 2 - 1.0))[:, None],
-        oracle_fstar=0.0,
         oracle_minimizers=(-1.0, 1.0),
     )
     return obj, box(-2.0, 2.0)
@@ -223,7 +218,7 @@ def _rastrigin():
         return 2.0 * p + 20.0 * np.pi * np.sin(2.0 * np.pi * p)
 
     obj = Objective(name="rastrigin", dim=2, fn=fn, grad=grad,
-                    oracle_fstar=0.0, oracle_minimizers=((0.0, 0.0),))
+                    oracle_minimizers=((0.0, 0.0),))
     return obj, box([-5.12, -5.12], [5.12, 5.12])
 
 
@@ -238,5 +233,5 @@ def _ackley():
         return -a * np.exp(-b * s1) - np.exp(s2) + a + np.e
 
     obj = Objective(name="ackley", dim=2, fn=fn,
-                    oracle_fstar=0.0, oracle_minimizers=((0.0, 0.0),))
+                    oracle_minimizers=((0.0, 0.0),))
     return obj, box([-5.0, -5.0], [5.0, 5.0])

@@ -61,9 +61,10 @@ def run_continuation(obj: Objective, region: CompactRegion,
                      cfg: ContinuationConfig | None = None) -> MinimizeResult:
     """Anneal k geometrically and record E^(k)(f), Var^(k)(f), mean location.
 
-    x* is the finest level's node where log tau is largest, the first in mesh
-    order on ties, read from a grid mesh's axes (the bits of that node, with no
-    node array built); f* is the last stage's E^(k)(f).
+    x* is the finest level's node of least f, where log tau and so m^(k) are
+    largest at every k > 0, the first in mesh order on ties, read from a grid
+    mesh's axes (the bits of that node, with no node array built); f* is the last
+    stage's E^(k)(f).
     """
     cfg = cfg or ContinuationConfig()
     md = NascentMD(obj, region, tau=cfg.tau, k=cfg.k0, integrator=cfg.integrator)
@@ -95,11 +96,10 @@ def run_continuation(obj: Objective, region: CompactRegion,
                 break
         else:
             stall = 0
-    # m^(k) is proportional to tau^k, so at every k > 0 this node weighs most
     fine = md.levels()[-1]
     return MinimizeResult(
         fstar_estimate=trace[-1].Ef,
-        xstar_estimate=fine.node(int(np.argmax(fine.log_tau))),
+        xstar_estimate=fine.node(int(np.argmin(fine.f))),
         trace=trace,
         stop_reason=stop_reason,
     )

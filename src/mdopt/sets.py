@@ -69,11 +69,11 @@ def extract_set(m: NascentMD, kind: SetKind, mesh: GridMesh) -> SignificantSet:
 
     Inequalities are inclusive; threshold ties are members, so comparisons
     carry a machine-precision slack (exact ties such as m^(0) = 1/mu land a
-    few ulps off after the log-domain round trip).  f and log tau are read from
+    few ulps off after the log-domain round trip).  f is read from
     ``m.mesh_values(mesh)``, which evaluates a mesh once for the density family.
     """
     kind = SetKind(kind)
-    f, log_tau = m.mesh_values(mesh)
+    f, tau = m.mesh_values(mesh), m.resolved_tau()
     if kind is SetKind.DF:
         thr = m.expect_f().value
         tie = 1e-12 * max(1.0, abs(thr))
@@ -81,14 +81,14 @@ def extract_set(m: NascentMD, kind: SetKind, mesh: GridMesh) -> SignificantSet:
     elif kind is SetKind.DTAU:
         log_thr = m.log_expect_tau().value
         tie = 1e-12 * max(1.0, abs(log_thr))
-        mask = log_tau >= log_thr - tie
+        mask = tau.log_tau(f) >= log_thr - tie
         thr = float(np.exp(log_thr))
     else:
         mu = m.region_measure()
         thr = 1.0 / mu
         log_thr = -np.log(mu)
         tie = 1e-12 * max(1.0, abs(log_thr), abs(m.log_Z()))
-        mask = m.k * log_tau - m.log_Z() >= log_thr - tie
+        mask = tau.log_tau(f, m.k) - m.log_Z() >= log_thr - tie
     return SignificantSet(
         kind=kind, k=m.k, mesh=mesh, mask=mask,
         measure=float(mesh.cell_volume * np.count_nonzero(mask)),
@@ -110,7 +110,7 @@ def equivalence_check_dtau(m: NascentMD, mesh: GridMesh) -> int:
     The two conditions are analytically the same set; disagreements are only
     counted outside a band of twice the threshold's integrator error.
     """
-    _, lt = m.mesh_values(mesh)
+    lt = m.resolved_tau().log_tau(m.mesh_values(mesh))
     thr_a = m.log_expect_tau()
     log_thr_b = m.with_k(m.k + 1.0).log_Z() - m.log_Z()
     band = 2.0 * thr_a.error
@@ -153,7 +153,7 @@ def boundary_points(sset: SignificantSet) -> list[np.ndarray]:
 
     Solves the level crossing on every lattice edge whose member ends straddle
     the set (axis by axis, row-major) and keeps |m^(k)(x) * mu - 1| <= 1e-10.
-    The gaps at the edge ends are read from ``m.mesh_values``, not evaluated again.
+    The gaps at the edge ends are formed from f in ``m.mesh_values``, not evaluated again.
     """
     if sset.kind is not SetKind.D0:
         raise ValueError("boundary extraction is defined for D0 sets only")
@@ -161,7 +161,7 @@ def boundary_points(sset: SignificantSet) -> list[np.ndarray]:
     log_level = -np.log(m.region_measure())
     inside, gaps = np.zeros(member.shape, dtype=bool), np.zeros(member.shape)
     inside[member] = sset.mask
-    gaps[member] = m.k * m.mesh_values(sset.mesh)[1] - m.log_Z() - log_level
+    gaps[member] = m.resolved_tau().log_tau(m.mesh_values(sset.mesh), m.k) - m.log_Z() - log_level
     ends = []  # lattice indices of the straddling edges' ends, axis by axis
     for d, step in enumerate(np.eye(member.ndim, dtype=int)):
         both = np.delete(member, -1, axis=d) & np.delete(member, 0, axis=d)

@@ -165,7 +165,7 @@ def test_sets_profile_round_trips_bit_for_bit(runner, tmp_path):
     md0 = NascentMD(obj, region, k=0.0, integrator=default_config(2))
     mesh = region.build_grid(128)
     ks = [0.0, 1.0]
-    _, log_tau = md0.mesh_values(mesh)
+    log_tau = md0.resolved_tau().log_tau(md0.mesh_values(mesh))
     want = {"k": np.repeat(ks, len(mesh.nodes)),
             **{f"x{j}": np.tile(mesh.nodes[:, j], len(ks)) for j in range(2)},
             "density": np.concatenate([np.exp(m.k * log_tau - m.log_Z())

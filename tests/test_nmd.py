@@ -45,6 +45,19 @@ def test_log_tau_rational_at_minimum(paper1d_oracle):
     assert m.log_tau(np.array([xs])) == pytest.approx(0.0, abs=1e-12)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(f=st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=40),
+       k=st.one_of(st.just(0.0), st.floats(0.0, 1e6)), p=st.floats(0.1, 10.0))
+def test_log_tau_scales_by_k_bit_for_bit(f, k, p):
+    """k log tau in one pass has the bits of k times log tau, signed zeros included,
+    and a shift that leaves f - L + p <= 0 still raises."""
+    f = np.array(f)
+    for tau in (Exponential(), Rational(p=p).resolved(f)):
+        assert tau.log_tau(f, k).tobytes() == (k * tau.log_tau(f)).tobytes()
+    with pytest.raises(InvalidShiftError):
+        Rational(p=p, L=float(np.max(f)) + 2.0 * p).log_tau(f, k)
+
+
 @pytest.mark.parametrize("tau", [Exponential(), Rational(p=0.5, L=-1.0)])
 def test_dlog_tau_df_matches_central_difference(tau):
     f = np.linspace(-0.4, 3.0, 9)
@@ -232,6 +245,44 @@ def test_mass_concentration(paper1d_md, paper1d_oracle):
     assert np.sum(w[np.abs(nodes - xs) <= 0.1]) > 0.99
 
 
+@pytest.mark.parametrize("tau", [Exponential(), Rational(p=0.5)])
+def test_f_is_the_only_per_node_array(tau):
+    """m^(k) depends on a node only through f: a grid level, a cut support and the
+    mesh that mesh_values holds keep no other array with one entry per node (a
+    support's points hold its coordinates)."""
+    obj, region = catalog_get("paper2d")
+    m = NascentMD(obj, region, tau=tau, k=0.0, integrator=GRID_2D)
+    level = m.levels()[1]
+    sub, _ = m.with_k(np.exp(10.0))._support(1)
+    m.mesh_values(region.build_grid(100))
+    (mesh, *held), = m._shared["mesh"]
+
+    def per_node(record):
+        return [name for name, v in vars(record).items()
+                if isinstance(v, np.ndarray) and v.shape[:1] == record.f.shape]
+    assert sub.mesh is None and sub.f.size < level.f.size
+    assert per_node(level) == ["f"]
+    assert per_node(sub) == ["points", "f"]
+    assert len(held) == 1 and held[0].shape == (mesh.node_count,)
+
+
+def test_a_stage_reduces_only_what_it_reports(monkeypatch):
+    """moments() reduces E f, E (f - c)^2 and E x in its weight pass; E log tau,
+    which no stage reports, is reduced only when read."""
+    counts, estimates = [], NascentMD._estimates
+
+    def spy(self, *integrands):
+        counts.append(len(integrands))
+        return estimates(self, *integrands)
+    monkeypatch.setattr(NascentMD, "_estimates", spy)
+    obj, region = catalog_get("paper1d")
+    m = NascentMD(obj, region, k=3.0, integrator=GRID_1D)
+    m.variance_f(), m.mean_location(), m.expect_f()
+    assert counts == [3]
+    m.expect_log_tau()
+    assert counts == [3, 1]
+
+
 def test_with_k_shares_caches(paper1d_md):
     m2 = paper1d_md.with_k(5.0)
     assert m2._shared is paper1d_md._shared
@@ -250,11 +301,10 @@ def test_mesh_values_hold_one_mesh_off_the_levels(tau):
     m = NascentMD(Objective(obj.name, obj.dim, fn), region, tau=tau, k=1.0,
                   integrator=IntegratorConfig(kind="mc", n=500, seed=1))
     a, b = region.build_grid(300), region.build_grid(200)
-    f, log_tau = m.mesh_values(a)
+    f = m.mesh_values(a)
     assert np.array_equal(f, obj(a.nodes))
-    assert np.array_equal(log_tau, m.resolved_tau().log_tau(f))
     assert sum(calls) == 500 + 300
-    assert m.with_k(9.0).mesh_values(region.build_grid(300))[1] is log_tau
+    assert m.with_k(9.0).mesh_values(region.build_grid(300)) is f
     assert sum(calls) == 500 + 300
     m.mesh_values(b)
     m.mesh_values(a)
@@ -274,7 +324,7 @@ def test_mesh_values_under_concurrent_clones():
     def work(i):
         for j in range(60):
             mesh_i = (i + j) % len(meshes)
-            f, _ = m.with_k(float(i)).mesh_values(meshes[mesh_i])
+            f = m.with_k(float(i)).mesh_values(meshes[mesh_i])
             if not np.array_equal(f, want[mesh_i]):
                 wrong.append((i, j))
     interval = sys.getswitchinterval()
@@ -350,7 +400,7 @@ def test_log_Z_alone_sums_only_the_finest_level(monkeypatch):
     obj, region = catalog_get("paper1d")
     m = NascentMD(obj, region, k=3.0, integrator=GRID_1D)
     m.log_Z()
-    assert calls == [m.levels()[-1].log_tau.shape]
+    assert calls == [m.levels()[-1].f.shape]
     m.with_k(7.0).log_Z()
     assert len(calls) == 2
 
@@ -375,7 +425,7 @@ def test_moments_record_matches_generic_path(tau, integrator):
         ef = m.expectation()
         c = float(np.min(m.levels()[1].f))  # the shift: the finest level's min f
         efc2 = m._estimates(lambda level: (level.f - c) ** 2.0)[0]
-        elt = m._estimates(lambda level: level.log_tau)[0]
+        elt = m._estimates(lambda level: m.resolved_tau().log_tau(level.f))[0]
         for got, want in ((m.expect_f(), ef), (m.moments().fc2, efc2),
                           (m.expect_log_tau(), elt)):
             assert (got.value, got.error) == (want.value, want.error)
@@ -388,7 +438,7 @@ def test_moments_record_matches_generic_path(tau, integrator):
         coords = [m.expectation(h=lambda p, j=j: p[:, j]) for j in range(region.dim)]
         assert mean == pytest.approx([c.value for c in coords], rel=1e-13)
         levels = m.levels()
-        means = [softmax(k * lv.log_tau) @ lv.nodes for lv in levels]
+        means = [softmax(k * m.resolved_tau().log_tau(lv.f)) @ lv.nodes for lv in levels]
         assert mean_err == pytest.approx(float(np.linalg.norm(means[-1] - means[-2])),
                                          rel=1e-12)
         # one record per k, shared by every clone at that k
@@ -425,10 +475,11 @@ def _dense_moments(m: NascentMD) -> dict:
     avgs = []
     c = float(np.min(m.levels()[1].f))
     for lv in m.levels():
-        a = m.k * lv.log_tau
+        log_tau = m.resolved_tau().log_tau(lv.f)
+        a = m.k * log_tau
         e = np.exp(a - a.max())
         w = e / np.sum(e)
-        hs = {"f": lv.f, "fc2": (lv.f - c) ** 2.0, "log_tau": lv.log_tau, "x": lv.nodes}
+        hs = {"f": lv.f, "fc2": (lv.f - c) ** 2.0, "log_tau": log_tau, "x": lv.nodes}
         avgs.append({name: (w @ h, w, h) for name, h in hs.items()})
     out = {}
     for name, (fine, w, h) in avgs[1].items():
@@ -442,6 +493,11 @@ def _dense_moments(m: NascentMD) -> dict:
         clip = h.shape[0] * np.exp(-650.0) * np.max(np.abs(h))
         out[name] = (fine, err, np.max(w @ np.abs(h)), clip)
     return out
+
+
+def _got(m: NascentMD, mom, name: str):
+    """The estimate ``_dense_moments`` names: a field of ``mom``, or E log tau."""
+    return m.expect_log_tau() if name == "log_tau" else getattr(mom, name)
 
 
 def _complex_rows(nodes: np.ndarray) -> np.ndarray:
@@ -462,13 +518,13 @@ def _check_support_ladder(function, tau, integrator, scale_of):
             m = base.with_k(k)
             mom, ref = m.moments(), _dense_moments(m)
             for name, (value, err, abs_mean, clip) in ref.items():
-                got = getattr(mom, name)
+                got = _got(m, mom, name)
                 tol = 1e-13 * np.max(scale_of(value, abs_mean)) + clip
                 assert np.max(np.abs(got.value - value)) <= tol, (k, name)
                 assert abs(got.error - err) <= tol, (k, name)
             for i, lv in enumerate(m.levels()):
                 sub, w = m._support(i)
-                a = k * lv.log_tau
+                a = k * m.resolved_tau().log_tau(lv.f)
                 weighted = lv.nodes[np.exp(a - a.max()) > 0.0]
                 assert np.all(np.isin(_complex_rows(weighted), _complex_rows(sub.nodes)))
                 assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
@@ -515,7 +571,7 @@ def test_location_from_lattice_marginals_matches_dense(paper2d_disk, on_disk):
             sub, w_support = m._support(i)
             assert sub.mesh is not None
             clipped += np.count_nonzero(w_support == 0.0)
-            for w in (softmax(k * lv.log_tau), w_support):
+            for w in (softmax(k * m.resolved_tau().log_tau(lv.f)), w_support):
                 got = lv.weighted_sum(w)
                 assert np.all(np.abs(got - w @ nodes) <= 1e-14 * (w @ np.abs(nodes))), (k, i)
             assert "nodes" not in vars(lv.mesh)
@@ -542,8 +598,7 @@ def test_restrict_compresses_the_mesh_slab_by_slab(disk_level, p, seed):
     sub = level.restrict(keep)
     assert sub.mesh is None and sub.nodes.flags.f_contiguous
     assert sub.nodes.tobytes() == np.compress(keep, nodes.T, axis=1).T.tobytes()
-    assert np.array_equal(sub.f, level.f[keep]) and np.array_equal(sub.log_tau,
-                                                                   level.log_tau[keep])
+    assert np.array_equal(sub.f, level.f[keep])
     assert "nodes" not in vars(level.mesh)
 
 
@@ -574,11 +629,12 @@ def test_weight_pass_stays_on_exp_fast_path(monkeypatch):
     slow = 0
     for k, m in by_k.items():
         for lv in m.levels():
-            slow += np.count_nonzero(k * lv.log_tau < k * lv.log_tau_max - 708.0)
+            slow += np.count_nonzero(k * m.resolved_tau().log_tau(lv.f)
+                                     < k * lv.log_tau_max - 708.0)
         mom = m.moments()
         # scaled by E|h|: E x is 0 by symmetry, up to rounding
         for name, (value, err, scale, clip) in _dense_moments(m).items():
-            got = getattr(mom, name)
+            got = _got(m, mom, name)
             assert np.max(np.abs(got.value - value)) <= 1e-13 * scale + clip, (k, name)
             assert abs(got.error - err) <= 1e-13 * scale + clip, (k, name)
     assert slow > 0  # the dense pass would have taken the slow path

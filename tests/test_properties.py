@@ -51,7 +51,7 @@ def test_expectation_non_increasing_in_k(d):
     levels = m.levels()
     assert len(levels) == 2
     for lv in levels:
-        ef = [float(softmax(k * lv.log_tau) @ lv.f) for k in KS]
+        ef = [float(softmax(k * m.resolved_tau().log_tau(lv.f)) @ lv.f) for k in KS]
         for a, b in zip(ef, ef[1:]):
             assert b <= a + _slack(a)
     finest = [m.with_k(k).expect_f().value for k in KS]
@@ -65,7 +65,7 @@ def test_expectation_above_node_minimum(d):
     for lv in m.levels():
         fmin = float(np.min(lv.f))
         for k in KS:
-            assert float(softmax(k * lv.log_tau) @ lv.f) >= fmin - _slack(fmin)
+            assert float(softmax(k * m.resolved_tau().log_tau(lv.f)) @ lv.f) >= fmin - _slack(fmin)
     fmin = float(np.min(m.levels()[-1].f))
     assert all(m.with_k(k).expect_f().value >= fmin - _slack(fmin) for k in KS)
 
@@ -90,6 +90,6 @@ def test_support_expectation_matches_dense_in_any_k_order(d, ks):
     m = _density(**d)
     fine = m.levels()[-1]
     for k in ks:
-        dense = float(softmax(k * fine.log_tau) @ fine.f)
+        dense = float(softmax(k * m.resolved_tau().log_tau(fine.f)) @ fine.f)
         got = m.with_k(k).expect_f().value
         assert abs(got - dense) <= _slack(dense), k

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,8 +73,11 @@ def test_xstar_is_no_worse_than_fstar(name):
     result = run_continuation(obj, region)
     fstar = result.fstar_estimate
     assert obj(result.xstar_estimate) <= fstar + 1e-12 * max(1.0, abs(fstar))
-    fine = NascentMD(obj, region).levels()[-1]
-    assert result.xstar_estimate.tobytes() == fine.nodes[np.argmax(fine.log_tau)].tobytes()
+    md = NascentMD(obj, region)
+    fine = md.levels()[-1]
+    assert result.xstar_estimate.tobytes() == fine.nodes[np.argmin(fine.f)].tobytes()
+    log_tau = md.resolved_tau().log_tau(fine.f)
+    assert result.xstar_estimate.tobytes() == fine.nodes[np.argmax(log_tau)].tobytes()
 
 
 @pytest.mark.parametrize("on_disk", [False, True])
@@ -90,7 +94,22 @@ def test_continuation_builds_no_node_array(monkeypatch, paper2d_disk, on_disk):
     for lv in md.levels():
         assert "nodes" not in vars(lv.mesh)
     fine = md.levels()[-1]
-    assert result.xstar_estimate.tobytes() == fine.nodes[np.argmax(fine.log_tau)].tobytes()
+    log_tau = md.resolved_tau().log_tau(fine.f)
+    assert result.xstar_estimate.tobytes() == fine.nodes[np.argmax(log_tau)].tobytes()
+
+
+def test_rastrigin_at_1024_peaks_below_36_mib():
+    """A level keeps f as its only per-node array, so annealing rastrigin on a
+    1024^2 grid (8 MiB per array) peaks at about four such arrays."""
+    obj, region = catalog_get("rastrigin")
+    cfg = ContinuationConfig(integrator=IntegratorConfig(kind="grid", resolution=1024))
+    tracemalloc.start()
+    try:
+        run_continuation(obj, region, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2 ** 20
 
 
 def test_rational_tau_also_monotone():

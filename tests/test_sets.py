@@ -277,7 +277,7 @@ def test_extract_set_reuses_finest_level_f():
         assert sum(calls) - before == evals
     # the cached f is the f a fresh evaluation gives
     twin_mesh = cases[2][0]
-    assert np.array_equal(base.mesh_values(twin_mesh)[0], obj(twin_mesh.nodes))
+    assert np.array_equal(base.mesh_values(twin_mesh), obj(twin_mesh.nodes))
 
 
 @pytest.mark.parametrize("name, tau", [("paper2d", None), ("paper1d", Rational(p=1.0))])
@@ -364,6 +364,24 @@ def test_basin_masses_are_support_weight_sums(name, centers, ks):
         for c, mass in zip(centers, rep.masses):
             ball = np.linalg.norm(fine.nodes - np.asarray(c), axis=1) <= 0.25
             assert mass == pytest.approx(float(np.sum(w[ball])), rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("on_disk", [False, True])
+def test_basin_masses_build_no_node_array(paper2d_disk, on_disk):
+    """The ball's indicator reaches an uncut grid level slab by slab from its mesh,
+    so neither level builds its node array, and the mass is the weights summed
+    over the ball's nodes of a twin mesh."""
+    obj, region = paper2d_disk if on_disk else catalog_get("paper2d")
+    m = NascentMD(obj, region, k=1.0, integrator=IntegratorConfig(kind="grid", resolution=256))
+    centre = (region.lower + region.upper) / 2.0
+    rep = basin_masses(m, [centre], 0.3)
+    for lv in m.levels():
+        assert "nodes" not in vars(lv.mesh)
+    fine, w = m._support(1)
+    assert fine.mesh is not None
+    ball = np.linalg.norm(region.build_grid(256).nodes - centre, axis=1) <= 0.3
+    assert rep.masses[0] == pytest.approx(float(np.sum(w[ball])), rel=0, abs=1e-14)
+
 
 def test_containment_rejects_meshes_with_different_members():
     # same box and resolution, complementary halves of 2,048 nodes each
