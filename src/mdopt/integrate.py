@@ -6,8 +6,8 @@ meshes at resolutions max(res // 2, 2) and res (midpoint rule; error from the
 difference of the two), held as meshes whose node arrays are built only when
 read, or the first n/2 and all n points of one seeded uniform member sample
 weighted mu/n (Monte Carlo; 3-sigma error, plus the measure's own on
-constrained regions).  The max-shifted ``logsumexp`` and
-``softmax`` here serve ``log_integrate_exp`` and the density engine's weights.
+constrained regions).  The max-shifted ``logsumexp`` serves ``log_integrate_exp``
+and the density engine's log-sums; ``softmax`` is the dense form of its weights.
 """
 
 from __future__ import annotations
@@ -93,10 +93,6 @@ class Level:
     def nodes(self) -> np.ndarray:
         """The member points; a grid level's are the mesh's, built when first read."""
         return self.points if self.mesh is None else self.mesh.nodes
-
-    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
-        """sum_i w_i x_i over the nodes, from the lattice marginals on a grid mesh."""
-        return w @ self.points if self.mesh is None else self.mesh.weighted_sum(w)
 
     def node(self, i: int) -> np.ndarray:
         """Member point i as a new array, read from the axes on a grid mesh."""

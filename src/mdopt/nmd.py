@@ -5,40 +5,40 @@ rational 1/(f - L + p)), so m^(k) concentrates on the global minimizers as k
 grows.  Each tau kind owns ``log_tau(f, k)`` (k log tau in one pass),
 ``dlog_tau_df(f)`` and ``resolved(f)``, which fixes a data-dependent shift once.
 Everything is evaluated in log space on the two levels of ``integrate.levels``,
-held as frozen ``DensityLevel`` records (points or mesh, weight, f, max and min
-log tau) built once with the resolved tau and mu: m^(k) depends on a node only
-through f, its one per-node array, and a grid level keeps no node array.  A
-log-sum of k log tau per (k, level), made when first read, gives log Z(k)
-(finest level) and log E^(k)(tau) = log Z(k+1) - log Z(k); one softmax pass per
-level gives E f, E (f - c)^2 and E x (on a grid level, from the weights' lattice
-marginals), each with the levels' difference as its error, where c is the
-finest level's min f, so Var^(k)(f) = E (f - c)^2 - (E f - c)^2 does not move
-when a constant is added to f; E log tau is reduced only when read.  ``with_k``
-clones share the levels, the log-sums, ``Moments`` and the f that ``mesh_values``
-held for the latest mesh without a level's layout, so each f is evaluated once.
-Weights are formed on the support of m^(k), the nodes whose weight is not exactly
-0 (exp underflows below -745.13), and a larger k starts from the last support.
-A level is cut only when at most half its nodes survive, so no copy of a barely
-smaller level sits next to the full-size temporaries.  On the support, k log tau
-is clipped at 650 below its maximum (k times the level's cached max log tau)
-before the softmax, and the clipped nodes get weight exactly 0; when k times the
-level's min log tau is above that floor neither pass is made.  numpy's SIMD exp
-leaves its fast path at inputs <= -708 (with numpy 2.4, per 10^6 inputs: 1.7 ms
-at -700, 28 ms at -708, 239 ms at -709 where the result is subnormal), and the
-mass dropped is at most N e^-650 ~ 1e-273 of Z.  Every weight is 0 or a normal
-float (>= e^-650 / N) for N < 2^31.  ``expectation(h)`` evaluates h, and checks
-``DomainError``, on the support (slab by slab on a grid).  k must be finite and >= 0.
+held as frozen ``DensityLevel`` records (points or mesh, weight, f, and log tau at
+the level's min and max f, its max and min) built once with the resolved tau and
+mu: m^(k) depends on a node only through f, and a grid level keeps no node array.
+A log-sum of k log tau per (k, level), made when first read, gives log Z(k)
+(finest level) and log E^(k)(tau) = log Z(k+1) - log Z(k).  One pass per level
+(``_reduce``) walks it in blocks of at most BLOCK_ROWS nodes, a grid mesh's slabs
+or slices of the points, and sums e = exp(k log tau - k max log tau) and e h for
+each integrand, so no weight array is made; it gives E f, E (f - c)^2 and E x (on
+a grid, from each slab's lattice marginals), each with the levels' difference as
+its error, where c is the finest level's min f, so Var^(k)(f) = E (f - c)^2 -
+(E f - c)^2 does not move when a constant is added to f.  E log tau is reduced
+when first read.  ``with_k`` clones share the levels, the log-sums, ``Moments``,
+E log tau and the f that ``mesh_values`` held for the latest mesh without a
+level's layout, so each f is evaluated once.  The pass runs on the support of
+m^(k), the nodes whose weight is not exactly 0 (exp underflows below -745.13), and
+a larger k starts from the last support; a level is cut only when at most half
+its nodes survive.  k log tau is clipped at 650 below its max, the clipped nodes
+weighing exactly 0, so every e is 0 or a normal float, exp stays on numpy's SIMD
+fast path (inputs > -708; with numpy 2.4 it costs 1.7 ms per 10^6 at -700 and 239
+ms at -709) and the mass dropped is at most N e^-650 ~ 1e-273 of Z.
+``expectation(h)`` evaluates h, and checks ``DomainError``, block by block on the
+support.  k must be finite and >= 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .integrate import (IntegratorConfig, Level, default_config,
-                        levels as quadrature_levels, logsumexp, softmax)
+                        levels as quadrature_levels, logsumexp)
+from .integrate import softmax  # noqa: F401  bench/tracer.py wraps nmd.softmax by name
 from .objective import Objective, evaluate_batch, gradient
 from .region import BLOCK_ROWS, CompactRegion, Estimate, GridMesh, _as_points
 
@@ -117,6 +117,20 @@ class DensityLevel(Level):
     log_tau_max: float
     log_tau_min: float
 
+    def blocks(self) -> Iterator[tuple[np.ndarray, Callable, Callable]]:
+        """The nodes in level order as (f, points, weighted_sum) blocks of at most BLOCK_ROWS:
+        f, a map to the ``(n, dim)`` points and one from a weight per node to sum_i w_i x_i;
+        a grid level's mesh slabs (the sum from lattice marginals), else ``points`` slices."""
+        if self.mesh is not None:
+            i = 0
+            for n, points, weighted_sum in self.mesh.slabs(BLOCK_ROWS):
+                yield self.f[i:i + n], points, weighted_sum
+                i += n
+            return
+        for i in range(0, self.f.size, BLOCK_ROWS):
+            pts = self.points[i:i + BLOCK_ROWS]
+            yield self.f[i:i + BLOCK_ROWS], lambda pts=pts: pts, lambda w, pts=pts: w @ pts
+
     def restrict(self, keep: np.ndarray) -> "DensityLevel":
         """The nodes where ``keep`` holds as coordinate-major points, with no mesh (a
         grid level's are compressed slab by slab, without its node array); ``keep``
@@ -158,9 +172,9 @@ class NascentMD:
         self.tau = tau if tau is not None else Exponential()
         self.k = float(k)
         self.integrator = integrator or default_config(region.dim)
-        # shared across with_k clones (one tau kind): density levels, measure, resolved
-        # tau, per-(k, level) log-sums, per-k moments, per-level support, one other mesh's f
-        self._shared = _shared or {"log_sums": {}, "moments": {}, "support": {}, "mesh": []}
+        # shared across with_k clones (one tau kind): density levels, measure, resolved tau,
+        # per-(k, level) log-sums, per-k moments and E log tau, per-level support, one mesh's f
+        self._shared = _shared or dict(log_sums={}, moments={}, log_tau={}, support={}, mesh=[])
 
     def with_k(self, k: float) -> "NascentMD":
         """Same density family at a different k, sharing all node caches."""
@@ -182,10 +196,9 @@ class NascentMD:
             fs = [evaluate_batch(self.objective, lv.mesh) for lv in nodesets]
         tau = self.tau.resolved(fs[-1])
         levels = []
-        for lv, f in zip(nodesets, fs):
-            log_tau = tau.log_tau(f)
-            levels.append(DensityLevel(lv.points, lv.log_node_weight, lv.mesh, f,
-                                       float(np.max(log_tau)), float(np.min(log_tau))))
+        for lv, f in zip(nodesets, fs):  # tau decreases in f: log tau is extreme where f is
+            hi, lo = tau.log_tau(np.array([np.min(f), np.max(f)]))
+            levels.append(DensityLevel(lv.points, lv.log_node_weight, lv.mesh, f, hi, lo))
         self._shared.update(mu=mu.value, tau=tau, levels=levels, f_min=float(np.min(fs[-1])))
         return levels
 
@@ -194,30 +207,57 @@ class NascentMD:
         self.levels()
         return self._shared["tau"]
 
-    def _support(self, i: int) -> tuple[DensityLevel, np.ndarray]:
-        """Level i (0 coarse, 1 finest) or its support, and the weights; the one place
-        weights are made.  Starts from the cached support if cut at k0 <= k (k log tau <
-        max - 746 weighs 0 at any k >= k0); caches a cut when at most half survives.
-        Weights below e^-650 of the largest are set to exactly 0, so exp never sees
-        an input below -650 and no weight is subnormal."""
+    def _support(self, i: int) -> DensityLevel:
+        """Level i (0 coarse, 1 finest) or its support, starting from the support cut at
+        k0 <= k (k log tau < max - 746 weighs 0 at any k >= k0).  When the pass will clip,
+        it cuts, and caches the cut, if at most half has k log tau >= max - 746."""
         k0, level = self._shared["support"].get(i, (np.inf, None))
         level = level if self.k >= k0 else self.levels()[i]
         top = self.k * level.log_tau_max  # == max(k log tau): rounding is monotone, k >= 0
-        floor = top - 650.0
-        a = self._shared["tau"].log_tau(level.f, self.k)
-        if self.k * level.log_tau_min >= floor:  # nothing to drop or clip
-            return level, softmax(a)
-        keep = a >= top - 746.0
+        if self.k * level.log_tau_min >= top - 650.0:  # nothing to drop or clip
+            return level
+        tau, keep = self._shared["tau"], np.empty(level.f.size, dtype=bool)
+        for j in range(0, keep.size, BLOCK_ROWS):
+            np.greater_equal(tau.log_tau(level.f[j:j + BLOCK_ROWS], self.k), top - 746.0,
+                             out=keep[j:j + BLOCK_ROWS])
         if 2 * np.count_nonzero(keep) <= keep.size:
-            del a  # the full-size array goes before the copies are made
             level = level.restrict(keep)
             self._shared["support"][i] = (self.k, level)
-            a = self._shared["tau"].log_tau(level.f, self.k)
-        clipped = np.less(a, floor, out=keep[:a.size])
-        np.maximum(a, floor, out=a)
-        w = softmax(a)
-        np.putmask(w, clipped, 0.0)
-        return level, w
+        return level
+
+    def _reduce(self, level: DensityLevel, integrands, spread: bool = False):
+        """E^(k) on ``level`` of each integrand, a map from a block of ``level.blocks()`` to
+        its node values or to a map from the block's weights to their weighted sum (the
+        location x), from one walk over the blocks: the one place weights meet node values.
+        A block's weights are e = exp(k log tau - k max log tau), 0 where k log tau is
+        clipped; sums are divided by sum e at the end.  With ``spread``, also sum w^2 (h -
+        E h)^2 per scalar integrand (else None), from each block's sums of e^2 (h - b)^j,
+        j = 0, 1, 2, about its own mean b."""
+        tau, k = self._shared["tau"], self.k
+        top = k * level.log_tau_max
+        clip = k * level.log_tau_min < top - 650.0
+        z, sums, parts = 0.0, [0.0] * len(integrands), []
+        for block in level.blocks():
+            e = tau.log_tau(block[0], k)  # block = (f, points, weighted_sum)
+            if clip:
+                clipped = e < top - 650.0
+                np.maximum(e, top - 650.0, out=e)
+            np.exp(np.subtract(e, top, out=e), out=e)
+            if clip:
+                np.putmask(e, clipped, 0.0)
+            z_block = np.sum(e)
+            z += z_block
+            for j, v in enumerate(h(*block) for h in integrands):
+                ev = v(e) if callable(v) else e @ v
+                sums[j] += ev
+                if spread and not callable(v) and z_block > 0.0:
+                    d = np.multiply(v - ev / z_block, e)
+                    parts.append((j, ev / z_block, e @ e, d @ e, d @ d))
+        means = [t / z for t in sums]
+        out = np.zeros(len(integrands))
+        for j, b, q0, q1, q2 in parts:
+            out[j] += q2 - 2.0 * (means[j] - b) * q1 + (means[j] - b) ** 2 * q0
+        return means, out / z ** 2 if spread else None
 
     def _log_sum(self, k: float, level: int) -> float:
         """logsumexp(k log tau) on level 0 (coarse) or 1 (finest), made when first read."""
@@ -285,39 +325,28 @@ class NascentMD:
 
     # --- expectations --------------------------------------------------------
 
-    def _estimates(self, *integrands: Callable[[DensityLevel], np.ndarray | Callable]
-                   ) -> list[Estimate]:
-        """E^(k) of each integrand, a map from a level to its node values or to a
-        map from the weights to the weighted sum (the location x, which a grid
-        level sums from its lattice marginals), from one softmax pass per level;
-        the one place where weights meet node values.
+    def _estimates(self, *integrands: Callable[..., np.ndarray | Callable]) -> list[Estimate]:
+        """E^(k) of each integrand (see ``_reduce``) from one pass per level.
 
         The error is the two levels' difference, or 3 sigma on the finest level
         under Monte Carlo.  A vector-valued integrand (the location x) gets a
         read-only vector value and the norm of the difference.
         """
-        avgs = []
-        for i in (0, 1):
-            level, w = self._support(i)
-            hs = [h(level) for h in integrands]
-            avgs.append([h(w) if callable(h) else w @ h for h in hs])
-        w2 = w ** 2 if self.integrator.kind == "mc" else None
-        return [self._estimate(coarse, fine, w2, h) for coarse, fine, h in zip(*avgs, hs)]
-
-    @staticmethod
-    def _estimate(coarse, fine, w2: np.ndarray | None, h: np.ndarray) -> Estimate:
-        """A vector value with the norm of the levels' difference; a scalar with
-        3 sigma from the squared finest weights ``w2`` (Monte Carlo) or the levels'
-        difference (``w2`` None)."""
-        if np.ndim(fine):
-            fine.setflags(write=False)
-            return Estimate(fine, float(np.linalg.norm(fine - coarse)))
-        if w2 is not None:
-            return Estimate(float(fine), 3.0 * float(np.sqrt(np.sum(w2 * (h - fine) ** 2))))
-        return Estimate(float(fine), abs(float(fine) - float(coarse)))
+        mc = self.integrator.kind == "mc"
+        coarse, _ = self._reduce(self._support(0), integrands)
+        fine, spread = self._reduce(self._support(1), integrands, spread=mc)
+        out = []
+        for j, (c, v) in enumerate(zip(coarse, fine)):
+            if np.ndim(v):
+                v.setflags(write=False)
+                out.append(Estimate(v, float(np.linalg.norm(v - c))))
+            else:
+                err = 3.0 * np.sqrt(max(spread[j], 0.0)) if mc else abs(v - c)
+                out.append(Estimate(float(v), float(err)))
+        return out
 
     def moments(self) -> Moments:
-        """E f, E (f - c)^2 and E x from one weight pass per level.
+        """E f, E (f - c)^2 and E x from one pass per level.
 
         Cached per k and shared by ``with_k`` clones.
         """
@@ -325,8 +354,8 @@ class NascentMD:
         if self.k not in cache:
             self.levels()
             c = self._shared["f_min"]
-            f, fc2, x = self._estimates(
-                lambda lv: lv.f, lambda lv: self._square(lv.f - c), lambda lv: lv.weighted_sum)
+            f, fc2, x = self._estimates(lambda f, *_: f, lambda f, *_: np.square(f - c),
+                                        lambda f, points, weighted_sum: weighted_sum)
             cache[self.k] = Moments(f=f, fc2=fc2, c=c, x=x)
         return cache[self.k]
 
@@ -335,23 +364,14 @@ class NascentMD:
         """E^(k) of h^nu, optionally with the integration variable shifted.
 
         ``h=None`` means the objective itself (its node values are cached).  h must be
-        row-wise, like ``Objective.fn``: a grid level's nodes reach it slab by slab.
+        row-wise, like ``Objective.fn``: it is handed the nodes block by block.
         """
         if h is None and shift is None:
-            return self._estimates(lambda lv: self._power(lv.f, nu))[0]
+            return self._estimates(lambda f, *_: self._power(f, nu))[0]
         off = np.zeros(self.region.dim) if shift is None else np.asarray(shift, float)
         fn = h if h is not None else (lambda p: evaluate_batch(self.objective, p))
-
-        def values(lv: DensityLevel) -> np.ndarray:
-            blocks = [lv.points] if lv.mesh is None else lv.mesh.blocks(BLOCK_ROWS)
-            vals = np.concatenate([np.asarray(fn(b + off), float) for b in blocks])
-            return self._power(vals, nu)
-        return self._estimates(values)[0]
-
-    @staticmethod
-    def _square(d: np.ndarray) -> np.ndarray:
-        """d^2 in place, so a level's moments make one new array."""
-        return np.multiply(d, d, out=d)
+        return self._estimates(
+            lambda f, points, _: self._power(np.asarray(fn(points() + off), float), nu))[0]
 
     @staticmethod
     def _power(vals: np.ndarray, nu: float) -> np.ndarray:
@@ -365,8 +385,12 @@ class NascentMD:
         return self.moments().f
 
     def expect_log_tau(self) -> Estimate:
-        """E^(k)(log tau), reduced when read: no continuation stage reports it."""
-        return self._estimates(lambda lv: self.resolved_tau().log_tau(lv.f))[0]
+        """E^(k)(log tau), reduced when first read (no continuation stage reports it)
+        and cached per k, shared by ``with_k`` clones."""
+        cache, tau = self._shared["log_tau"], self.resolved_tau()
+        if self.k not in cache:
+            cache[self.k] = self._estimates(lambda f, *_: tau.log_tau(f))[0]
+        return cache[self.k]
 
     def log_expect_tau(self) -> Estimate:
         """log E^(k)(tau), with the levels' difference of it as the error."""

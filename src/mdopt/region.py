@@ -63,29 +63,32 @@ class Estimate:
     error: float
 
 
-def _slabs(axes: tuple[np.ndarray, ...], rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The lattice of ``axes`` in row-major order as (start, coords) slabs of at most
-    ``rows`` points; ``coords`` is a ``(dim, n)`` view of one reused buffer holding
-    lattice points start .. start + n - 1.
-
-    A slab is whole rows of the last axis, as many as fit, or a piece of one row
-    when a row is longer than ``rows``.  Each axis is written by broadcasting: the
-    leading axes' coordinates once per row, the last axis as the axis itself.
+def _spans(axes: tuple[np.ndarray, ...], rows: int
+           ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The lattice of ``axes`` in row-major order as (start, lead, last) slabs of at most
+    ``rows`` points, lattice points start .. start + n - 1: whole rows of the last axis,
+    as many as fit, or a piece of one row when a row is longer than ``rows``.  The
+    slab's r rows have leading coordinates ``lead`` (dim - 1, r); each crosses ``last``.
     """
     dim, res = len(axes), len(axes[0])
     per, width = max(rows // res, 1), min(res, rows)  # rows per slab, points per row piece
     n_rows = res ** (dim - 1)
-    buf = np.empty((dim, min(per, n_rows) * width))
     for g in range(0, n_rows, per):
         row = np.arange(g, min(g + per, n_rows))
+        lead = np.array([axes[j][row // res ** (dim - 2 - j) % res] for j in range(dim - 1)])
         for c in range(0, res, width):
-            w = min(width, res - c)
-            coords = buf[:, :len(row) * w]
-            grid = coords.reshape(dim, len(row), w)
-            for j in range(dim - 1):
-                grid[j] = axes[j][row // res ** (dim - 2 - j) % res][:, None]
-            grid[-1] = axes[-1][c:c + w]
-            yield g * res + c, coords
+            yield g * res + c, lead.reshape(dim - 1, len(row)), axes[-1][c:c + width]
+
+
+def _coords(lead: np.ndarray, last: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """A slab's lattice points as a ``(dim, n)`` view of the head of ``buf``, each axis
+    written by broadcasting: the leading coordinates once per row, then ``last``."""
+    r, w = lead.shape[1], len(last)
+    coords = buf[:, :r * w]
+    grid = coords.reshape(-1, r, w)
+    grid[:-1] = lead[:, :, None]
+    grid[-1] = last
+    return coords
 
 
 @dataclass(frozen=True)
@@ -115,22 +118,40 @@ class GridMesh:
     @cached_property
     def nodes(self) -> np.ndarray:
         """The member points, coordinate-major, built when first read."""
-        ((_, coords),) = _slabs(self.axes, self.lattice_mask.size)
-        if self.region.constraints:
-            coords = np.compress(self.lattice_mask.reshape(-1), coords, axis=1)
-        return coords.T
+        return next(self.blocks(self.lattice_mask.size), np.empty((0, len(self.axes))))
+
+    def slabs(self, rows: int) -> Iterator[tuple[int, Callable[[], np.ndarray],
+                                                 Callable[[np.ndarray], np.ndarray]]]:
+        """The member points in mesh order, one slab of at most ``rows`` lattice points
+        that holds a member at a time, as (n, points, weighted_sum): the member count,
+        a map to the ``(n, dim)`` points, valid until the next slab's are made, and a
+        map from one weight per member to sum_i w_i x_i, each axis's lattice marginal
+        of the weights (0 off the region) dotted with that axis, with no points made."""
+        member, cut = self.lattice_mask.reshape(-1), bool(self.region.constraints)
+        buf = np.empty((len(self.axes), min(rows, member.size)))
+        for start, lead, last in _spans(self.axes, rows):
+            sel = member[start:start + lead.shape[1] * len(last)]
+            n = np.count_nonzero(sel) if cut else sel.size
+            if n == 0:
+                continue
+
+            def points(lead=lead, last=last, sel=sel):
+                coords = _coords(lead, last, buf)
+                return (np.compress(sel, coords, axis=1) if cut else coords).T
+
+            def weighted_sum(w, lead=lead, last=last, sel=sel):
+                if cut:
+                    lat = np.zeros(sel.size)
+                    lat[sel] = w
+                    w = lat
+                w = w.reshape(lead.shape[1], len(last))
+                return np.append(lead @ np.sum(w, axis=1), last @ np.sum(w, axis=0))
+            yield n, points, weighted_sum
 
     def blocks(self, rows: int) -> Iterator[np.ndarray]:
-        """The member points in mesh order as ``(n, dim)`` blocks, one per slab of at
-        most ``rows`` lattice points that holds a member; each block is a view of a
-        reused buffer, valid until the next is made."""
-        member = self.lattice_mask.reshape(-1)
-        for start, coords in _slabs(self.axes, rows):
-            if self.region.constraints:
-                coords = np.compress(member[start:start + coords.shape[1]], coords, axis=1)
-                if coords.shape[1] == 0:
-                    continue
-            yield coords.T
+        """The member points in mesh order as ``(n, dim)`` blocks, one per slab that
+        holds a member (see ``slabs``)."""
+        return (points() for _, points, _ in self.slabs(rows))
 
     def compress(self, keep: np.ndarray) -> np.ndarray:
         """The member points where ``keep`` (one flag per member) holds, as a
@@ -143,19 +164,6 @@ class GridMesh:
             np.compress(sel, block.T, axis=1, out=out[:, n:n + m])
             n += m
         return out.T
-
-    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
-        """sum_i w_i x_i over the member points: each axis's lattice marginal of the
-        weights ``w`` (one per member, scattered onto the lattice with 0 off the
-        region) dotted with that axis."""
-        if self.region.constraints:
-            lat = np.zeros(self.resolution)
-            lat[self.lattice_mask] = w
-        else:
-            lat = w.reshape(self.resolution)
-        dims = range(lat.ndim)
-        return np.array([np.sum(lat, axis=tuple(a for a in dims if a != j)) @ self.axes[j]
-                         for j in dims])
 
     def node(self, i: int) -> np.ndarray:
         """Member point i in mesh order, read from the axes: the bits of ``nodes[i]``."""
@@ -254,7 +262,9 @@ class CompactRegion:
         mask = np.ones(shape, dtype=bool)
         if self.constraints:
             member = mask.reshape(-1)
-            for start, coords in _slabs(axes, BLOCK_ROWS):
+            buf = np.empty((self.dim, min(BLOCK_ROWS, mask.size)))
+            for start, lead, last in _spans(axes, BLOCK_ROWS):
+                coords = _coords(lead, last, buf)
                 member[start:start + coords.shape[1]] = self.contains(coords.T)
         return GridMesh(region=self, resolution=shape, axes=axes, lattice_mask=mask,
                         cell_volume=float(np.prod(widths)))

@@ -289,6 +289,27 @@ def test_shrinkrate_computes_gradients_twice(runner, tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("argv, passes", [
+    (["shrinkrate", "--function", "paper2d", "--k", "8"], 2),
+    (["sets", "--function", "paper2d", "--k", "0,1,4,16"], 8),
+    (["minimize", "--function", "paper2d"], 20),
+])
+def test_weight_passes_per_command(runner, tmp_path, monkeypatch, argv, passes):
+    """One weight pass per level for each reduction: shrinkrate's E log tau at its k
+    is reduced once, though descent_rate reads it twice; sets reduces E f at each
+    of its four k; minimize reduces its moments once per stage for ten stages."""
+    calls = []
+    reduce = NascentMD._reduce
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.k)
+        return reduce(self, *args, **kwargs)
+    monkeypatch.setattr(NascentMD, "_reduce", counting)
+    result = runner.invoke(main, [*argv, "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == passes
+
+
 @pytest.mark.parametrize("argv, name", [
     (["minimize", "--k0", "inf"], "--k0"),
     (["minimize", "--growth", "inf"], "--growth"),

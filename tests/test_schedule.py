@@ -166,12 +166,12 @@ def test_overflowing_ladder_names_stage_and_k():
 
 def test_one_weight_pass_per_level_per_stage(monkeypatch):
     calls = []
-    softmax = nmd.softmax
+    reduce = nmd.NascentMD._reduce
 
-    def counting(x):
-        calls.append(x.shape)
-        return softmax(x)
-    monkeypatch.setattr(nmd, "softmax", counting)
+    def counting(self, level, *args, **kwargs):
+        calls.append(level.f.shape)
+        return reduce(self, level, *args, **kwargs)
+    monkeypatch.setattr(nmd.NascentMD, "_reduce", counting)
     obj, region = catalog_get("paper2d")
     result = run_continuation(obj, region)
     levels = len(nmd.NascentMD(obj, region).levels())

@@ -352,7 +352,7 @@ def test_boundary_points_evaluate_f_at_no_mesh_node():
     ("doublewell", [[-1.0], [1.0]], (1.0, 5.0, 1e4)),
     ("stability1d", [[np.sqrt(2.0 * np.pi)], [np.sqrt(6.0 * np.pi)]], (3.0, 9.0, 1e3)),
 ])
-def test_basin_masses_are_support_weight_sums(name, centers, ks):
+def test_basin_masses_are_support_weight_sums(name, centers, ks, support_weights):
     """Each mass is the expectation of the ball's indicator: the finest support's
     weights summed over the ball, up to summation order."""
     obj, region = catalog_get(name)
@@ -360,14 +360,14 @@ def test_basin_masses_are_support_weight_sums(name, centers, ks):
     for k in ks:
         m = md.with_k(k)
         rep = basin_masses(m, centers, 0.25)
-        fine, w = m._support(1)
+        fine, w = support_weights(m, 1)
         for c, mass in zip(centers, rep.masses):
             ball = np.linalg.norm(fine.nodes - np.asarray(c), axis=1) <= 0.25
             assert mass == pytest.approx(float(np.sum(w[ball])), rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("on_disk", [False, True])
-def test_basin_masses_build_no_node_array(paper2d_disk, on_disk):
+def test_basin_masses_build_no_node_array(paper2d_disk, on_disk, support_weights):
     """The ball's indicator reaches an uncut grid level slab by slab from its mesh,
     so neither level builds its node array, and the mass is the weights summed
     over the ball's nodes of a twin mesh."""
@@ -377,7 +377,7 @@ def test_basin_masses_build_no_node_array(paper2d_disk, on_disk):
     rep = basin_masses(m, [centre], 0.3)
     for lv in m.levels():
         assert "nodes" not in vars(lv.mesh)
-    fine, w = m._support(1)
+    fine, w = support_weights(m, 1)
     assert fine.mesh is not None
     ball = np.linalg.norm(region.build_grid(256).nodes - centre, axis=1) <= 0.3
     assert rep.masses[0] == pytest.approx(float(np.sum(w[ball])), rel=0, abs=1e-14)
