@@ -164,7 +164,7 @@ def main(ctx, config_path):
               default=schedule.ContinuationConfig.growth, show_default=True, callback=_finite)
 @click.option("--stages", type=click.IntRange(min=1),
               default=schedule.ContinuationConfig.max_stages, show_default=True)
-@click.option("--var-tol", type=float, default=schedule.ContinuationConfig.var_tol,
+@click.option("--var-tol", type=click.FloatRange(0), default=schedule.ContinuationConfig.var_tol,
               show_default=True, callback=_finite)
 def minimize(function, tau, p, grid, mc, seed, out, k0, growth, stages, var_tol):
     """Run the k-continuation and write trace.csv + result.json."""
@@ -261,16 +261,15 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
 @click.option("--resolution", type=click.IntRange(min=2), default=None,
               help="mesh resolution per axis (default 65536 in 1-d, 1024 in 2-d)")
 @click.option("--max-iter", type=click.IntRange(min=1), default=64, show_default=True)
-@click.option("--rel-tol", type=float, default=1e-6, show_default=True, callback=_finite)
+@click.option("--rel-tol", type=click.FloatRange(0), default=1e-6, show_default=True,
+              callback=_finite)
 def useq_cmd(function, seed, out, resolution, max_iter, rel_tol):
     """Run the shrinking-average optimizer and write the iteration trace.
 
-    useq evaluates f on its own mesh (--resolution) and uses no density.
-    """
+    useq evaluates f on its own mesh (--resolution) and uses no density."""
     obj, region, _, _ = _resolve(function)
     res = resolution or (2 ** 16 if region.dim == 1 else 1024)
-    states, fstar = useq_mod.useq_run(obj, region, res, max_iter=max_iter,
-                                      rel_tol=rel_tol)
+    states, fstar = useq_mod.useq_run(obj, region, res, max_iter=max_iter, rel_tol=rel_tol)
     _write_outputs(out, {"useq.csv": {
         name: [getattr(s, name) for s in states]
         for name in ("iteration", "threshold", "measure", "node_count", "best_value")}},

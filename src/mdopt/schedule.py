@@ -34,6 +34,8 @@ class ContinuationConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k0 <= 0:
             raise ValueError("k0 must be positive")
+        if self.var_tol < 0:
+            raise ValueError("var_tol must be non-negative")
         if self.growth <= 1.0:
             raise ValueError("growth must exceed 1")
         if self.max_stages < 1:

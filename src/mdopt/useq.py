@@ -4,20 +4,20 @@ own average until the average stops improving.
 Each step replaces the current node set by the nodes at or below the mean of
 f over that set.  Thresholds decrease strictly for non-constant f and are
 always lower-bounded by the true minimum, since every surviving set contains
-the mesh argmin.  By induction every set is a sublevel set {f <= l} of the
-mesh, so a state holds only f on its set (in mesh order) and a step's work
-falls with the set.  Its mask {f <= max of f on the set} is exact: every node
-of the set passes, and a node that passes has f <= l, so it is in the set.
+the mesh argmin.  A set that shrinks is {f <= previous threshold}, so a state
+is a row of scalars, and a run lives in the one f array that ``useq_init``
+evaluates: each step moves the values at or below the threshold to its front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .objective import Objective, evaluate_batch
-from .region import CompactRegion, GridMesh
+from .region import BLOCK_ROWS, CompactRegion, GridMesh
 
 
 MIN_NODES = 16  # below this the set mean is unreliable; stop and keep the best
@@ -26,74 +26,73 @@ MIN_NODES = 16  # below this the set mean is unreliable; stop and keep the best
 @dataclass(frozen=True)
 class UniformSeqState:
     iteration: int
+    objective: Objective
     mesh: GridMesh
-    fvals: np.ndarray  # f on every mesh node, shared by all states of a run
-    values: np.ndarray  # f on the set's nodes in mesh order; fvals itself for every node
+    level: float  # the set is {f <= level}: the previous threshold, inf for the whole mesh
     threshold: float
     measure: float
+    node_count: int
     best_value: float
     stopped: bool = False
 
     @property
-    def node_count(self) -> int:
-        return len(self.values)
-
-    @property
     def mask(self) -> np.ndarray:
-        """Membership of every mesh node in the set, the sublevel set of its max."""
-        return self.fvals <= np.max(self.values)
+        """Membership of every mesh node in the set; evaluates f on the mesh again."""
+        return evaluate_batch(self.objective, self.mesh) <= self.level
 
 
-def _state(iteration: int, mesh: GridMesh, fvals: np.ndarray,
-           values: np.ndarray) -> UniformSeqState:
-    """The state whose set holds f ``values``: threshold their mean, measure
-    their cell volume, best value their minimum."""
-    return UniformSeqState(
-        iteration=iteration, mesh=mesh, fvals=fvals, values=values,
-        threshold=float(np.mean(values)),
-        measure=float(mesh.cell_volume * values.shape[0]),
-        best_value=float(np.min(values)),
-    )
+def _state(iteration: int, obj: Objective, mesh: GridMesh, level: float, values: np.ndarray):
+    """The state whose set {f <= level} holds f ``values``, its numbers read from them."""
+    return UniformSeqState(iteration, obj, mesh, level, threshold=float(np.mean(values)),
+                           measure=float(mesh.cell_volume * values.shape[0]),
+                           node_count=values.shape[0], best_value=float(np.min(values)))
 
 
-def useq_init(obj: Objective, region: CompactRegion, mesh_resolution) -> UniformSeqState:
-    """Initial state: the whole mesh, threshold = mean of f over the region."""
+def useq_init(obj: Objective, region: CompactRegion,
+              mesh_resolution) -> tuple[UniformSeqState, np.ndarray]:
+    """Initial state, the whole mesh with threshold = mean of f over the region,
+    and f on every mesh node: the buffer that the run's steps compact."""
     mesh = region.build_grid(mesh_resolution)
-    fvals = evaluate_batch(obj, mesh)
-    return _state(0, mesh, fvals, fvals)
+    buf = evaluate_batch(obj, mesh)
+    return _state(0, obj, mesh, np.inf, buf), buf
 
 
-def useq_step(state: UniformSeqState) -> UniformSeqState:
-    """One shrink: keep the nodes at or below the current set average.
-
-    If the set would not shrink (constant f) or would drop below MIN_NODES,
-    the state comes back with the stop flag set instead of raising.
-    """
-    values = state.values[state.values <= state.threshold]
-    if values.shape[0] == state.node_count or values.shape[0] < MIN_NODES:
+def useq_step(state: UniformSeqState, buf: np.ndarray) -> UniformSeqState:
+    """One shrink: move f on the nodes at or below the set average to the front of ``buf``,
+    whose first node_count values are f on the set in mesh order.  A set that would not
+    shrink (constant f) or would drop below MIN_NODES comes back stopped, buf intact."""
+    values, t = buf[:state.node_count], state.threshold
+    blocks = range(0, values.shape[0], BLOCK_ROWS)
+    passed = accumulate(np.count_nonzero(values[i:i + BLOCK_ROWS] <= t) for i in blocks)
+    if all(n < MIN_NODES for n in passed):  # counts until MIN_NODES pass: one block, mostly
         return replace(state, stopped=True)
-    return _state(state.iteration + 1, state.mesh, state.fvals, values)
+    count = 0
+    for i in blocks:
+        block = values[i:i + BLOCK_ROWS]
+        kept = block[block <= t]
+        values[count:count + kept.shape[0]] = kept
+        count += kept.shape[0]
+    if count == state.node_count:
+        return replace(state, stopped=True)
+    return _state(state.iteration + 1, state.objective, state.mesh, t, values[:count])
 
 
-def useq_run(obj: Objective, region: CompactRegion, mesh_resolution,
-             max_iter: int = 64, rel_tol: float = 1e-6,
-             ) -> tuple[list[UniformSeqState], float]:
+def useq_run(obj: Objective, region: CompactRegion, mesh_resolution, max_iter: int = 64,
+             rel_tol: float = 1e-6) -> tuple[list[UniformSeqState], float]:
     """Iterate until the stop flag, max_iter, or small relative improvement.
-
-    Returns the state history and the final threshold as the minimum estimate.
-    """
+    Returns the state history and the final threshold as the minimum estimate."""
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    state = useq_init(obj, region, mesh_resolution)
+    if not rel_tol >= 0:
+        raise ValueError(f"rel_tol must be non-negative, got {rel_tol}")
+    state, buf = useq_init(obj, region, mesh_resolution)
     history = [state]
     for _ in range(max_iter):
-        nxt = useq_step(state)
-        if nxt.stopped:
-            history[-1] = nxt
+        prev, state = state, useq_step(state, buf)
+        if state.stopped:
+            history[-1] = state
             break
-        small = abs(state.threshold - nxt.threshold) < rel_tol * max(abs(nxt.threshold), 1.0)
-        history.append(nxt)
-        state = nxt
-        if small:
+        history.append(state)
+        if abs(prev.threshold - state.threshold) < rel_tol * max(abs(state.threshold), 1.0):
             break
     return history, history[-1].threshold

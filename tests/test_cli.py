@@ -183,8 +183,10 @@ def test_sets_profile_round_trips_bit_for_bit(runner, tmp_path):
     ["minimize", "--function", "paper1d", "--k0", "0"],
     ["minimize", "--function", "paper1d", "--tau", "rational", "--p", "0"],
     ["minimize", "--function", "paper1d", "--mc", "1000", "--seed", "-1"],
+    ["minimize", "--function", "paper1d", "--var-tol", "-1"],
     ["useq", "--function", "paper1d", "--resolution", "1"],
     ["useq", "--function", "paper1d", "--max-iter", "0"],
+    ["useq", "--function", "paper1d", "--rel-tol", "-1"],
     ["sets", "--function", "paper1d", "--k", "1", "--profile-res", "1"],
     ["shrinkrate", "--function", "paper1d", "--dk", "0"],
     ["shrinkrate", "--function", "paper1d", "--k", "-1"],

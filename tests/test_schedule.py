@@ -148,6 +148,9 @@ def test_config_validation():
         ContinuationConfig(growth=1.0)
     with pytest.raises(ValueError):
         ContinuationConfig(max_stages=0)
+    with pytest.raises(ValueError, match="var_tol must be non-negative"):
+        ContinuationConfig(var_tol=-1e-12)
+    assert ContinuationConfig(var_tol=0.0).var_tol == 0.0
 
 
 @pytest.mark.parametrize("name", ["k0", "growth", "var_tol"])

@@ -1,12 +1,13 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdopt.objective import Objective, catalog_get
-from mdopt.region import box
-from mdopt.useq import useq_init, useq_run, useq_step
+from mdopt.objective import Objective, catalog_get, evaluate_batch
+from mdopt.region import BLOCK_ROWS, box
+from mdopt.useq import MIN_NODES, useq_init, useq_run, useq_step
 
 import oracles
 
@@ -71,11 +72,12 @@ def test_paper2d_survivors_near_minimizer(paper2d_oracle):
 
 def test_step_constant_sets_flag():
     obj, region = catalog_get("const3")
-    state = useq_init(obj, region, 64)
-    nxt = useq_step(state)
+    state, buf = useq_init(obj, region, 64)
+    nxt = useq_step(state, buf)
     assert nxt.stopped
     assert nxt.threshold == pytest.approx(3.0)
     assert nxt.node_count == state.node_count
+    assert np.array_equal(buf, evaluate_batch(obj, state.mesh))
 
 
 def test_best_value_tracks_minimum():
@@ -101,6 +103,19 @@ def test_run_rejects_max_iter_below_one(max_iter):
         useq_run(obj, region, 64, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("rel_tol", [-1e-12, -1.0, np.nan])
+def test_run_rejects_negative_rel_tol(rel_tol):
+    obj, region = catalog_get("paper1d")
+    with pytest.raises(ValueError, match="rel_tol"):
+        useq_run(obj, region, 64, rel_tol=rel_tol)
+
+
+def test_run_accepts_zero_rel_tol():
+    obj, region = catalog_get("paper1d")
+    states, _ = useq_run(obj, region, 4096, rel_tol=0.0)
+    assert states[-1].stopped or len(states) == 65
+
+
 def _mask_recurrence(obj, region, res, max_iter=64, rel_tol=1e-6):
     """(threshold, measure, node_count, best_value, mask) per state, from a
     boolean mask over all nodes narrowed step by step (the former recurrence)."""
@@ -121,29 +136,44 @@ def _mask_recurrence(obj, region, res, max_iter=64, rel_tol=1e-6):
     return rows
 
 
-@pytest.mark.parametrize("name", ["paper2d", "rastrigin"])
-def test_states_match_mask_recurrence(name):
-    obj, region = catalog_get(name)
-    states, _ = useq_run(obj, region, 256)
-    want = _mask_recurrence(obj, region, 256)
-    assert len(states) == len(want) > 5
+def _states_match_mask_recurrence(obj, region, res) -> int:
+    """Check every state of a run against the recurrence's, numbers exactly;
+    returns the number of states."""
+    states, _ = useq_run(obj, region, res)
+    want = _mask_recurrence(obj, region, res)
+    assert len(states) == len(want)
     for s, (threshold, measure, count, best, mask) in zip(states, want):
         assert (s.threshold, s.measure, s.node_count, s.best_value) == (
             threshold, measure, count, best)
         assert np.array_equal(s.mask, mask)
+    return len(states)
 
 
-def test_states_share_f_and_hold_only_their_values():
+def _table_problem(table):
+    """f = table[floor(x)] over [0, n] at resolution n: node i has f = table[i]."""
+    n = table.shape[0]
+    obj = Objective(name="table", dim=1, fn=lambda p: table[np.floor(p[:, 0]).astype(np.intp)])
+    return obj, box(0.0, float(n)), n
+
+
+@pytest.mark.parametrize("name", ["paper2d", "rastrigin"])
+def test_states_match_mask_recurrence(name):
+    obj, region = catalog_get(name)
+    assert _states_match_mask_recurrence(obj, region, 256) > 5
+
+
+def test_states_hold_no_node_array():
+    """A state is a row of scalars next to the run's shared mesh and objective:
+    its set is {f <= level}, level the previous threshold (inf for the mesh)."""
     obj, region = catalog_get("rastrigin")
     states, _ = useq_run(obj, region, 256)
-    n = 256 * 256
-    assert states[0].values is states[0].fvals and states[0].node_count == n
-    for s in states:
-        assert s.fvals is states[0].fvals
-        held = [v for v in vars(s).values() if isinstance(v, np.ndarray) and v is not s.fvals]
-        assert all(v.shape[0] < n for v in held)
-        assert np.array_equal(s.values, s.fvals[s.mask])
-        assert s.values.shape[0] == s.node_count
+    assert states[0].node_count == 256 * 256 and states[0].level == np.inf
+    for prev, s in zip([None, *states], states):
+        assert s.mesh is states[0].mesh and s.objective is obj
+        held = {k: v for k, v in vars(s).items() if k not in ("mesh", "objective")}
+        assert all(isinstance(v, (int, float, bool)) for v in held.values()), held
+        assert prev is None or s.level == prev.threshold
+        assert np.count_nonzero(s.mask) == s.node_count
 
 
 # ties, -0.0 against 0.0, the smallest subnormal, a huge value, and 0.1, whose
@@ -166,33 +196,64 @@ def tables(draw):
 def test_sets_are_sublevel_sets_of_the_mask_recurrence(table):
     """On f = table[floor(x)] over [0, n] at resolution n (one node per cell),
     every state's numbers and mask equal the boolean-mask recurrence's."""
-    n = table.shape[0]
-    obj = Objective(name="table", dim=1, fn=lambda p: table[np.floor(p[:, 0]).astype(np.intp)])
-    region = box(0.0, float(n))
-    states, _ = useq_run(obj, region, n)
-    want = _mask_recurrence(obj, region, n)
-    assert len(states) == len(want)
-    for s, (threshold, measure, count, best, mask) in zip(states, want):
-        assert (s.threshold, s.measure, s.node_count, s.best_value) == (
-            threshold, measure, count, best)
-        assert np.array_equal(s.mask, mask)
-        assert np.array_equal(s.values, s.fvals[mask])
+    _states_match_mask_recurrence(*_table_problem(table))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compaction_across_block_edges_matches_mask_recurrence(seed):
+    """More than two compaction blocks, the last one partial, with runs of ties
+    from the table palette and a few integers straddling every block edge."""
+    rng = np.random.default_rng(seed)
+    n = 2 * BLOCK_ROWS + 1237
+    palette = np.concatenate([TABLE_VALUES, rng.integers(-30, 30, 12).astype(float)])
+    lengths = rng.integers(1, 3000, n)
+    table = np.repeat(rng.choice(palette, n), lengths)[:n]
+    for edge in (BLOCK_ROWS, 2 * BLOCK_ROWS):
+        table[edge - 700:edge + 700] = rng.choice(palette)
+    assert _states_match_mask_recurrence(*_table_problem(table)) > 2
+
+
+@pytest.mark.parametrize("low_at", [[5, BLOCK_ROWS + 3, 2 * BLOCK_ROWS + 400],
+                                    [2 * BLOCK_ROWS + 10 + 7 * j for j in range(MIN_NODES)]])
+def test_stopping_step_leaves_its_set_in_the_buffer(low_at):
+    """A step with fewer than MIN_NODES survivors stops, after a step that moved
+    values across block edges, and buf[:node_count] still holds its set; with
+    MIN_NODES survivors, all in the last, partial block, the step goes on."""
+    n = 2 * BLOCK_ROWS + 1000
+    table = np.ones(n)
+    table[::3] = 2.0  # the first step drops every third node
+    table[low_at] = 0.0
+    obj, region, n = _table_problem(table)
+    state, buf = useq_init(obj, region, n)
+    first = useq_step(state, buf)
+    assert not first.stopped and first.node_count == np.count_nonzero(table <= 1.0)
+    assert np.array_equal(buf[:first.node_count], table[table <= first.level])
+    second = useq_step(first, buf)
+    assert np.array_equal(buf[:second.node_count], table[table <= second.level])
+    if len(low_at) < MIN_NODES:
+        assert second.stopped and second == replace(first, stopped=True)
+    else:
+        assert not second.stopped and second.node_count == MIN_NODES
+        assert np.all(buf[:MIN_NODES] == 0.0)
 
 
 def test_useq_holds_no_node_array():
-    """The mesh keeps its axes and mask; f is evaluated from them, so the run's
-    peak is about f plus the history's first set, not the (N, 2) nodes: at most
-    3 x 8N bytes (the node array alone would be 2 x 8N)."""
+    """The mesh keeps its axes and mask; f is evaluated from them, and each step
+    compacts the set's values within f, so a run's peak is about f alone, not
+    the (N, 2) nodes or a per-state copy: at most 1.5 x 8N bytes (the node array
+    alone would be 2 x 8N)."""
     obj, region = catalog_get("rastrigin")
     mesh = region.build_grid(64)
     assert "nodes" not in vars(mesh)
     assert mesh.nodes.shape == (64 * 64, 2) and "nodes" in vars(mesh)
-    n = 512 ** 2
-    tracemalloc.start()
-    try:
-        states, _ = useq_run(obj, region, 512)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert "nodes" not in vars(states[0].mesh)
-    assert peak <= 3 * 8 * n
+    n = 1024 ** 2
+    for name in ("paper2d", "rastrigin", "ackley"):
+        obj, region = catalog_get(name)
+        tracemalloc.start()
+        try:
+            states, _ = useq_run(obj, region, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "nodes" not in vars(states[0].mesh)
+        assert peak <= 1.5 * 8 * n, name
