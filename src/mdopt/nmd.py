@@ -58,7 +58,7 @@ class Exponential:
     def resolved(self, f: np.ndarray) -> "Exponential":
         return self
 
-    def log_tau(self, f, k: float = 1.0):
+    def log_tau(self, f, k: float = 1.0, checked: bool = False):
         return f * -k
 
     def dlog_tau_df(self, f) -> float:
@@ -88,17 +88,18 @@ class Rational:
         fmin, fmax = float(np.min(f)), float(np.max(f))
         return Rational(self.p, fmin - max(self.p, 0.1 * (fmax - fmin)))
 
-    def _arg(self, f):
+    def _arg(self, f, checked: bool = False):
         arg = f - self.L + self.p
-        if np.any(arg <= 0.0):
+        if not checked and np.any(arg <= 0.0):
             raise InvalidShiftError(
                 "rational tau requires f(x) - L + p > 0 on all evaluated points"
             )
         return arg
 
-    def log_tau(self, f, k: float = 1.0):
-        """k log tau on an array f, the log taken and scaled in place: ``k * -log(arg)``."""
-        arg = self._arg(f)
+    def log_tau(self, f, k: float = 1.0, checked: bool = False):
+        """k log tau on an array f, the log taken and scaled in place: ``k * -log(arg)``.
+        ``checked``: f is (part of) a level's, whose min f was checked when it was built."""
+        arg = self._arg(f, checked)
         return np.multiply(np.log(arg, out=arg), -k, out=arg)
 
     def dlog_tau_df(self, f):
@@ -218,8 +219,8 @@ class NascentMD:
             return level
         tau, keep = self._shared["tau"], np.empty(level.f.size, dtype=bool)
         for j in range(0, keep.size, BLOCK_ROWS):
-            np.greater_equal(tau.log_tau(level.f[j:j + BLOCK_ROWS], self.k), top - 746.0,
-                             out=keep[j:j + BLOCK_ROWS])
+            np.greater_equal(tau.log_tau(level.f[j:j + BLOCK_ROWS], self.k, checked=True),
+                             top - 746.0, out=keep[j:j + BLOCK_ROWS])
         if 2 * np.count_nonzero(keep) <= keep.size:
             level = level.restrict(keep)
             self._shared["support"][i] = (self.k, level)
@@ -238,7 +239,7 @@ class NascentMD:
         clip = k * level.log_tau_min < top - 650.0
         z, sums, parts = 0.0, [0.0] * len(integrands), []
         for block in level.blocks():
-            e = tau.log_tau(block[0], k)  # block = (f, points, weighted_sum)
+            e = tau.log_tau(block[0], k, checked=True)  # block = (f, points, weighted_sum)
             if clip:
                 clipped = e < top - 650.0
                 np.maximum(e, top - 650.0, out=e)
@@ -264,7 +265,7 @@ class NascentMD:
         cache = self._shared["log_sums"]
         if (k, level) not in cache:
             f = self.levels()[level].f
-            cache[k, level] = float(logsumexp(self._shared["tau"].log_tau(f, k)))
+            cache[k, level] = float(logsumexp(self._shared["tau"].log_tau(f, k, checked=True)))
         return cache[k, level]
 
     def log_Z(self) -> float:
@@ -389,7 +390,7 @@ class NascentMD:
         and cached per k, shared by ``with_k`` clones."""
         cache, tau = self._shared["log_tau"], self.resolved_tau()
         if self.k not in cache:
-            cache[self.k] = self._estimates(lambda f, *_: tau.log_tau(f))[0]
+            cache[self.k] = self._estimates(lambda f, *_: tau.log_tau(f, checked=True))[0]
         return cache[self.k]
 
     def log_expect_tau(self) -> Estimate:

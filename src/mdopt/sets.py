@@ -206,28 +206,35 @@ def solve_boundary_move(m: NascentMD, x, delta_k: float):
 
     The level set of the density moves along the objective gradient to first
     order, so the root is searched on the line through x with direction
-    grad f / |grad f|: a 65-point scan over 10x the predicted move on both
-    sides brackets the sign change nearest t = 0.
+    d = grad f / |grad f|.  Twice the Newton step of the gap at t = 0, from f
+    and |grad f| at x, gives t1; a row whose gap changes sign on [0, t1] is
+    solved there.  Any other row falls back to a 65-point scan over 10x the
+    predicted move on both sides, which brackets the sign change nearest t = 0.
     """
     if delta_k <= 0:
         raise ValueError("delta_k must be positive")
     pts, single = _as_points(x, m.region.dim)
     g, gn = _gradients(m, pts)
     d = g / gn[:, None]
-    t_max = 10.0 * (np.abs(descent_rate(m, pts)) / gn) * delta_k
-    m2 = m.with_k(m.k + delta_k)
+    m2, tau, f = m.with_k(m.k + delta_k), m.resolved_tau(), m.objective(pts)
     log_level = -np.log(m.region_measure())
-
-    ts = np.linspace(-t_max, t_max, 65)  # one column per point
-    scan = (pts + ts[:, :, None] * d).reshape(-1, pts.shape[1])
-    vals = m2.log_density(scan).reshape(ts.shape) - log_level
-    crosses = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
-    if not np.all(np.any(crosses, axis=0)):
-        raise BracketingError("no level crossing within 10x the predicted move")
-    near = np.where(crosses, np.minimum(np.abs(ts[:-1]), np.abs(ts[1:])), np.inf)
-    i, cols = np.argmin(near, axis=0), np.arange(ts.shape[1])
-    t_root, _ = brentq(m2, log_level, pts, d, ts[i, cols], ts[i + 1, cols],
-                       vals[i, cols], vals[i + 1, cols])
+    lo, g_lo = np.zeros(len(pts)), tau.log_tau(f, m2.k) - m2.log_Z() - log_level
+    hi = -2.0 * g_lo / (m2.k * tau.dlog_tau_df(f) * gn)  # the divisor: the gap's slope at 0
+    g_hi = m2.log_density(pts + hi[:, None] * d) - log_level
+    miss = ~(g_lo * g_hi < 0.0)
+    if np.any(miss):
+        t_max = 10.0 * (np.abs(_descent_rate(m, f[miss])) / gn[miss]) * delta_k
+        ts = np.linspace(-t_max, t_max, 65)  # one column per point
+        scan = (pts[miss] + ts[:, :, None] * d[miss]).reshape(-1, pts.shape[1])
+        vals = m2.log_density(scan).reshape(ts.shape) - log_level
+        crosses = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
+        if not np.all(np.any(crosses, axis=0)):
+            raise BracketingError("no level crossing within 10x the predicted move")
+        near = np.where(crosses, np.minimum(np.abs(ts[:-1]), np.abs(ts[1:])), np.inf)
+        i, cols = np.argmin(near, axis=0), np.arange(ts.shape[1])
+        lo[miss], hi[miss], g_lo[miss], g_hi[miss] = (ts[i, cols], ts[i + 1, cols],
+                                                      vals[i, cols], vals[i + 1, cols])
+    t_root, _ = brentq(m2, log_level, pts, d, lo, hi, g_lo, g_hi)
     return (float(t_root[0]), d[0]) if single else (t_root, d)
 
 
@@ -245,9 +252,14 @@ def descent_rate(m: NascentMD, x):
     Exponential tau: (f(x) - E^(k)(f)) / k.
     """
     pts, single = _as_points(x, m.region.dim)
-    tau, f = m.resolved_tau(), m.objective(pts)
-    rate = (m.expect_log_tau().value - tau.log_tau(f)) / (m.k * np.abs(tau.dlog_tau_df(f)))
+    rate = _descent_rate(m, m.objective(pts))
     return float(rate[0]) if single else rate
+
+
+def _descent_rate(m: NascentMD, f: np.ndarray) -> np.ndarray:
+    """``descent_rate`` from f at the points."""
+    tau = m.resolved_tau()
+    return (m.expect_log_tau().value - tau.log_tau(f)) / (m.k * np.abs(tau.dlog_tau_df(f)))
 
 
 def basin_masses(m: NascentMD, minimizers, radius: float) -> BasinReport:

@@ -8,7 +8,7 @@ from mdopt.nmd import NascentMD, Rational
 from mdopt.objective import catalog_get, gradient
 from mdopt.sets import (BasinError, BracketingError, MeshMismatchError,
                         NearCriticalPointError, SetKind, basin_masses,
-                        boundary_points, containment_check, descent_rate,
+                        boundary_points, brentq, containment_check, descent_rate,
                         equivalence_check_dtau, extract_set,
                         shrink_rate_empirical, shrink_rate_theoretical,
                         solve_boundary_move)
@@ -324,7 +324,7 @@ def test_boundary_solver_evaluation_counts():
     assert (sum(calls) - before) / len(pts) <= 14.0
     before = sum(calls)
     solve_boundary_move(m, np.array(pts), 0.01)
-    assert (sum(calls) - before) / len(pts) <= 72.0
+    assert (sum(calls) - before) / len(pts) <= 10.0
 
 
 
@@ -418,3 +418,55 @@ def test_solve_boundary_move_takes_one_gradient(monkeypatch):
     assert calls == [pts.shape]
     monkeypatch.undo()
     assert np.array_equal(t, [solve_boundary_move(m, x, 0.01)[0] for x in pts])
+
+
+def _steep_boundary_points(name, k):
+    """D0 boundary points at k on the default grid where |grad f| > 0.1, and |grad f|."""
+    obj, region = catalog_get(name)
+    m = NascentMD(obj, region, k=k)
+    pts = np.reshape(boundary_points(extract_set(m, SetKind.D0, m.levels()[-1].mesh)),
+                     (-1, region.dim))
+    g = gradient(obj, pts)
+    gn = np.sqrt(np.vecdot(g, g))
+    return m, pts[gn > 0.1], gn[gn > 0.1]
+
+
+def _scan_move(m, pts, d, gn, delta_k):
+    """The boundary move from a 65-point scan over 10x the predicted move on both
+    sides alone, rooted in the bracket of the sign change nearest t = 0."""
+    m2, log_level = m.with_k(m.k + delta_k), -np.log(m.region_measure())
+    t_max = 10.0 * (np.abs(descent_rate(m, pts)) / gn) * delta_k
+    ts = np.linspace(-t_max, t_max, 65)
+    vals = m2.log_density((pts + ts[:, :, None] * d).reshape(-1, pts.shape[1]))
+    vals = vals.reshape(ts.shape) - log_level
+    crosses = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
+    assert np.all(np.any(crosses, axis=0))
+    near = np.where(crosses, np.minimum(np.abs(ts[:-1]), np.abs(ts[1:])), np.inf)
+    i, cols = np.argmin(near, axis=0), np.arange(ts.shape[1])
+    return brentq(m2, log_level, pts, d, ts[i, cols], ts[i + 1, cols],
+                  vals[i, cols], vals[i + 1, cols])[0]
+
+
+def test_boundary_move_falls_back_to_the_scan():
+    """paper1d at k = 8, dk = 16: twice the Newton step from t = 0 brackets no
+    crossing on some rows; those rows get the scan's root, bit for bit, and
+    every row lands on the level."""
+    m, pts, gn = _steep_boundary_points("paper1d", 8.0)
+    dk, log_level = 16.0, -np.log(m.region_measure())
+    m2 = m.with_k(m.k + dk)
+    t, d = solve_boundary_move(m, pts, dk)
+    gap = m2.log_density(pts + t[:, None] * d) - log_level
+    assert np.all(np.abs(np.expm1(gap)) <= 1e-10)
+    assert np.array_equal(t, [solve_boundary_move(m, x, dk)[0] for x in pts])
+    g0 = m2.log_density(pts) - log_level
+    t1 = -2.0 * g0 / (m2.k * m.resolved_tau().dlog_tau_df(m.objective(pts)) * gn)
+    miss = g0 * (m2.log_density(pts + t1[:, None] * d) - log_level) >= 0.0
+    assert 0 < np.count_nonzero(miss) < len(pts)
+    assert np.array_equal(t[miss], _scan_move(m, pts[miss], d[miss], gn[miss], dk))
+
+
+def test_boundary_move_without_a_crossing_raises():
+    """paper2d at k = 8, dk = 4: on some row neither the Newton bracket nor the scan crosses."""
+    m, pts, _ = _steep_boundary_points("paper2d", 8.0)
+    with pytest.raises(BracketingError):
+        solve_boundary_move(m, pts, 4.0)
