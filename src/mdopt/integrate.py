@@ -96,7 +96,7 @@ class Level:
 
     def node(self, i: int) -> np.ndarray:
         """Member point i as a new array, read from the axes on a grid mesh."""
-        return self.points[i].copy() if self.mesh is None else self.mesh.node(i)
+        return self.points[i].copy() if self.mesh is None else self.mesh.points_at(i)
 
 
 def levels(region: CompactRegion,

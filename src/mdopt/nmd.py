@@ -21,17 +21,18 @@ E log tau and the f that ``mesh_values`` held for the latest mesh without a
 level's layout, so each f is evaluated once.  The pass runs on the support of
 m^(k), the nodes whose weight is not exactly 0 (exp underflows below -745.13), and
 a larger k starts from the last support; a level is cut only when at most half
-its nodes survive.  k log tau is clipped at 650 below its max, the clipped nodes
-weighing exactly 0, so every e is 0 or a normal float, exp stays on numpy's SIMD
-fast path (inputs > -708; with numpy 2.4 it costs 1.7 ms per 10^6 at -700 and 239
-ms at -709) and the mass dropped is at most N e^-650 ~ 1e-273 of Z.
+its nodes survive, and a cut holds only the int32 positions of its nodes, whose f
+and coordinates its blocks gather.  k log tau is clipped at 650 below its max, the
+clipped nodes weighing exactly 0, so every e is 0 or a normal float, exp stays on
+numpy's SIMD fast path (inputs > -708; with numpy 2.4 it costs 1.7 ms per 10^6 at
+-700 and 239 ms at -709) and the mass dropped is at most N e^-650 ~ 1e-273 of Z.
 ``expectation(h)`` evaluates h, and checks ``DomainError``, block by block on the
 support.  k must be finite and >= 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -112,35 +113,58 @@ TauKind = Exponential | Rational
 @dataclass(frozen=True)
 class DensityLevel(Level):
     """A quadrature level with f on its nodes, and the max and min of log tau
-    (resolved tau) over the whole level."""
+    (resolved tau) over the whole level; a cut (``restrict``) is the level plus
+    ``index``, the int32 positions of its nodes, and shares the level's arrays."""
 
     f: np.ndarray
     log_tau_max: float
     log_tau_min: float
+    index: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        return self.f.size if self.index is None else self.index.size
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return super().nodes if self.index is None else self._gather(self.index)
+
+    def node(self, i: int) -> np.ndarray:
+        return super().node(i if self.index is None else int(self.index[i]))
+
+    def _gather(self, ix: np.ndarray) -> np.ndarray:
+        """The nodes at positions ``ix`` as a coordinate-major ``(n, dim)`` array."""
+        return self.mesh.points_at(ix) if self.mesh is not None else np.take(
+            self.points.T, ix, axis=1).T
 
     def blocks(self) -> Iterator[tuple[np.ndarray, Callable, Callable]]:
         """The nodes in level order as (f, points, weighted_sum) blocks of at most BLOCK_ROWS:
         f, a map to the ``(n, dim)`` points and one from a weight per node to sum_i w_i x_i;
-        a grid level's mesh slabs (the sum from lattice marginals), else ``points`` slices."""
-        if self.mesh is not None:
+        a whole grid level's slabs (the sum from lattice marginals), else nodes by position."""
+        if self.mesh is not None and self.index is None:
             i = 0
             for n, points, weighted_sum in self.mesh.slabs(BLOCK_ROWS):
                 yield self.f[i:i + n], points, weighted_sum
                 i += n
             return
-        for i in range(0, self.f.size, BLOCK_ROWS):
-            pts = self.points[i:i + BLOCK_ROWS]
-            yield self.f[i:i + BLOCK_ROWS], lambda pts=pts: pts, lambda w, pts=pts: w @ pts
+        for i in range(0, self.size, BLOCK_ROWS):
+            if self.index is None:
+                pts = self.points[i:i + BLOCK_ROWS]
+                f, points = self.f[i:i + BLOCK_ROWS], lambda pts=pts: pts
+            else:
+                ix = self.index[i:i + BLOCK_ROWS]
+                f, points = self.f[ix], lambda ix=ix: self._gather(ix)
+            yield f, points, lambda w, points=points: w @ points()
 
     def restrict(self, keep: np.ndarray) -> "DensityLevel":
-        """The nodes where ``keep`` holds as coordinate-major points, with no mesh (a
-        grid level's are compressed slab by slab, without its node array); ``keep``
-        must hold at a node where log tau is maximal.  f is the only per-node array
-        kept; the min stays the whole level's, a lower bound."""
-        points = (np.compress(keep, self.points.T, axis=1).T if self.mesh is None
-                  else self.mesh.compress(keep))
-        return DensityLevel(points, self.log_node_weight, None, self.f[keep],
-                            self.log_tau_max, self.log_tau_min)
+        """The cut to the nodes where ``keep`` (one flag per node) holds, which must include
+        a node where log tau is maximal; the min stays the whole level's, a lower bound."""
+        index, n = np.empty(np.count_nonzero(keep), dtype=np.int32), 0
+        for i in range(0, keep.size, BLOCK_ROWS):
+            pos = np.flatnonzero(keep[i:i + BLOCK_ROWS]) + i
+            index[n:n + pos.size] = pos if self.index is None else self.index[pos]
+            n += pos.size
+        return replace(self, index=index)
 
 
 @dataclass(frozen=True)
@@ -217,10 +241,11 @@ class NascentMD:
         top = self.k * level.log_tau_max  # == max(k log tau): rounding is monotone, k >= 0
         if self.k * level.log_tau_min >= top - 650.0:  # nothing to drop or clip
             return level
-        tau, keep = self._shared["tau"], np.empty(level.f.size, dtype=bool)
-        for j in range(0, keep.size, BLOCK_ROWS):
-            np.greater_equal(tau.log_tau(level.f[j:j + BLOCK_ROWS], self.k, checked=True),
-                             top - 746.0, out=keep[j:j + BLOCK_ROWS])
+        tau, keep, j = self._shared["tau"], np.empty(level.size, dtype=bool), 0
+        for f, *_ in level.blocks():
+            np.greater_equal(tau.log_tau(f, self.k, checked=True), top - 746.0,
+                             out=keep[j:j + f.size])
+            j += f.size
         if 2 * np.count_nonzero(keep) <= keep.size:
             level = level.restrict(keep)
             self._shared["support"][i] = (self.k, level)

@@ -3,9 +3,9 @@
 A region is an axis-aligned box optionally intersected with inequality
 constraints ``g_i(x) >= 0``.  Constraint callables must be vectorized:
 they take an ``(N, dim)`` array and return an ``(N,)`` array.  A grid mesh
-holds its axes and membership mask; its points are written slab by slab from
-the axes (``GridMesh.blocks``), and its node array is built only when read,
-coordinate-major: each ``nodes[:, j]`` is contiguous.
+holds its axes and membership mask (one broadcast element on a box); its points
+are written slab by slab from the axes or read by position, and its node array is
+built only when read, coordinate-major: each ``nodes[:, j]`` is contiguous.
 """
 
 from __future__ import annotations
@@ -96,12 +96,12 @@ class GridMesh:
     """Cell-centered tensor grid restricted to region members.
 
     The mesh holds its ``axes`` and ``lattice_mask``, the membership mask over
-    the full lattice (shape ``resolution``), needed for neighbor queries.  Its
-    member points are taken in row-major order over the full lattice, so masks
-    from two meshes of identical resolution line up index-by-index; ``blocks``
-    writes them slab by slab from the axes, and ``nodes``, their ``(N, dim)``
-    array, is built on first read as the transpose of a C-ordered ``(dim, N)``
-    array (coordinate-major).
+    the full lattice (shape ``resolution``; on a box, one broadcast True), needed
+    for neighbor queries.  Its member points are taken in row-major order over the
+    full lattice, so masks from two meshes of identical resolution line up
+    index-by-index; ``blocks`` writes them slab by slab from the axes, and ``nodes``,
+    their ``(N, dim)`` array, is built on first read as the transpose of a C-ordered
+    ``(dim, N)`` array (coordinate-major).
     """
 
     region: "CompactRegion"
@@ -113,6 +113,8 @@ class GridMesh:
     @cached_property
     def node_count(self) -> int:
         """The number of member points."""
+        if not self.region.constraints:
+            return int(np.prod(self.resolution))
         return int(np.count_nonzero(self.lattice_mask))
 
     @cached_property
@@ -153,23 +155,18 @@ class GridMesh:
         holds a member (see ``slabs``)."""
         return (points() for _, points, _ in self.slabs(rows))
 
-    def compress(self, keep: np.ndarray) -> np.ndarray:
-        """The member points where ``keep`` (one flag per member) holds, as a
-        coordinate-major ``(count, dim)`` array written slab by slab from ``blocks``."""
-        out = np.empty((len(self.axes), np.count_nonzero(keep)))
-        i = n = 0
-        for block in self.blocks(BLOCK_ROWS):
-            sel = keep[i:i + len(block)]
-            i, m = i + len(block), np.count_nonzero(sel)
-            np.compress(sel, block.T, axis=1, out=out[:, n:n + m])
-            n += m
-        return out.T
+    @cached_property
+    def lattice_index(self) -> np.ndarray:
+        """The lattice position of each member point, int32, built when first read."""
+        return np.flatnonzero(self.lattice_mask).astype(np.int32)
 
-    def node(self, i: int) -> np.ndarray:
-        """Member point i in mesh order, read from the axes: the bits of ``nodes[i]``."""
+    def points_at(self, ix) -> np.ndarray:
+        """The member points at positions ``ix`` in mesh order (or the point at one), read
+        from the axes into a new coordinate-major ``(n, dim)`` array: the bits of ``nodes[ix]``."""
         if self.region.constraints:
-            i = np.flatnonzero(self.lattice_mask)[i]
-        return np.array([ax[j] for ax, j in zip(self.axes, np.unravel_index(i, self.resolution))])
+            ix = self.lattice_index[ix]
+        lattice = np.unravel_index(ix, self.resolution)
+        return np.array([ax[j] for ax, j in zip(self.axes, lattice)]).T
 
     def same_layout(self, other: "GridMesh") -> bool:
         """Same lattice and same member nodes, so masks line up index by index."""
@@ -215,7 +212,8 @@ class CompactRegion:
         """Batches of n uniform box points from one Philox stream of the seed."""
         rng = np.random.Generator(np.random.Philox(seed))
         while True:
-            yield self.lower + rng.random((n, self.dim)) * (self.upper - self.lower)
+            pts = rng.random((n, self.dim))
+            yield np.add(np.multiply(pts, self.upper - self.lower, out=pts), self.lower, out=pts)
 
     @property
     def dim(self) -> int:
@@ -259,7 +257,7 @@ class CompactRegion:
         widths = (self.upper - self.lower) / res
         axes = tuple(lo + (np.arange(res) + 0.5) * w for lo, w in zip(self.lower, widths))
         shape = (res,) * self.dim
-        mask = np.ones(shape, dtype=bool)
+        mask = np.ones(shape, dtype=bool) if self.constraints else np.broadcast_to(np.True_, shape)
         if self.constraints:
             member = mask.reshape(-1)
             buf = np.empty((self.dim, min(BLOCK_ROWS, mask.size)))

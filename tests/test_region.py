@@ -108,7 +108,9 @@ def test_build_grid_coordinate_major_nodes(region, res):
     assert np.array_equal(mesh.nodes, want)
     assert all(mesh.nodes[:, j].flags.c_contiguous for j in range(region.dim))
     assert mesh.lattice_mask.shape == (res,) * region.dim
-    assert np.count_nonzero(mesh.lattice_mask) == want.shape[0]
+    assert np.count_nonzero(mesh.lattice_mask) == mesh.node_count == want.shape[0]
+    # a box's mask is every lattice point, held as one broadcast element
+    assert (mesh.lattice_mask.strides == (0,) * region.dim) == (not region.constraints)
 
 
 def test_build_grid_bad_resolution():
