@@ -5,7 +5,9 @@ resolved parameters next to the outputs, so a run is reproducible from its
 output directory alone.  Floats are written with 17 significant digits;
 identical config and seed give byte-identical files.  One writer,
 ``_write_csv``, writes every CSV in blocks of rows and formats each distinct
-float once per block, with the same bytes as formatting every cell.
+float once per block, with the same bytes as formatting every cell.  ``_write_json``
+writes JSON as ``json.dump(..., indent=2, sort_keys=True)`` does, but each integer
+array (``masks.json``'s run lengths) from one ``%d`` template, not number by number.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure (``error: <command>:
 <message>`` on stderr).
@@ -29,6 +31,7 @@ from .objective import UnknownFunctionError, catalog_get, catalog_names, gradien
 
 
 _ROWS = 4096  # rows formatted and written per block
+_HOLE = "\x00ndarray\x00"  # where _write_json's stdlib text leaves out an array
 
 
 def _cells(col: np.ndarray) -> np.ndarray:
@@ -60,10 +63,39 @@ def _write_csv(path: Path, columns: dict):
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
+def _array_template(shape: tuple, indent: int) -> str:
+    """``json.dumps(..., indent=2)``'s layout of a nested list of this shape opened on a
+    line indented by ``indent``, with ``%d`` for each number."""
+    if not shape or shape[0] == 0:
+        return "[]" if shape else "%d"
+    pad = "\n" + " " * (indent + 2)
+    row = _array_template(shape[1:], indent + 2)
+    return "[" + pad + ("," + pad).join([row] * shape[0]) + "\n" + " " * indent + "]"
+
+
 def _write_json(path: Path, payload):
+    """Write ``json.dump(payload, indent=2, sort_keys=True)`` plus a newline, with each
+    integer ndarray written as its ``tolist()`` would be.  The stdlib writes all but the
+    arrays, each left as a placeholder; an array fills one ``%d`` template built from its
+    shape and the indent of its placeholder's line.  Other ndarrays raise TypeError."""
+    arrays = []
+
+    def hole(a):
+        if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
+            raise TypeError(f"Object of type {type(a).__name__} is not JSON serializable")
+        arrays.append(a)
+        return _HOLE
+
+    pieces = json.dumps(payload, indent=2, sort_keys=True, default=hole).split(json.dumps(_HOLE))
+    if len(pieces) != len(arrays) + 1:  # a string in the payload is the placeholder
+        pieces = [json.dumps(payload, indent=2, sort_keys=True,
+                             default=lambda a: arrays.pop(0).tolist())]
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        for head, a in zip(pieces, arrays):
+            line = head[head.rfind("\n") + 1:]
+            indent = len(line) - len(line.lstrip(" "))
+            fh.write(head + _array_template(a.shape, indent) % tuple(a.ravel().tolist()))
+        fh.write(pieces[-1] + "\n")
 
 
 def _write_outputs(out: Path, files: dict, **resolved):
@@ -78,11 +110,11 @@ def _write_outputs(out: Path, files: dict, **resolved):
     _write_json(out / "config.json", {"command": ctx.command.name, **params, **resolved})
 
 
-def _rle(mask: np.ndarray) -> list[list[int]]:
-    """Run-length encode a boolean vector as [value, run_length] pairs."""
-    v = mask.astype(int)
-    starts = np.flatnonzero(np.diff(v, prepend=-1))
-    return [[int(v[i]), int(n)] for i, n in zip(starts, np.diff(starts, append=v.size))]
+def _rle(mask: np.ndarray) -> np.ndarray:
+    """Run-length encode a boolean vector as an (n_runs, 2) int64 array of
+    (value, run_length) rows; an empty mask gives no rows."""
+    starts = np.flatnonzero(np.r_[mask.size > 0, mask[1:] != mask[:-1]])
+    return np.stack([mask[starts], np.diff(starts, append=mask.size)], axis=1).astype(np.int64)
 
 
 def _resolve(function, tau="exp", p=Rational.p, grid=None, mc=None, seed=0):

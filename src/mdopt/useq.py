@@ -11,7 +11,7 @@ evaluates: each step moves the values at or below the threshold to its front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -34,18 +34,24 @@ class UniformSeqState:
     node_count: int
     best_value: float
     stopped: bool = False
+    mesh_f: list = field(default_factory=list, compare=False, repr=False)
 
     @property
     def mask(self) -> np.ndarray:
-        """Membership of every mesh node in the set; evaluates f on the mesh again."""
-        return evaluate_batch(self.objective, self.mesh) <= self.level
+        """Membership of every mesh node in the set.  A run's first read puts f on the
+        mesh in ``mesh_f``, which its states share, each comparing it with its level."""
+        if not self.mesh_f:
+            self.mesh_f.append(evaluate_batch(self.objective, self.mesh))
+        return self.mesh_f[0] <= self.level
 
 
-def _state(iteration: int, obj: Objective, mesh: GridMesh, level: float, values: np.ndarray):
+def _state(iteration: int, obj: Objective, mesh: GridMesh, level: float, values: np.ndarray,
+           mesh_f: list):
     """The state whose set {f <= level} holds f ``values``, its numbers read from them."""
     return UniformSeqState(iteration, obj, mesh, level, threshold=float(np.mean(values)),
                            measure=float(mesh.cell_volume * values.shape[0]),
-                           node_count=values.shape[0], best_value=float(np.min(values)))
+                           node_count=values.shape[0], best_value=float(np.min(values)),
+                           mesh_f=mesh_f)
 
 
 def useq_init(obj: Objective, region: CompactRegion,
@@ -54,7 +60,7 @@ def useq_init(obj: Objective, region: CompactRegion,
     and f on every mesh node: the buffer that the run's steps compact."""
     mesh = region.build_grid(mesh_resolution)
     buf = evaluate_batch(obj, mesh)
-    return _state(0, obj, mesh, np.inf, buf), buf
+    return _state(0, obj, mesh, np.inf, buf, []), buf
 
 
 def useq_step(state: UniformSeqState, buf: np.ndarray) -> UniformSeqState:
@@ -74,7 +80,8 @@ def useq_step(state: UniformSeqState, buf: np.ndarray) -> UniformSeqState:
         count += kept.shape[0]
     if count == state.node_count:
         return replace(state, stopped=True)
-    return _state(state.iteration + 1, state.objective, state.mesh, t, values[:count])
+    return _state(state.iteration + 1, state.objective, state.mesh, t, values[:count],
+                  state.mesh_f)
 
 
 def useq_run(obj: Objective, region: CompactRegion, mesh_resolution, max_iter: int = 64,

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mdopt.cli
 import mdopt.sets
-from mdopt.cli import _ROWS, _write_csv, main
-from mdopt.integrate import default_config
+from mdopt.cli import _HOLE, _ROWS, _rle, _write_csv, _write_json, main
+from mdopt.integrate import IntegratorConfig, default_config
 from mdopt.nmd import NascentMD
 from mdopt.objective import Objective, catalog_get
 from mdopt.region import box
@@ -491,3 +492,102 @@ def test_write_csv_matches_csv_writer_across_blocks(tmp_path_factory, n, floats,
         w.writerow(list(columns))
         w.writerows(zip(*cells))
     assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()
+
+
+def _listed(payload):
+    """``payload`` with every ndarray replaced by its ``tolist()``."""
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {k: _listed(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [_listed(v) for v in payload]
+    return payload
+
+
+_INT_ARRAYS = hnp.arrays(
+    dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64,
+                           np.uint8, np.uint16, np.uint32, np.uint64]),
+    shape=st.one_of(st.sampled_from([(0,), (0, 2)]), st.tuples(st.integers(1, 6)),
+                    st.tuples(st.integers(1, 6), st.just(2)),
+                    st.tuples(st.integers(1, 3), st.integers(1, 3), st.just(2))))
+# the placeholder string itself too, which sends the writer down the stdlib path
+_JSON_LEAVES = st.one_of(_INT_ARRAYS, st.text(max_size=6), st.just(_HOLE), st.floats(),
+                         st.integers(), st.none(), st.booleans())
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("json")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(payload=st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12))
+def test_write_json_matches_stdlib_indenter(json_dir, payload):
+    """Integer arrays of any int dtype, negative values, empty and nested shapes,
+    under dict keys and in lists next to strings, floats, None and bools: the
+    bytes equal the stdlib's indent=2, sort_keys=True dump of the tolist() form."""
+    path = json_dir / "out.json"
+    _write_json(path, payload)
+    want = json.dumps(_listed(payload), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("leaf", [np.array([0.5, 1.0]), np.array([True, False]),
+                                  np.array([[1.0]]), np.int64(3)])
+def test_write_json_rejects_non_integer_arrays(tmp_path, leaf):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _write_json(tmp_path / "out.json", {"a": [1, leaf]})
+
+
+def _check_rle(mask):
+    """_rle's rows are maximal runs of 0 or 1 that decode back to ``mask``."""
+    runs = _rle(mask)
+    assert runs.dtype == np.int64 and runs.shape == (len(runs), 2)
+    assert np.array_equal(np.repeat(runs[:, 0].astype(bool), runs[:, 1]), mask)
+    assert np.isin(runs[:, 0], [0, 1]).all() and np.all(runs[:, 1] > 0)
+    assert np.all(runs[1:, 0] != runs[:-1, 0])
+
+
+@pytest.mark.parametrize("mask", [[], [True], [False], [True] * 5, [False] * 5,
+                                  [True, False] * 4, [False, True] * 4 + [False]])
+def test_rle_round_trips_simple_masks(mask):
+    _check_rle(np.array(mask, dtype=bool))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(n=st.integers(0, 300), p=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_rle_round_trips_random_masks(n, p, seed):
+    _check_rle(np.random.default_rng(seed).random(n) < p)
+
+
+@pytest.mark.parametrize("function, extra, integ", [
+    ("paper2d", ["--k", "0,1,4,16", "--grid", "128"], IntegratorConfig("grid", resolution=128)),
+    ("paper1d", ["--k", "0,1,3", "--mc", "2000"], IntegratorConfig("mc", n=2000, seed=0)),
+])
+def test_masks_json_bytes_are_the_indented_list_of_pairs(runner, tmp_path, function, extra,
+                                                         integ):
+    """masks.json is the stdlib's indent=2, sort_keys=True dump of a list of
+    {k, kind, resolution, rle} records, each rle a list of [value, run_length]
+    pairs, plus a newline."""
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["sets", "--function", function, *extra, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    obj, region = catalog_get(function)
+    ks = [float(k) for k in extra[1].split(",")]
+    mesh = region.build_grid(integ.resolution)
+    md0 = NascentMD(obj, region, k=ks[0], integrator=integ)
+    records = []
+    for m in map(md0.with_k, ks):
+        for kind in mdopt.sets.SetKind:
+            s = mdopt.sets.extract_set(m, kind, mesh)
+            v = s.mask.astype(int)
+            starts = np.flatnonzero(np.diff(v, prepend=-1))
+            runs = np.diff(starts, append=v.size)
+            records.append({"k": s.k, "kind": s.kind.value, "resolution": list(mesh.resolution),
+                            "rle": [[int(v[i]), int(n)] for i, n in zip(starts, runs)]})
+    assert max(len(r["rle"]) for r in records) > 3
+    want = json.dumps(records, indent=2, sort_keys=True) + "\n"
+    assert (out / "masks.json").read_bytes() == want.encode()

@@ -163,17 +163,36 @@ def test_states_match_mask_recurrence(name):
 
 
 def test_states_hold_no_node_array():
-    """A state is a row of scalars next to the run's shared mesh and objective:
-    its set is {f <= level}, level the previous threshold (inf for the mesh)."""
+    """A state is a row of scalars next to the run's shared mesh, objective and
+    f holder, which stays empty until a mask is read: its set is {f <= level},
+    level the previous threshold (inf for the mesh)."""
     obj, region = catalog_get("rastrigin")
     states, _ = useq_run(obj, region, 256)
     assert states[0].node_count == 256 * 256 and states[0].level == np.inf
+    assert states[0].mesh_f == []
     for prev, s in zip([None, *states], states):
         assert s.mesh is states[0].mesh and s.objective is obj
-        held = {k: v for k, v in vars(s).items() if k not in ("mesh", "objective")}
+        assert s.mesh_f is states[0].mesh_f
+        held = {k: v for k, v in vars(s).items() if k not in ("mesh", "objective", "mesh_f")}
         assert all(isinstance(v, (int, float, bool)) for v in held.values()), held
         assert prev is None or s.level == prev.threshold
         assert np.count_nonzero(s.mask) == s.node_count
+
+
+def test_reading_every_mask_of_a_run_evaluates_f_once():
+    """The first mask read of a run evaluates f on the mesh; every later read, on
+    any state of that run, compares the same f with its own level."""
+    obj, region = catalog_get("paper2d")
+    points = [0]
+
+    def fn(p):
+        points[0] += p.shape[0]
+        return obj.fn(p)
+    states, _ = useq_run(replace(obj, fn=fn), region, 128)
+    assert len(states) > 2 and points[0] == 128 * 128
+    masks = [s.mask for s in states] + [s.mask for s in states]
+    assert points[0] == 2 * 128 * 128
+    assert [np.count_nonzero(m) for m in masks] == 2 * [s.node_count for s in states]
 
 
 # ties, -0.0 against 0.0, the smallest subnormal, a huge value, and 0.1, whose
