@@ -7,7 +7,8 @@ difference of the two), held as meshes whose node arrays are built only when
 read, or the first n/2 and all n points of one seeded uniform member sample
 weighted mu/n (Monte Carlo; 3-sigma error, plus the measure's own on
 constrained regions).  The max-shifted ``logsumexp`` serves ``log_integrate_exp``
-and the density engine's log-sums; ``softmax`` is the dense form of its weights.
+and is the tests' reference for the density engine's log-sums; ``softmax`` is the
+dense form of its weights, which the engine forms block by block.
 """
 
 from __future__ import annotations

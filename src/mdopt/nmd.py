@@ -6,26 +6,23 @@ grows.  Each tau kind owns ``log_tau(f, k)`` (k log tau in one pass),
 ``dlog_tau_df(f)`` and ``resolved(f)``, which fixes a data-dependent shift once.
 Everything is evaluated in log space on the two levels of ``integrate.levels``,
 held as frozen ``DensityLevel`` records (points or mesh, weight, f, and log tau at
-the level's min and max f, its max and min) built once with the resolved tau and
-mu: m^(k) depends on a node only through f, and a grid level keeps no node array.
-A log-sum of k log tau per (k, level), made when first read, gives log Z(k)
-(finest level) and log E^(k)(tau) = log Z(k+1) - log Z(k).  One pass per level
-(``_reduce``) walks it in blocks of at most BLOCK_ROWS nodes, a grid mesh's slabs
-or slices of the points, and sums e = exp(k log tau - k max log tau) and e h for
-each integrand, so no weight array is made; it gives E f, E (f - c)^2 and E x (on
-a grid, from each slab's lattice marginals), each with the levels' difference as
-its error, where c is the finest level's min f, so Var^(k)(f) = E (f - c)^2 -
-(E f - c)^2 does not move when a constant is added to f.  E log tau is reduced
-when first read.  ``with_k`` clones share the levels, the log-sums, ``Moments``,
-E log tau and the f that ``mesh_values`` held for the latest mesh without a
-level's layout, so each f is evaluated once.  The pass runs on the support of
-m^(k), the nodes whose weight is not exactly 0 (exp underflows below -745.13), and
-a larger k starts from the last support; a level is cut only when at most half
-its nodes survive, and a cut holds only the int32 positions of its nodes, whose f
-and coordinates its blocks gather.  k log tau is clipped at 650 below its max, the
-clipped nodes weighing exactly 0, so every e is 0 or a normal float, exp stays on
-numpy's SIMD fast path (inputs > -708; with numpy 2.4 it costs 1.7 ms per 10^6 at
--700 and 239 ms at -709) and the mass dropped is at most N e^-650 ~ 1e-273 of Z.
+the level's min and max f) built once with the resolved tau and mu: m^(k) depends
+on a node only through f, and a grid level keeps no node array.  One pass per
+level (``_reduce``) serves every density sum: it walks the level in blocks of at
+most BLOCK_ROWS nodes (a grid mesh's slabs or slices of the points) and sums
+e = exp(k log tau - top), top = k max log tau, and e h per integrand.  It gives
+E f, E (f - c)^2 (c the finest level's min f, so Var^(k)(f) does not move when a
+constant is added to f) and E x, with the levels' difference as error, and
+top + log sum e: the first pass over the finest level at k leaves log Z(k).
+log E^(k)(tau) is c' + log E^(k)(exp(log tau - c')), c' the finest level's max
+log tau, so an offset in f cancels inside the exponent.  ``with_k`` clones share
+the levels, log Z, ``Moments``, E log tau (reduced when first read) and the f
+that ``mesh_values`` held for the latest mesh without a level's layout.  The pass
+runs on the support of m^(k), the nodes whose weight is not exactly 0; a larger k
+starts from the last support, and a level is cut, to the int32 positions of its
+nodes, only when at most half of them survive.  k log tau is clipped at 650 below
+its max, the clipped nodes weighing exactly 0, so exp stays on numpy's SIMD fast
+path (inputs > -708) and the mass dropped is at most N e^-650 ~ 1e-273 of Z.
 ``expectation(h)`` evaluates h, and checks ``DomainError``, block by block on the
 support.  k must be finite and >= 0.
 """
@@ -37,9 +34,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .integrate import (IntegratorConfig, Level, default_config,
-                        levels as quadrature_levels, logsumexp)
-from .integrate import softmax  # noqa: F401  bench/tracer.py wraps nmd.softmax by name
+from .integrate import IntegratorConfig, Level, default_config, levels as quadrature_levels
+from .integrate import logsumexp, softmax  # noqa: F401  bench/tracer.py wraps both by name
 from .objective import Objective, evaluate_batch, gradient
 from .region import BLOCK_ROWS, CompactRegion, Estimate, GridMesh, _as_points
 
@@ -198,8 +194,8 @@ class NascentMD:
         self.k = float(k)
         self.integrator = integrator or default_config(region.dim)
         # shared across with_k clones (one tau kind): density levels, measure, resolved tau,
-        # per-(k, level) log-sums, per-k moments and E log tau, per-level support, one mesh's f
-        self._shared = _shared or dict(log_sums={}, moments={}, log_tau={}, support={}, mesh=[])
+        # per-k log Z (from a finest pass), moments and E log tau, per-level support, one mesh's f
+        self._shared = _shared or dict(log_Z={}, moments={}, log_tau={}, support={}, mesh=[])
 
     def with_k(self, k: float) -> "NascentMD":
         """Same density family at a different k, sharing all node caches."""
@@ -255,10 +251,10 @@ class NascentMD:
         """E^(k) on ``level`` of each integrand, a map from a block of ``level.blocks()`` to
         its node values or to a map from the block's weights to their weighted sum (the
         location x), from one walk over the blocks: the one place weights meet node values.
-        A block's weights are e = exp(k log tau - k max log tau), 0 where k log tau is
-        clipped; sums are divided by sum e at the end.  With ``spread``, also sum w^2 (h -
-        E h)^2 per scalar integrand (else None), from each block's sums of e^2 (h - b)^j,
-        j = 0, 1, 2, about its own mean b."""
+        A block's weights are e = exp(k log tau - top), top = k max log tau, 0 where k log
+        tau is clipped; sums are divided by sum e at the end, and top + log sum e is last.
+        With ``spread``, also sum w^2 (h - E h)^2 per scalar integrand (else None), from
+        each block's sums of e^2 (h - b)^j, j = 0, 1, 2, about its own mean b."""
         tau, k = self._shared["tau"], self.k
         top = k * level.log_tau_max
         clip = k * level.log_tau_min < top - 650.0
@@ -283,19 +279,20 @@ class NascentMD:
         out = np.zeros(len(integrands))
         for j, b, q0, q1, q2 in parts:
             out[j] += q2 - 2.0 * (means[j] - b) * q1 + (means[j] - b) ** 2 * q0
-        return means, out / z ** 2 if spread else None
+        return means, out / z ** 2 if spread else None, float(top + np.log(z))
 
-    def _log_sum(self, k: float, level: int) -> float:
-        """logsumexp(k log tau) on level 0 (coarse) or 1 (finest), made when first read."""
-        cache = self._shared["log_sums"]
-        if (k, level) not in cache:
-            f = self.levels()[level].f
-            cache[k, level] = float(logsumexp(self._shared["tau"].log_tau(f, k, checked=True)))
-        return cache[k, level]
+    def _pass(self, i: int, integrands, spread: bool = False):
+        """``_reduce`` on level i's support; the first pass over the finest at k keeps log Z."""
+        means, out, log_sum = self._reduce(self._support(i), integrands, spread)
+        if i == 1:
+            self._shared["log_Z"].setdefault(self.k, log_sum + self.levels()[1].log_node_weight)
+        return means, out
 
     def log_Z(self) -> float:
-        """log of the normalizer at the finest level."""
-        return self._log_sum(self.k, 1) + self.levels()[1].log_node_weight
+        """log of the normalizer at the finest level, from the first pass over it at k."""
+        if self.k not in self._shared["log_Z"]:
+            self._pass(1, [])
+        return self._shared["log_Z"][self.k]
 
     def region_measure(self) -> float:
         """mu(Omega) as the quadrature levels measure it."""
@@ -359,8 +356,8 @@ class NascentMD:
         read-only vector value and the norm of the difference.
         """
         mc = self.integrator.kind == "mc"
-        coarse, _ = self._reduce(self._support(0), integrands)
-        fine, spread = self._reduce(self._support(1), integrands, spread=mc)
+        coarse = self._pass(0, integrands)[0]
+        fine, spread = self._pass(1, integrands, spread=mc)
         out = []
         for j, (c, v) in enumerate(zip(coarse, fine)):
             if np.ndim(v):
@@ -372,10 +369,7 @@ class NascentMD:
         return out
 
     def moments(self) -> Moments:
-        """E f, E (f - c)^2 and E x from one pass per level.
-
-        Cached per k and shared by ``with_k`` clones.
-        """
+        """E f, E (f - c)^2 and E x from one pass per level, cached per k for ``with_k`` clones."""
         cache = self._shared["moments"]
         if self.k not in cache:
             self.levels()
@@ -419,9 +413,12 @@ class NascentMD:
         return cache[self.k]
 
     def log_expect_tau(self) -> Estimate:
-        """log E^(k)(tau), with the levels' difference of it as the error."""
-        coarse, fine = (self._log_sum(self.k + 1.0, i) - self._log_sum(self.k, i) for i in (0, 1))
-        return Estimate(fine, abs(fine - coarse))
+        """log E^(k)(tau) = c + log E^(k)(exp(log tau - c)), c the finest level's max log
+        tau, from one pass per level, with the levels' difference of it as the error."""
+        tau, c = self.resolved_tau(), self.levels()[1].log_tau_max
+        h = [lambda f, *_: np.exp(tau.log_tau(f, checked=True) - c)]
+        coarse, fine = (c + np.log(self._pass(i, h)[0][0]) for i in (0, 1))
+        return Estimate(float(fine), float(abs(fine - coarse)))
 
     def variance_f(self) -> Estimate:
         """Var^(k)(f) = E (f - c)^2 - (E f - c)^2 with c the finest level's min f,

@@ -293,14 +293,17 @@ def test_shrinkrate_computes_gradients_twice(runner, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (["shrinkrate", "--function", "paper2d", "--k", "8"], 2),
-    (["sets", "--function", "paper2d", "--k", "0,1,4,16"], 8),
+    (["shrinkrate", "--function", "paper2d", "--k", "8"], 4),
+    (["sets", "--function", "paper2d", "--k", "0,1,4,16"], 16),
     (["minimize", "--function", "paper2d"], 20),
 ])
 def test_weight_passes_per_command(runner, tmp_path, monkeypatch, argv, passes):
-    """One weight pass per level for each reduction: shrinkrate's E log tau at its k
-    is reduced once, though descent_rate reads it twice; sets reduces E f at each
-    of its four k; minimize reduces its moments once per stage for ten stages."""
+    """Every density sum is a weight pass, one per level for each reduction and one
+    over the finest level for log Z at a k that no pass has seen: shrinkrate sums
+    log Z at k and at k + dk and reduces E log tau at k once, though descent_rate
+    reads it twice; sets reduces E f and log E tau at each of its four k, and its
+    D0 set reads log Z from the E f pass; minimize reduces its moments once per
+    stage for ten stages."""
     calls = []
     reduce = NascentMD._reduce
 

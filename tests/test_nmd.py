@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import softmax
 
 from mdopt import nmd
-from mdopt.integrate import IntegratorConfig, integrate
+from mdopt.integrate import IntegratorConfig, integrate, logsumexp
 from mdopt.nmd import DomainError, Exponential, InvalidShiftError, NascentMD, Rational
 from mdopt.objective import Objective, catalog_get
 from mdopt.region import GridMesh, box
@@ -344,34 +344,47 @@ def test_mesh_values_under_concurrent_clones():
     assert wrong == []
 
 
-def test_log_Z_and_log_expect_tau_share_log_sums(monkeypatch):
-    """One logsumexp per level per k serves both log E(tau) and log Z."""
-    calls = []
-    logsumexp = nmd.logsumexp
+def _count_passes(monkeypatch) -> list:
+    """Spy on ``NascentMD._reduce``, the one weight pass: (k, level f) per call."""
+    calls, reduce = [], NascentMD._reduce
 
-    def counting(x):
-        calls.append(x.shape)
-        return logsumexp(x)
-    monkeypatch.setattr(nmd, "logsumexp", counting)
+    def counting(self, level, *args, **kwargs):
+        calls.append((self.k, level.f))
+        return reduce(self, level, *args, **kwargs)
+    monkeypatch.setattr(NascentMD, "_reduce", counting)
+    return calls
+
+
+def test_log_Z_and_log_expect_tau_share_log_sums(monkeypatch):
+    """log E(tau) makes one pass per level at k and none at k + 1, and its pass over
+    the finest level leaves log Z(k), which log Z then reads; log Z(k + 1) - log Z(k)
+    equals log E(tau)."""
+    calls = _count_passes(monkeypatch)
     obj, region = catalog_get("paper1d")
     m = NascentMD(obj, region, k=3.0, integrator=GRID_1D)
     first = m.log_expect_tau()
-    assert len(calls) == 4  # k and k + 1 on both levels
-    assert m.log_expect_tau() == first
-    assert m.with_k(4.0).log_Z() == pytest.approx(m.log_Z() + first.value, abs=1e-12)
-    assert len(calls) == 4
+    assert [(k, f.size) for k, f in calls] == [(3.0, lv.size) for lv in m.levels()]
+    log_Z = m.log_Z()
+    assert len(calls) == 2
+    assert m.with_k(4.0).log_Z() - log_Z == pytest.approx(first.value, rel=0, abs=1e-12)
+    assert len(calls) == 3
 
 
 def test_log_expect_tau_error_survives_a_large_shift():
-    """log E tau and its levels' difference stay finite when f is far below -709,
-    where E tau itself overflows; the error matches the unshifted run's up to the
-    rounding of log-sums near 4000 (spacing 4.5e-13)."""
+    """log E tau and its levels' difference stay finite when f is shifted by -1e3,
+    where E tau itself overflows, or by +1e3, where it underflows: the value moves by
+    the shift and the error matches the unshifted run's within 1e-5 relative (4.8e-6
+    here).  Each level's value is c + log E exp(log tau - c), c the finest level's max
+    log tau, so the shift cancels inside the exponent; what is left is the rounding of
+    f + shift itself, which sets the floor above about 1e5 (5e-4 relative there)."""
     obj, region = catalog_get("paper1d")
-    shifted = Objective("paper1d-1000", 1, lambda p: obj.fn(p) - 1000.0)
-    plain, low = (NascentMD(o, region, k=3.0).log_expect_tau() for o in (obj, shifted))
-    assert np.isfinite(low.error) and low.error > 0.0
-    assert low.value == pytest.approx(plain.value + 1000.0, rel=1e-15)
-    assert low.error == pytest.approx(plain.error, rel=0, abs=4 * np.spacing(4000.0))
+    plain = NascentMD(obj, region, k=3.0).log_expect_tau()
+    for shift in (-1000.0, 1000.0):
+        moved = Objective(f"paper1d{shift:+g}", 1, lambda p, c=shift: obj.fn(p) + c)
+        got = NascentMD(moved, region, k=3.0).log_expect_tau()
+        assert np.isfinite(got.error) and got.error > 0.0
+        assert got.value == pytest.approx(plain.value - shift, rel=1e-15)
+        assert got.error == pytest.approx(plain.error, rel=1e-5)
 
 
 def test_grid_levels_evaluate_f_through_their_meshes(monkeypatch):
@@ -392,20 +405,18 @@ def test_grid_levels_evaluate_f_through_their_meshes(monkeypatch):
 
 
 def test_log_Z_alone_sums_only_the_finest_level(monkeypatch):
-    """log Z at a fresh k makes one logsumexp: the coarse level's is not read."""
-    calls = []
-    logsumexp = nmd.logsumexp
-
-    def counting(x):
-        calls.append(x.shape)
-        return logsumexp(x)
-    monkeypatch.setattr(nmd, "logsumexp", counting)
+    """log Z at a fresh k makes one pass, over the finest level: the coarse level's
+    sum is not read; after moments() at the same k it makes none."""
+    calls = _count_passes(monkeypatch)
     obj, region = catalog_get("paper1d")
     m = NascentMD(obj, region, k=3.0, integrator=GRID_1D)
     m.log_Z()
-    assert calls == [m.levels()[-1].f.shape]
-    m.with_k(7.0).log_Z()
-    assert len(calls) == 2
+    assert len(calls) == 1 and calls[0][0] == 3.0 and calls[0][1] is m.levels()[-1].f
+    m7 = m.with_k(7.0)
+    m7.moments()
+    assert len(calls) == 3
+    m7.log_Z()
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("method", ["grad_density", "ddk_density"])
@@ -533,7 +544,7 @@ def _check_support_ladder(function, tau, integrator, scale_of):
                 a = k * m.resolved_tau().log_tau(lv.f)
                 weighted = lv.nodes[np.exp(a - a.max()) > 0.0]
                 assert np.all(np.isin(_complex_rows(weighted), _complex_rows(sub.nodes)))
-                (mass,), _ = m._reduce(sub, [lambda f, *_: np.ones(f.size)])
+                (mass,), *_ = m._reduce(sub, [lambda f, *_: np.ones(f.size)])
                 assert mass == pytest.approx(1.0, abs=1e-14)
 
 
@@ -579,7 +590,7 @@ def test_location_from_lattice_marginals_matches_dense(paper2d_disk, on_disk, su
             sub, w_support = support_weights(m, i)
             assert sub.mesh is not None
             clipped += np.count_nonzero(w_support == 0.0)
-            (got,), _ = m._reduce(sub, [lambda f, points, weighted_sum: weighted_sum])
+            (got,), *_ = m._reduce(sub, [lambda f, points, weighted_sum: weighted_sum])
             for w in (softmax(k * m.resolved_tau().log_tau(lv.f)), w_support):
                 assert np.all(np.abs(got - w @ nodes) <= 1e-14 * (w @ np.abs(nodes))), (k, i)
             assert "nodes" not in vars(lv.mesh)
@@ -589,9 +600,10 @@ def test_location_from_lattice_marginals_matches_dense(paper2d_disk, on_disk, su
 @pytest.mark.parametrize("case", ["grid1000", "grid1d", "disk", "mc"])
 def test_blocked_pass_matches_dense_reference_across_block_boundaries(paper2d_disk, case):
     """E f, E (f - c)^2, E log tau and E x with their errors equal the dense
-    softmax(k log tau) ones where blocks split the level unevenly: 1000^2 slabs
-    of 16,000 nodes, a 1-d grid whose slabs are pieces of its one row, the disk's
-    slabs scattered onto the lattice, and Monte Carlo slices with 3 sigma errors."""
+    softmax(k log tau) ones, and log Z and log E tau the dense logsumexp(k log tau)
+    ones, where blocks split the level unevenly: 1000^2 slabs of 16,000 nodes, a
+    1-d grid whose slabs are pieces of its one row, the disk's slabs scattered onto
+    the lattice, and Monte Carlo slices with 3 sigma errors."""
     obj, region = paper2d_disk if case == "disk" else catalog_get(
         {"grid1000": "paper2d", "grid1d": "paper1d", "mc": "rastrigin"}[case])
     integrator = {"grid1000": IntegratorConfig(kind="grid", resolution=1000),
@@ -606,24 +618,40 @@ def test_blocked_pass_matches_dense_reference_across_block_boundaries(paper2d_di
             got = _got(m, mom, name)
             assert np.max(np.abs(got.value - value)) <= 1e-13 * abs_mean + clip, (k, name)
             assert abs(got.error - err) <= 1e-13 * both_abs_mean + clip, (k, name)
+        # log-sums L_i(k) of k log tau on each level, the dense reference for log Z and
+        # log E tau = L(k + 1) - L(k), whose subtraction rounds at eps (|L(k)| + |L(k + 1)|);
+        # the 1 stands for logsumexp's own log1p and log rounding when L is near 0
+        log_sums = [[logsumexp(kk * m.resolved_tau().log_tau(lv.f)) for kk in (k, k + 1.0)]
+                    for lv in m.levels()]
+        log_Z = log_sums[1][0] + m.levels()[1].log_node_weight
+        assert abs(m.log_Z() - log_Z) <= 4 * np.spacing(abs(log_Z)), k
+        coarse, fine = (b - a for a, b in log_sums)
+        rounding = [4 * np.finfo(float).eps * (1.0 + abs(a) + abs(b)) for a, b in log_sums]
+        log_e_tau = m.log_expect_tau()
+        assert abs(log_e_tau.value - fine) <= rounding[1], k
+        assert abs(log_e_tau.error - abs(fine - coarse)) <= sum(rounding), k
 
 
 def test_moments_make_no_level_sized_float_array():
-    """A stage walks each 1024^2 level in blocks: moments() allocates under 1 MiB at
-    its peak without clipping (k = 1), and with clipping but no cut (k = 200 puts
-    k log tau's range above 650 and most nodes within 746 of the max) only the
-    cut decision's bool mask, N bytes, more.  One level-sized float array is 8 MiB."""
+    """A stage walks each 1024^2 level in blocks: moments(), and log Z and log E tau at
+    a fresh k, each allocate under 1 MiB at their peak without clipping (k = 1), and
+    with clipping but no cut (k = 200 puts k log tau's range above 650 and most nodes
+    within 746 of the max) only the cut decision's bool mask, N bytes, more.  One
+    level-sized float array is 8 MiB."""
     obj, region = catalog_get("paper2d")
     m = NascentMD(obj, region, integrator=IntegratorConfig(kind="grid", resolution=1024))
     n = m.levels()[1].f.size
     for k, bound in ((1.0, 2 ** 20), (200.0, n + 2 ** 20)):
-        tracemalloc.start()
-        try:
-            m.with_k(k).moments()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, (k, peak)
+        for name in ("moments", "log_Z", "log_expect_tau"):
+            m._shared["moments"].clear()  # a fresh k: no pass at k is cached
+            m._shared["log_Z"].clear()
+            tracemalloc.start()
+            try:
+                getattr(m.with_k(k), name)()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (k, name, peak)
     lv = m.levels()[1]
     assert 200.0 * lv.log_tau_min < 200.0 * lv.log_tau_max - 650.0  # k = 200 clips
     assert not m._shared["support"]  # and cuts neither level
