@@ -17,12 +17,14 @@ top + log sum e: the first pass over the finest level at k leaves log Z(k).
 log E^(k)(tau) is c' + log E^(k)(exp(log tau - c')), c' the finest level's max
 log tau, so an offset in f cancels inside the exponent.  ``with_k`` clones share
 the levels, log Z, ``Moments``, E log tau (reduced when first read) and the f
-that ``mesh_values`` held for the latest mesh without a level's layout.  The pass
-runs on the support of m^(k), the nodes whose weight is not exactly 0; a larger k
-starts from the last support, and a level is cut, to the int32 positions of its
-nodes, only when at most half of them survive.  k log tau is clipped at 650 below
-its max, the clipped nodes weighing exactly 0, so exp stays on numpy's SIMD fast
-path (inputs > -708) and the mass dropped is at most N e^-650 ~ 1e-273 of Z.
+that ``mesh_values`` held for the latest mesh without a level's layout.  k log tau
+is clipped at 650 below its max, the clipped nodes weighing exactly 0, so exp stays
+on numpy's SIMD fast path (inputs > -708) and the mass dropped is at most N e^-650
+~ 1e-273 of Z.  A pass that clips marks the nodes it weighs, and when at most half
+are, cuts the level to their int32 positions: the support of m^(k) at every larger
+k, where the clipped nodes stay clipped.  A larger k starts from the last cut, a
+smaller one from the whole level.  Dot products sum chunks of at most 8,192 nodes
+(``region._dot``), so no output follows the BLAS thread count.
 ``expectation(h)`` evaluates h, and checks ``DomainError``, block by block on the
 support.  k must be finite and >= 0.
 """
@@ -37,7 +39,7 @@ import numpy as np
 from .integrate import IntegratorConfig, Level, default_config, levels as quadrature_levels
 from .integrate import logsumexp, softmax  # noqa: F401  bench/tracer.py wraps both by name
 from .objective import Objective, evaluate_batch, gradient
-from .region import BLOCK_ROWS, CompactRegion, Estimate, GridMesh, _as_points
+from .region import BLOCK_ROWS, CompactRegion, Estimate, GridMesh, _as_points, _dot
 
 
 class InvalidShiftError(ValueError):
@@ -150,7 +152,7 @@ class DensityLevel(Level):
             else:
                 ix = self.index[i:i + BLOCK_ROWS]
                 f, points = self.f[ix], lambda ix=ix: self._gather(ix)
-            yield f, points, lambda w, points=points: w @ points()
+            yield f, points, lambda w, points=points: _dot(w, points())
 
     def restrict(self, keep: np.ndarray) -> "DensityLevel":
         """The cut to the nodes where ``keep`` (one flag per node) holds, which must include
@@ -229,61 +231,54 @@ class NascentMD:
         return self._shared["tau"]
 
     def _support(self, i: int) -> DensityLevel:
-        """Level i (0 coarse, 1 finest) or its support, starting from the support cut at
-        k0 <= k (k log tau < max - 746 weighs 0 at any k >= k0).  When the pass will clip,
-        it cuts, and caches the cut, if at most half has k log tau >= max - 746."""
-        k0, level = self._shared["support"].get(i, (np.inf, None))
-        level = level if self.k >= k0 else self.levels()[i]
-        top = self.k * level.log_tau_max  # == max(k log tau): rounding is monotone, k >= 0
-        if self.k * level.log_tau_min >= top - 650.0:  # nothing to drop or clip
-            return level
-        tau, keep, j = self._shared["tau"], np.empty(level.size, dtype=bool), 0
-        for f, *_ in level.blocks():
-            np.greater_equal(tau.log_tau(f, self.k, checked=True), top - 746.0,
-                             out=keep[j:j + f.size])
-            j += f.size
-        if 2 * np.count_nonzero(keep) <= keep.size:
-            level = level.restrict(keep)
-            self._shared["support"][i] = (self.k, level)
-        return level
+        """Level i (0 coarse, 1 finest) or the cut that a pass at k0 <= k left: a node
+        with k0 (log tau - max) < -650 stays below -650 at any k >= k0, so it weighs 0."""
+        k0, cut = self._shared["support"].get(i, (np.inf, None))
+        return cut if self.k >= k0 else self.levels()[i]
 
     def _reduce(self, level: DensityLevel, integrands, spread: bool = False):
         """E^(k) on ``level`` of each integrand, a map from a block of ``level.blocks()`` to
         its node values or to a map from the block's weights to their weighted sum (the
         location x), from one walk over the blocks: the one place weights meet node values.
         A block's weights are e = exp(k log tau - top), top = k max log tau, 0 where k log
-        tau is clipped; sums are divided by sum e at the end, and top + log sum e is last.
+        tau is clipped; sums are divided by sum e at the end, and top + log sum e follows.
         With ``spread``, also sum w^2 (h - E h)^2 per scalar integrand (else None), from
-        each block's sums of e^2 (h - b)^j, j = 0, 1, 2, about its own mean b."""
+        each block's sums of e^2 (h - b)^j, j = 0, 1, 2, about its own mean b.  Last is
+        the mask of the nodes with e > 0, one bool per node, or None when nothing clips."""
         tau, k = self._shared["tau"], self.k
         top = k * level.log_tau_max
-        clip = k * level.log_tau_min < top - 650.0
-        z, sums, parts = 0.0, [0.0] * len(integrands), []
+        keep = np.empty(level.size, dtype=bool) if k * level.log_tau_min < top - 650.0 else None
+        z, sums, parts, n = 0.0, [0.0] * len(integrands), [], 0
         for block in level.blocks():
             e = tau.log_tau(block[0], k, checked=True)  # block = (f, points, weighted_sum)
-            if clip:
-                clipped = e < top - 650.0
+            if keep is not None:
+                kept = np.greater_equal(e, top - 650.0, out=keep[n:n + e.size])
                 np.maximum(e, top - 650.0, out=e)
             np.exp(np.subtract(e, top, out=e), out=e)
-            if clip:
-                np.putmask(e, clipped, 0.0)
+            if keep is not None:
+                np.multiply(e, kept, out=e)
+            n += e.size
             z_block = np.sum(e)
             z += z_block
             for j, v in enumerate(h(*block) for h in integrands):
-                ev = v(e) if callable(v) else e @ v
+                ev = v(e) if callable(v) else _dot(e, v)
                 sums[j] += ev
                 if spread and not callable(v) and z_block > 0.0:
                     d = np.multiply(v - ev / z_block, e)
-                    parts.append((j, ev / z_block, e @ e, d @ e, d @ d))
+                    parts.append((j, ev / z_block, _dot(e, e), _dot(d, e), _dot(d, d)))
         means = [t / z for t in sums]
         out = np.zeros(len(integrands))
         for j, b, q0, q1, q2 in parts:
             out[j] += q2 - 2.0 * (means[j] - b) * q1 + (means[j] - b) ** 2 * q0
-        return means, out / z ** 2 if spread else None, float(top + np.log(z))
+        return means, out / z ** 2 if spread else None, float(top + np.log(z)), keep
 
     def _pass(self, i: int, integrands, spread: bool = False):
-        """``_reduce`` on level i's support; the first pass over the finest at k keeps log Z."""
-        means, out, log_sum = self._reduce(self._support(i), integrands, spread)
+        """``_reduce`` on level i's support, cut to the nodes it weighed when at most half
+        of them were, the cut cached at k; the first pass over the finest at k keeps log Z."""
+        level = self._support(i)
+        means, out, log_sum, keep = self._reduce(level, integrands, spread)
+        if keep is not None and 2 * np.count_nonzero(keep) <= keep.size:
+            self._shared["support"][i] = (self.k, level.restrict(keep))
         if i == 1:
             self._shared["log_Z"].setdefault(self.k, log_sum + self.levels()[1].log_node_weight)
         return means, out

@@ -17,6 +17,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 BLOCK_ROWS = 2 ** 14  # lattice points per slab: keeps each block's temporaries cache-sized
+DOT_ROWS = 2 ** 13  # OpenBLAS ddot keeps its bits across thread counts up to 10,000 entries
 
 
 class RegionError(ValueError):
@@ -52,6 +53,15 @@ def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
             f"expected points of dimension {dim}, got array of shape {arr.shape}"
         )
     return arr, False
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``a @ b`` summed over chunks of at most DOT_ROWS rows, one ``@`` for a short a:
+    the same bits at any BLAS thread count."""
+    s = a[:DOT_ROWS] @ b[:DOT_ROWS]
+    for i in range(DOT_ROWS, len(a), DOT_ROWS):
+        s = s + a[i:i + DOT_ROWS] @ b[i:i + DOT_ROWS]
+    return s
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,8 @@ class GridMesh:
                     lat[sel] = w
                     w = lat
                 w = w.reshape(lead.shape[1], len(last))
-                return np.append(lead @ np.sum(w, axis=1), last @ np.sum(w, axis=0))
+                # a slab has at most rows // 2 rows, but a 1-d row piece up to rows points
+                return np.append(lead @ np.sum(w, axis=1), _dot(last, np.sum(w, axis=0)))
             yield n, points, weighted_sum
 
     def blocks(self, rows: int) -> Iterator[np.ndarray]:

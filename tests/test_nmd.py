@@ -254,7 +254,9 @@ def test_a_cut_holds_one_int32_per_kept_node(tau):
     obj, region = catalog_get("paper2d")
     m = NascentMD(obj, region, tau=tau, k=0.0, integrator=GRID_2D)
     level = m.levels()[1]
-    sub = m.with_k(np.exp(10.0))._support(1)
+    m_cut = m.with_k(np.exp(10.0))
+    m_cut.moments()  # the pass that clips at e^10 cuts
+    sub = m_cut._support(1)
     m.mesh_values(region.build_grid(100))
     (mesh, *held), = m._shared["mesh"]
 
@@ -525,8 +527,8 @@ def _check_support_ladder(function, tau, integrator, scale_of):
     """Up, down and up the k ladder, each pass starting from the support the
     last one left: the moments equal the dense ones within 1e-13 of
     ``scale_of(value, E|h|)``, their errors within 1e-13 of the larger level's
-    E|h| (an error is a difference of the two levels' values), and no node whose
-    dense weight is positive is ever dropped."""
+    E|h| (an error is a difference of the two levels' values), and no node that the
+    pass weighs, k log tau >= max - 650, is ever dropped."""
     obj, region = catalog_get(function)
     base = NascentMD(obj, region, tau=tau, k=0.0, integrator=integrator)
     for ks in (LADDER, LADDER[::-1], LADDER):
@@ -542,7 +544,7 @@ def _check_support_ladder(function, tau, integrator, scale_of):
             for i, lv in enumerate(m.levels()):
                 sub = m._support(i)
                 a = k * m.resolved_tau().log_tau(lv.f)
-                weighted = lv.nodes[np.exp(a - a.max()) > 0.0]
+                weighted = lv.nodes[a >= a.max() - 650.0]
                 assert np.all(np.isin(_complex_rows(weighted), _complex_rows(sub.nodes)))
                 (mass,), *_ = m._reduce(sub, [lambda f, *_: np.ones(f.size)])
                 assert mass == pytest.approx(1.0, abs=1e-14)
@@ -566,11 +568,13 @@ def test_support_moments_match_dense_reference_rastrigin(tau):
 def test_support_is_whole_at_k0_and_smaller_at_large_k(tau, support_weights):
     obj, region = catalog_get("paper2d")
     m = NascentMD(obj, region, tau=tau, k=0.0, integrator=GRID_2D)
+    m_cut = m.with_k(np.exp(10.0))
+    m_cut.moments()  # the pass that clips at e^10 cuts
     for i, lv in enumerate(m.levels()):
         sub, w = support_weights(m, i)
         assert sub is lv
         assert np.all(w == 1.0 / lv.f.size)
-        sub = m.with_k(np.exp(10.0))._support(i)
+        sub = m_cut._support(i)
         assert sub.size < lv.size and sub.f is lv.f and sub.mesh is lv.mesh
         assert sub.nodes.flags.f_contiguous
 
@@ -636,8 +640,8 @@ def test_moments_make_no_level_sized_float_array():
     """A stage walks each 1024^2 level in blocks: moments(), and log Z and log E tau at
     a fresh k, each allocate under 1 MiB at their peak without clipping (k = 1), and
     with clipping but no cut (k = 200 puts k log tau's range above 650 and most nodes
-    within 746 of the max) only the cut decision's bool mask, N bytes, more.  One
-    level-sized float array is 8 MiB."""
+    within 650 of the max) only the pass's bool mask of the nodes it weighs, N bytes,
+    more.  One level-sized float array is 8 MiB."""
     obj, region = catalog_get("paper2d")
     m = NascentMD(obj, region, integrator=IntegratorConfig(kind="grid", resolution=1024))
     n = m.levels()[1].f.size
@@ -658,20 +662,56 @@ def test_moments_make_no_level_sized_float_array():
 
 
 def test_support_cut_allocates_its_mask_and_index_alone():
-    """Cutting paper2d's 1024^2 level at k = e^6 keeps 320,392 nodes and allocates
-    the decision's bool mask, N bytes, and the cut's int32 index, 4 bytes per kept
-    node, and under 1 MiB more: no copy of f or of the kept nodes' points."""
+    """The log Z pass that cuts paper2d's 1024^2 level at k = e^6 keeps 219,964 nodes
+    and allocates the pass's bool mask, N bytes, and the cut's int32 index, 4 bytes per
+    kept node, and under 1 MiB more: no copy of f or of the kept nodes' points."""
     obj, region = catalog_get("paper2d")
     m = NascentMD(obj, region, integrator=IntegratorConfig(kind="grid", resolution=1024))
     n = m.levels()[1].size
     tracemalloc.start()
     try:
-        sub = m.with_k(np.exp(6.0))._support(1)
+        m.with_k(np.exp(6.0)).log_Z()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sub.size == 320_392
+    sub = m.with_k(np.exp(6.0))._support(1)
+    assert sub.size == 219_964
     assert peak < n + 4 * sub.size + 2 ** 20, peak
+
+
+def test_a_cut_holds_exactly_the_nodes_its_pass_weighed():
+    """The pass at k = e^6 over paper2d's 1024^2 level cuts it to the nodes whose weight
+    it made non-zero, k log tau >= k max log tau - 650: 219,964 nodes."""
+    obj, region = catalog_get("paper2d")
+    m = NascentMD(obj, region, k=np.exp(6.0),
+                  integrator=IntegratorConfig(kind="grid", resolution=1024))
+    m.moments()
+    lv = m.levels()[1]
+    a = m.resolved_tau().log_tau(lv.f, m.k)
+    want = np.flatnonzero(a >= m.k * lv.log_tau_max - 650.0)
+    assert want.size == 219_964
+    assert np.array_equal(m._support(1).index, want)
+
+
+def test_a_weight_pass_is_the_one_walk_over_its_level(monkeypatch):
+    """Annealing paper2d at 256^2 walks the nodes only in weight passes, each once: the
+    f entries that ``DensityLevel.blocks()`` yields add up to the sizes of the levels
+    that ``_reduce`` reduced."""
+    walked, reduced = [], []
+    blocks, reduce = nmd.DensityLevel.blocks, NascentMD._reduce
+
+    def spy_blocks(level):
+        for block in blocks(level):
+            walked.append(block[0].size)
+            yield block
+
+    def spy_reduce(self, level, *args, **kwargs):
+        reduced.append(level.size)
+        return reduce(self, level, *args, **kwargs)
+    monkeypatch.setattr(nmd.DensityLevel, "blocks", spy_blocks)
+    monkeypatch.setattr(NascentMD, "_reduce", spy_reduce)
+    run_continuation(*catalog_get("paper2d"))
+    assert reduced and sum(walked) == sum(reduced)
 
 
 @pytest.fixture(scope="module")

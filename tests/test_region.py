@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mdopt.integrate import IntegratorConfig, levels
-from mdopt.region import (CompactRegion, DimensionMismatchError, EmptyRegionError,
-                          InfeasibleRegionError, RegionError, box)
+from mdopt.region import (DOT_ROWS, CompactRegion, DimensionMismatchError, EmptyRegionError,
+                          InfeasibleRegionError, RegionError, _dot, box)
 
 
 def disk_constraint(p):
@@ -169,3 +169,17 @@ def test_seeded_box_draws_keep_their_bits():
     assert digest(box([-1.0, 0.0], [2.0, 3.0]).sample_uniform(500, seed=11)) == "5adb22fb5b3c109c"
     mu = thin.measure(mc_n=5000, seed=3)
     assert (mu.value.hex(), mu.error.hex()) == ("0x1.0624dd2f1a9fcp-5", "0x1.e95c45479d814p-8")
+
+
+@pytest.mark.parametrize("cols", [None, 2])
+def test_dot_sums_chunks_of_at_most_dot_rows(cols):
+    """_dot is one ``@`` up to DOT_ROWS rows, and past that the sum, in order, of the
+    chunks' ``@``: no BLAS call sees more rows than OpenBLAS keeps thread-independent."""
+    rng = np.random.default_rng(5)
+    a = rng.random(2 * DOT_ROWS + 100)
+    b = rng.random(a.shape if cols is None else (a.size, cols))
+    short = slice(0, DOT_ROWS)
+    assert np.asarray(_dot(a[short], b[short])).tobytes() == (a[short] @ b[short]).tobytes()
+    chunks = [a[i:i + DOT_ROWS] @ b[i:i + DOT_ROWS] for i in range(0, a.size, DOT_ROWS)]
+    assert np.asarray(_dot(a, b)).tobytes() == ((chunks[0] + chunks[1]) + chunks[2]).tobytes()
+    assert DOT_ROWS <= 10_000
