@@ -84,7 +84,8 @@ def default_config(dim: int, seed: int = 0) -> IntegratorConfig:
 @dataclass(frozen=True)
 class Level:
     """A node set and its log node weight: a grid mesh with ``points`` None, or
-    explicit member ``points`` (a Monte Carlo sample) with ``mesh`` None."""
+    explicit member ``points`` (a Monte Carlo sample or a density's support cut)
+    with ``mesh`` None."""
 
     points: np.ndarray | None
     log_node_weight: float

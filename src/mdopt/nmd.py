@@ -20,11 +20,12 @@ the levels, log Z, ``Moments``, E log tau (reduced when first read) and the f
 that ``mesh_values`` held for the latest mesh without a level's layout.  k log tau
 is clipped at 650 below its max, the clipped nodes weighing exactly 0, so exp stays
 on numpy's SIMD fast path (inputs > -708) and the mass dropped is at most N e^-650
-~ 1e-273 of Z.  A pass that clips marks the nodes it weighs, and when at most half
-are, cuts the level to their int32 positions: the support of m^(k) at every larger
-k, where the clipped nodes stay clipped.  A larger k starts from the last cut, a
-smaller one from the whole level.  Dot products sum chunks of at most 8,192 nodes
-(``region._dot``), so no output follows the BLAS thread count.
+~ 1e-273 of Z.  A pass that clips marks the nodes it weighs, and when at most 1/8
+are, cuts the level to them, a level of explicit points that copies their f and
+coordinates: the support of m^(k) at every larger k, where the clipped nodes stay
+clipped.  A larger k starts from the last cut, a smaller one from the whole level.
+Dot products sum chunks of at most 8,192 nodes (``region._dot``), so no output
+follows the BLAS thread count.
 ``expectation(h)`` evaluates h, and checks ``DomainError``, block by block on the
 support.  k must be finite and >= 0.
 """
@@ -111,58 +112,44 @@ TauKind = Exponential | Rational
 @dataclass(frozen=True)
 class DensityLevel(Level):
     """A quadrature level with f on its nodes, and the max and min of log tau
-    (resolved tau) over the whole level; a cut (``restrict``) is the level plus
-    ``index``, the int32 positions of its nodes, and shares the level's arrays."""
+    (resolved tau) over the whole level; a cut (``restrict``) is a level of explicit
+    points, copies of the kept nodes' f and coordinates."""
 
     f: np.ndarray
     log_tau_max: float
     log_tau_min: float
-    index: np.ndarray | None = None
 
     @property
     def size(self) -> int:
-        return self.f.size if self.index is None else self.index.size
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return super().nodes if self.index is None else self._gather(self.index)
-
-    def node(self, i: int) -> np.ndarray:
-        return super().node(i if self.index is None else int(self.index[i]))
-
-    def _gather(self, ix: np.ndarray) -> np.ndarray:
-        """The nodes at positions ``ix`` as a coordinate-major ``(n, dim)`` array."""
-        return self.mesh.points_at(ix) if self.mesh is not None else np.take(
-            self.points.T, ix, axis=1).T
+        return self.f.size
 
     def blocks(self) -> Iterator[tuple[np.ndarray, Callable, Callable]]:
         """The nodes in level order as (f, points, weighted_sum) blocks of at most BLOCK_ROWS:
         f, a map to the ``(n, dim)`` points and one from a weight per node to sum_i w_i x_i;
-        a whole grid level's slabs (the sum from lattice marginals), else nodes by position."""
-        if self.mesh is not None and self.index is None:
+        a grid level's slabs (the sum from lattice marginals), else slices of the points."""
+        if self.mesh is not None:
             i = 0
             for n, points, weighted_sum in self.mesh.slabs(BLOCK_ROWS):
                 yield self.f[i:i + n], points, weighted_sum
                 i += n
             return
         for i in range(0, self.size, BLOCK_ROWS):
-            if self.index is None:
-                pts = self.points[i:i + BLOCK_ROWS]
-                f, points = self.f[i:i + BLOCK_ROWS], lambda pts=pts: pts
-            else:
-                ix = self.index[i:i + BLOCK_ROWS]
-                f, points = self.f[ix], lambda ix=ix: self._gather(ix)
-            yield f, points, lambda w, points=points: _dot(w, points())
+            pts = self.points[i:i + BLOCK_ROWS]
+            yield self.f[i:i + BLOCK_ROWS], lambda pts=pts: pts, lambda w, pts=pts: _dot(w, pts)
 
     def restrict(self, keep: np.ndarray) -> "DensityLevel":
         """The cut to the nodes where ``keep`` (one flag per node) holds, which must include
-        a node where log tau is maximal; the min stays the whole level's, a lower bound."""
-        index, n = np.empty(np.count_nonzero(keep), dtype=np.int32), 0
+        a node where log tau is maximal: their f and their coordinates, copied coordinate-major
+        at most BLOCK_ROWS at a time; the min stays the whole level's, a lower bound."""
+        f, n = self.f[keep], 0
+        coords = np.empty((self.points.shape[1] if self.mesh is None else self.mesh.region.dim,
+                           f.size))
         for i in range(0, keep.size, BLOCK_ROWS):
-            pos = np.flatnonzero(keep[i:i + BLOCK_ROWS]) + i
-            index[n:n + pos.size] = pos if self.index is None else self.index[pos]
-            n += pos.size
-        return replace(self, index=index)
+            ix = np.flatnonzero(keep[i:i + BLOCK_ROWS]) + i
+            coords[:, n:n + ix.size] = (np.take(self.points.T, ix, axis=1) if self.mesh is None
+                                        else self.mesh.points_at(ix).T)
+            n += ix.size
+        return replace(self, points=coords.T, mesh=None, f=f)
 
 
 @dataclass(frozen=True)
@@ -273,11 +260,11 @@ class NascentMD:
         return means, out / z ** 2 if spread else None, float(top + np.log(z)), keep
 
     def _pass(self, i: int, integrands, spread: bool = False):
-        """``_reduce`` on level i's support, cut to the nodes it weighed when at most half
+        """``_reduce`` on level i's support, cut to the nodes it weighed when at most 1/8
         of them were, the cut cached at k; the first pass over the finest at k keeps log Z."""
         level = self._support(i)
         means, out, log_sum, keep = self._reduce(level, integrands, spread)
-        if keep is not None and 2 * np.count_nonzero(keep) <= keep.size:
+        if keep is not None and 8 * np.count_nonzero(keep) <= keep.size:
             self._shared["support"][i] = (self.k, level.restrict(keep))
         if i == 1:
             self._shared["log_Z"].setdefault(self.k, log_sum + self.levels()[1].log_node_weight)

@@ -45,11 +45,11 @@ def paper2d_disk():
 def support_weights():
     """A map from a density m and a level index i to ``m._support(i)`` and the dense
     weights over its nodes that the blocked pass sums without forming: softmax of
-    k log tau, where k log tau more than 650 below its max weighs exactly 0.  A cut's
-    nodes are the level's at its ``index``."""
+    k log tau, where k log tau more than 650 below its max weighs exactly 0.  A cut
+    holds its own f."""
     def weights(m, i):
         sub = m._support(i)
-        a = m.resolved_tau().log_tau(sub.f if sub.index is None else sub.f[sub.index], m.k)
+        a = m.resolved_tau().log_tau(sub.f, m.k)
         top = m.k * sub.log_tau_max
         e = np.where(a < top - 650.0, 0.0, np.exp(np.maximum(a, top - 650.0) - top))
         return sub, e / np.sum(e)

@@ -247,10 +247,11 @@ def test_mass_concentration(paper1d_md, paper1d_oracle, support_weights):
 
 
 @pytest.mark.parametrize("tau", [Exponential(), Rational(p=0.5)])
-def test_a_cut_holds_one_int32_per_kept_node(tau):
+def test_a_cut_holds_f_and_points_per_kept_node(tau):
     """m^(k) depends on a node only through f: a grid level and the mesh that
     mesh_values holds keep no other array with one entry per node, and a cut support
-    keeps one int32 position per kept node, sharing the level's f and mesh."""
+    is a level of explicit points, with no mesh: f and the f-contiguous ``(n, dim)``
+    coordinates of each kept node."""
     obj, region = catalog_get("paper2d")
     m = NascentMD(obj, region, tau=tau, k=0.0, integrator=GRID_2D)
     level = m.levels()[1]
@@ -264,8 +265,8 @@ def test_a_cut_holds_one_int32_per_kept_node(tau):
         return [name for name, v in vars(record).items() if isinstance(v, np.ndarray)]
     assert sub.size < level.size
     assert arrays(level) == ["f"] and level.f.shape == (level.size,)
-    assert arrays(sub) == ["f", "index"] and sub.f is level.f and sub.mesh is level.mesh
-    assert sub.index.dtype == np.int32 and sub.index.shape == (sub.size,)
+    assert arrays(sub) == ["points", "f"] and sub.mesh is None and sub.f.shape == (sub.size,)
+    assert sub.points.shape == (sub.size, 2) and sub.points.flags.f_contiguous
     assert len(held) == 1 and held[0].shape == (mesh.node_count,)
 
 
@@ -575,8 +576,8 @@ def test_support_is_whole_at_k0_and_smaller_at_large_k(tau, support_weights):
         assert sub is lv
         assert np.all(w == 1.0 / lv.f.size)
         sub = m_cut._support(i)
-        assert sub.size < lv.size and sub.f is lv.f and sub.mesh is lv.mesh
-        assert sub.nodes.flags.f_contiguous
+        assert sub.size < lv.size and sub.mesh is None and sub.f.shape == (sub.size,)
+        assert sub.nodes.shape == (sub.size, 2) and sub.nodes.flags.f_contiguous
 
 
 @pytest.mark.parametrize("on_disk", [False, True])
@@ -661,36 +662,59 @@ def test_moments_make_no_level_sized_float_array():
     assert not m._shared["support"]  # and cuts neither level
 
 
-def test_support_cut_allocates_its_mask_and_index_alone():
-    """The log Z pass that cuts paper2d's 1024^2 level at k = e^6 keeps 219,964 nodes
-    and allocates the pass's bool mask, N bytes, and the cut's int32 index, 4 bytes per
-    kept node, and under 1 MiB more: no copy of f or of the kept nodes' points."""
+def test_support_cut_allocates_its_mask_and_copies_alone():
+    """The log Z pass at k = e^6 over paper2d's 1024^2 level weighs 219,964 nodes, more
+    than N/8, and leaves the level whole; the pass at e^7 cuts it to 47,979 nodes and
+    allocates the pass's bool mask, N bytes, the copies of the kept nodes' f and points,
+    24 bytes per kept node, and under 1 MiB more (32 bytes per kept node for slack)."""
     obj, region = catalog_get("paper2d")
     m = NascentMD(obj, region, integrator=IntegratorConfig(kind="grid", resolution=1024))
-    n = m.levels()[1].size
+    level = m.levels()[1]
+    m.with_k(np.exp(6.0)).log_Z()
+    assert m.with_k(np.exp(6.0))._support(1) is level
     tracemalloc.start()
     try:
-        m.with_k(np.exp(6.0)).log_Z()
+        m.with_k(np.exp(7.0)).log_Z()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    sub = m.with_k(np.exp(6.0))._support(1)
-    assert sub.size == 219_964
-    assert peak < n + 4 * sub.size + 2 ** 20, peak
+    sub = m.with_k(np.exp(7.0))._support(1)
+    assert sub.size == 47_979
+    assert peak < level.size + 32 * sub.size + 2 ** 20, peak
 
 
 def test_a_cut_holds_exactly_the_nodes_its_pass_weighed():
-    """The pass at k = e^6 over paper2d's 1024^2 level cuts it to the nodes whose weight
-    it made non-zero, k log tau >= k max log tau - 650: 219,964 nodes."""
+    """The pass at k = e^7 over paper2d's 1024^2 level cuts it to the nodes whose weight
+    it made non-zero, k log tau >= k max log tau - 650: 47,979 nodes, with the f and
+    the point bits of the compressed level."""
     obj, region = catalog_get("paper2d")
-    m = NascentMD(obj, region, k=np.exp(6.0),
+    m = NascentMD(obj, region, k=np.exp(7.0),
                   integrator=IntegratorConfig(kind="grid", resolution=1024))
     m.moments()
     lv = m.levels()[1]
     a = m.resolved_tau().log_tau(lv.f, m.k)
-    want = np.flatnonzero(a >= m.k * lv.log_tau_max - 650.0)
-    assert want.size == 219_964
-    assert np.array_equal(m._support(1).index, want)
+    want = a >= m.k * lv.log_tau_max - 650.0
+    assert np.count_nonzero(want) == 47_979
+    sub = m._support(1)
+    assert sub.f.tobytes() == lv.f[want].tobytes()
+    assert sub.points.tobytes(order="A") == region.build_grid(1024).nodes[want].tobytes(order="F")
+
+
+def test_a_pass_cuts_when_at_most_an_eighth_of_its_nodes_weigh():
+    """On rastrigin's 1024^2 level the pass at k = e^3 weighs 404,076 nodes, more than
+    N/8, and leaves the level whole; the pass at e^4 cuts it to 40,220 nodes, and the
+    pass at e^5, which walks that cut, cuts it again to 4,824."""
+    obj, region = catalog_get("rastrigin")
+    base = NascentMD(obj, region, integrator=IntegratorConfig(kind="grid", resolution=1024))
+    lv = base.levels()[1]
+    sizes = []
+    for k in (np.exp(3.0), np.exp(4.0), np.exp(5.0)):
+        m = base.with_k(k)
+        m.moments()
+        sizes.append(m._support(1).size)
+    a = base.resolved_tau().log_tau(lv.f, np.exp(3.0))
+    assert np.count_nonzero(a >= np.exp(3.0) * lv.log_tau_max - 650.0) == 404_076
+    assert sizes == [lv.size, 40_220, 4_824]
 
 
 def test_a_weight_pass_is_the_one_walk_over_its_level(monkeypatch):
@@ -736,10 +760,10 @@ def cut_levels(paper2d_disk):
 @given(name=st.sampled_from(["box", "disk", "mc"]), p=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_cut_gathers_kept_nodes_bit_for_bit(cut_levels, name, p, seed):
-    """A cut gathers its nodes block by block from their positions: the bits of the
+    """A cut copies its nodes block by block from their positions: the bits of the
     compressed node array, coordinate-major; its moments have the bits of the same
     pass over a level that holds those nodes' f and points as arrays; and a cut of a
-    cut is the cut of the composed mask."""
+    cut has the f and points bytes of the cut of the composed mask."""
     m, level, nodes = cut_levels[name]
     rng = np.random.default_rng(seed)
     keep = rng.random(level.size) < p
@@ -757,7 +781,9 @@ def test_cut_gathers_kept_nodes_bit_for_bit(cut_levels, name, p, seed):
     again = rng.random(sub.size) < 0.5
     both = np.zeros_like(keep)
     both[np.flatnonzero(keep)[again]] = True
-    assert np.array_equal(sub.restrict(again).index, level.restrict(both).index)
+    twice, once = sub.restrict(again), level.restrict(both)
+    assert twice.f.tobytes() == once.f.tobytes()
+    assert twice.points.tobytes(order="A") == once.points.tobytes(order="A")
     assert level.mesh is None or "nodes" not in vars(level.mesh)
 
 
