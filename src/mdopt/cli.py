@@ -269,6 +269,8 @@ def sets_cmd(function, tau, p, grid, mc, seed, out, k, profile_resolution):
               help="skip boundary points with smaller gradient norm")
 def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     """Compare predicted vs measured boundary speed of the D0 set."""
+    if k + dk == k:
+        raise click.UsageError(f"--dk {dk} leaves --k {k} unchanged: k + dk rounds to k")
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
     m = NascentMD(obj, region, tau=tau_kind, k=k, integrator=integ)
     d0 = sets_mod.extract_set(m, sets_mod.SetKind.D0, region.build_grid(integ.resolution))

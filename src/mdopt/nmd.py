@@ -8,11 +8,13 @@ Everything is evaluated in log space on the two levels of ``integrate.levels``,
 held as frozen ``DensityLevel`` records (points or mesh, weight, f, and log tau at
 the level's min and max f) built once with the resolved tau and mu: m^(k) depends
 on a node only through f, and a grid level keeps no node array.  One pass per
-level (``_reduce``) serves every density sum: it walks the level in blocks of at
-most BLOCK_ROWS nodes (a grid mesh's slabs or slices of the points) and sums
-e = exp(k log tau - top), top = k max log tau, and e h per integrand.  It gives
-E f, E (f - c)^2 (c the finest level's min f, so Var^(k)(f) does not move when a
-constant is added to f) and E x, with the levels' difference as error, and
+level (``_reduce``) serves every density sum: it walks the level in (f, points)
+blocks of at most BLOCK_ROWS nodes (a grid mesh's slabs, written from its axes into
+one reused buffer, or slices of the points) and sums e = exp(k log tau - top),
+top = k max log tau, and e h per integrand, h a map from the block to its node
+values: f, (f - c)^2, or the points themselves for E x.  It gives E f, E (f - c)^2
+(c the finest level's min f, so Var^(k)(f) does not move when a constant is added
+to f) and E x, with the levels' difference as error, and
 top + log sum e: the first pass over the finest level at k leaves log Z(k).
 log E^(k)(tau) is c' + log E^(k)(exp(log tau - c')), c' the finest level's max
 log tau, so an offset in f cancels inside the exponent.  ``with_k`` clones share
@@ -58,7 +60,7 @@ class Exponential:
     def resolved(self, f: np.ndarray) -> "Exponential":
         return self
 
-    def log_tau(self, f, k: float = 1.0, checked: bool = False):
+    def log_tau(self, f, k: float = 1.0):
         return f * -k
 
     def dlog_tau_df(self, f) -> float:
@@ -88,18 +90,17 @@ class Rational:
         fmin, fmax = float(np.min(f)), float(np.max(f))
         return Rational(self.p, fmin - max(self.p, 0.1 * (fmax - fmin)))
 
-    def _arg(self, f, checked: bool = False):
+    def _arg(self, f):
         arg = f - self.L + self.p
-        if not checked and np.any(arg <= 0.0):
+        if np.any(arg <= 0.0):
             raise InvalidShiftError(
                 "rational tau requires f(x) - L + p > 0 on all evaluated points"
             )
         return arg
 
-    def log_tau(self, f, k: float = 1.0, checked: bool = False):
-        """k log tau on an array f, the log taken and scaled in place: ``k * -log(arg)``.
-        ``checked``: f is (part of) a level's, whose min f was checked when it was built."""
-        arg = self._arg(f, checked)
+    def log_tau(self, f, k: float = 1.0):
+        """k log tau on an array f, the log taken and scaled in place: ``k * -log(arg)``."""
+        arg = self._arg(f)
         return np.multiply(np.log(arg, out=arg), -k, out=arg)
 
     def dlog_tau_df(self, f):
@@ -123,19 +124,16 @@ class DensityLevel(Level):
     def size(self) -> int:
         return self.f.size
 
-    def blocks(self) -> Iterator[tuple[np.ndarray, Callable, Callable]]:
-        """The nodes in level order as (f, points, weighted_sum) blocks of at most BLOCK_ROWS:
-        f, a map to the ``(n, dim)`` points and one from a weight per node to sum_i w_i x_i;
-        a grid level's slabs (the sum from lattice marginals), else slices of the points."""
-        if self.mesh is not None:
-            i = 0
-            for n, points, weighted_sum in self.mesh.slabs(BLOCK_ROWS):
-                yield self.f[i:i + n], points, weighted_sum
-                i += n
-            return
-        for i in range(0, self.size, BLOCK_ROWS):
-            pts = self.points[i:i + BLOCK_ROWS]
-            yield self.f[i:i + BLOCK_ROWS], lambda pts=pts: pts, lambda w, pts=pts: _dot(w, pts)
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The nodes in level order as (f, points) blocks of at most BLOCK_ROWS, points
+        ``(n, dim)``: a grid level's mesh slabs, each valid until the next is made, else
+        slices of the points."""
+        points = (self.mesh.blocks(BLOCK_ROWS) if self.mesh is not None else
+                  (self.points[i:i + BLOCK_ROWS] for i in range(0, self.size, BLOCK_ROWS)))
+        i = 0
+        for pts in points:
+            yield self.f[i:i + len(pts)], pts
+            i += len(pts)
 
     def restrict(self, keep: np.ndarray) -> "DensityLevel":
         """The cut to the nodes where ``keep`` (one flag per node) holds, which must include
@@ -224,9 +222,9 @@ class NascentMD:
         return cut if self.k >= k0 else self.levels()[i]
 
     def _reduce(self, level: DensityLevel, integrands, spread: bool = False):
-        """E^(k) on ``level`` of each integrand, a map from a block of ``level.blocks()`` to
-        its node values or to a map from the block's weights to their weighted sum (the
-        location x), from one walk over the blocks: the one place weights meet node values.
+        """E^(k) on ``level`` of each integrand, a map from a block (f, points) of
+        ``level.blocks()`` to its node values, one row per node (the location x: points),
+        from one walk over the blocks: the one place weights meet node values.
         A block's weights are e = exp(k log tau - top), top = k max log tau, 0 where k log
         tau is clipped; sums are divided by sum e at the end, and top + log sum e follows.
         With ``spread``, also sum w^2 (h - E h)^2 per scalar integrand (else None), from
@@ -236,8 +234,8 @@ class NascentMD:
         top = k * level.log_tau_max
         keep = np.empty(level.size, dtype=bool) if k * level.log_tau_min < top - 650.0 else None
         z, sums, parts, n = 0.0, [0.0] * len(integrands), [], 0
-        for block in level.blocks():
-            e = tau.log_tau(block[0], k, checked=True)  # block = (f, points, weighted_sum)
+        for f, points in level.blocks():
+            e = tau.log_tau(f, k)
             if keep is not None:
                 kept = np.greater_equal(e, top - 650.0, out=keep[n:n + e.size])
                 np.maximum(e, top - 650.0, out=e)
@@ -247,10 +245,10 @@ class NascentMD:
             n += e.size
             z_block = np.sum(e)
             z += z_block
-            for j, v in enumerate(h(*block) for h in integrands):
-                ev = v(e) if callable(v) else _dot(e, v)
+            for j, v in enumerate(h(f, points) for h in integrands):
+                ev = _dot(e, v)
                 sums[j] += ev
-                if spread and not callable(v) and z_block > 0.0:
+                if spread and v.ndim == 1 and z_block > 0.0:
                     d = np.multiply(v - ev / z_block, e)
                     parts.append((j, ev / z_block, _dot(e, e), _dot(d, e), _dot(d, d)))
         means = [t / z for t in sums]
@@ -330,7 +328,7 @@ class NascentMD:
 
     # --- expectations --------------------------------------------------------
 
-    def _estimates(self, *integrands: Callable[..., np.ndarray | Callable]) -> list[Estimate]:
+    def _estimates(self, *integrands: Callable[..., np.ndarray]) -> list[Estimate]:
         """E^(k) of each integrand (see ``_reduce``) from one pass per level.
 
         The error is the two levels' difference, or 3 sigma on the finest level
@@ -357,7 +355,7 @@ class NascentMD:
             self.levels()
             c = self._shared["f_min"]
             f, fc2, x = self._estimates(lambda f, *_: f, lambda f, *_: np.square(f - c),
-                                        lambda f, points, weighted_sum: weighted_sum)
+                                        lambda f, points: points)
             cache[self.k] = Moments(f=f, fc2=fc2, c=c, x=x)
         return cache[self.k]
 
@@ -373,7 +371,7 @@ class NascentMD:
         off = np.zeros(self.region.dim) if shift is None else np.asarray(shift, float)
         fn = h if h is not None else (lambda p: evaluate_batch(self.objective, p))
         return self._estimates(
-            lambda f, points, _: self._power(np.asarray(fn(points() + off), float), nu))[0]
+            lambda f, points: self._power(np.asarray(fn(points + off), float), nu))[0]
 
     @staticmethod
     def _power(vals: np.ndarray, nu: float) -> np.ndarray:
@@ -391,14 +389,14 @@ class NascentMD:
         and cached per k, shared by ``with_k`` clones."""
         cache, tau = self._shared["log_tau"], self.resolved_tau()
         if self.k not in cache:
-            cache[self.k] = self._estimates(lambda f, *_: tau.log_tau(f, checked=True))[0]
+            cache[self.k] = self._estimates(lambda f, *_: tau.log_tau(f))[0]
         return cache[self.k]
 
     def log_expect_tau(self) -> Estimate:
         """log E^(k)(tau) = c + log E^(k)(exp(log tau - c)), c the finest level's max log
         tau, from one pass per level, with the levels' difference of it as the error."""
         tau, c = self.resolved_tau(), self.levels()[1].log_tau_max
-        h = [lambda f, *_: np.exp(tau.log_tau(f, checked=True) - c)]
+        h = [lambda f, *_: np.exp(tau.log_tau(f) - c)]
         coarse, fine = (c + np.log(self._pass(i, h)[0][0]) for i in (0, 1))
         return Estimate(float(fine), float(abs(fine - coarse)))
 

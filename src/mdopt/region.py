@@ -4,8 +4,9 @@ A region is an axis-aligned box optionally intersected with inequality
 constraints ``g_i(x) >= 0``.  Constraint callables must be vectorized:
 they take an ``(N, dim)`` array and return an ``(N,)`` array.  A grid mesh
 holds its axes and membership mask (one broadcast element on a box); its points
-are written slab by slab from the axes or read by position, and its node array is
-built only when read, coordinate-major: each ``nodes[:, j]`` is contiguous.
+are written from the axes slab by slab into one reused buffer (``blocks``, the one
+mesh walker) or read by position, and its node array is built only when read,
+coordinate-major: each ``nodes[:, j]`` is contiguous.
 """
 
 from __future__ import annotations
@@ -73,32 +74,28 @@ class Estimate:
     error: float
 
 
-def _spans(axes: tuple[np.ndarray, ...], rows: int
-           ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The lattice of ``axes`` in row-major order as (start, lead, last) slabs of at most
+def _lattice(axes: tuple[np.ndarray, ...], rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The lattice of ``axes`` in row-major order as (start, points) slabs of at most
     ``rows`` points, lattice points start .. start + n - 1: whole rows of the last axis,
-    as many as fit, or a piece of one row when a row is longer than ``rows``.  The
-    slab's r rows have leading coordinates ``lead`` (dim - 1, r); each crosses ``last``.
-    """
+    as many as fit, or a piece of one row when a row is longer than ``rows``.  A slab's
+    points are a ``(dim, n)`` view of one reused buffer, valid until the next slab is
+    made, each axis written by broadcasting: the leading coordinates once per row,
+    then the piece of the last axis that each row crosses."""
     dim, res = len(axes), len(axes[0])
     per, width = max(rows // res, 1), min(res, rows)  # rows per slab, points per row piece
     n_rows = res ** (dim - 1)
+    buf = np.empty((dim, min(rows, res ** dim)))
     for g in range(0, n_rows, per):
         row = np.arange(g, min(g + per, n_rows))
         lead = np.array([axes[j][row // res ** (dim - 2 - j) % res] for j in range(dim - 1)])
+        lead = lead.reshape(dim - 1, len(row), 1)
         for c in range(0, res, width):
-            yield g * res + c, lead.reshape(dim - 1, len(row)), axes[-1][c:c + width]
-
-
-def _coords(lead: np.ndarray, last: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """A slab's lattice points as a ``(dim, n)`` view of the head of ``buf``, each axis
-    written by broadcasting: the leading coordinates once per row, then ``last``."""
-    r, w = lead.shape[1], len(last)
-    coords = buf[:, :r * w]
-    grid = coords.reshape(-1, r, w)
-    grid[:-1] = lead[:, :, None]
-    grid[-1] = last
-    return coords
+            last = axes[-1][c:c + width]
+            coords = buf[:, :len(row) * len(last)]
+            grid = coords.reshape(dim, len(row), len(last))
+            grid[:-1] = lead
+            grid[-1] = last
+            yield g * res + c, coords
 
 
 @dataclass(frozen=True)
@@ -132,39 +129,16 @@ class GridMesh:
         """The member points, coordinate-major, built when first read."""
         return next(self.blocks(self.lattice_mask.size), np.empty((0, len(self.axes))))
 
-    def slabs(self, rows: int) -> Iterator[tuple[int, Callable[[], np.ndarray],
-                                                 Callable[[np.ndarray], np.ndarray]]]:
-        """The member points in mesh order, one slab of at most ``rows`` lattice points
-        that holds a member at a time, as (n, points, weighted_sum): the member count,
-        a map to the ``(n, dim)`` points, valid until the next slab's are made, and a
-        map from one weight per member to sum_i w_i x_i, each axis's lattice marginal
-        of the weights (0 off the region) dotted with that axis, with no points made."""
-        member, cut = self.lattice_mask.reshape(-1), bool(self.region.constraints)
-        buf = np.empty((len(self.axes), min(rows, member.size)))
-        for start, lead, last in _spans(self.axes, rows):
-            sel = member[start:start + lead.shape[1] * len(last)]
-            n = np.count_nonzero(sel) if cut else sel.size
-            if n == 0:
-                continue
-
-            def points(lead=lead, last=last, sel=sel):
-                coords = _coords(lead, last, buf)
-                return (np.compress(sel, coords, axis=1) if cut else coords).T
-
-            def weighted_sum(w, lead=lead, last=last, sel=sel):
-                if cut:
-                    lat = np.zeros(sel.size)
-                    lat[sel] = w
-                    w = lat
-                w = w.reshape(lead.shape[1], len(last))
-                # a slab has at most rows // 2 rows, but a 1-d row piece up to rows points
-                return np.append(lead @ np.sum(w, axis=1), _dot(last, np.sum(w, axis=0)))
-            yield n, points, weighted_sum
-
     def blocks(self, rows: int) -> Iterator[np.ndarray]:
-        """The member points in mesh order as ``(n, dim)`` blocks, one per slab that
-        holds a member (see ``slabs``)."""
-        return (points() for _, points, _ in self.slabs(rows))
+        """The member points in mesh order as ``(n, dim)`` blocks, one per slab of at most
+        ``rows`` lattice points that holds a member (see ``_lattice``), each valid until
+        the next is made: a constrained slab compressed by its slice of ``lattice_mask``."""
+        member, cut = self.lattice_mask.reshape(-1), bool(self.region.constraints)
+        for start, coords in _lattice(self.axes, rows):
+            if cut:
+                coords = np.compress(member[start:start + coords.shape[1]], coords, axis=1)
+            if coords.size:
+                yield coords.T
 
     @cached_property
     def lattice_index(self) -> np.ndarray:
@@ -271,9 +245,7 @@ class CompactRegion:
         mask = np.ones(shape, dtype=bool) if self.constraints else np.broadcast_to(np.True_, shape)
         if self.constraints:
             member = mask.reshape(-1)
-            buf = np.empty((self.dim, min(BLOCK_ROWS, mask.size)))
-            for start, lead, last in _spans(axes, BLOCK_ROWS):
-                coords = _coords(lead, last, buf)
+            for start, coords in _lattice(axes, BLOCK_ROWS):
                 member[start:start + coords.shape[1]] = self.contains(coords.T)
         return GridMesh(region=self, resolution=shape, axes=axes, lattice_mask=mask,
                         cell_volume=float(np.prod(widths)))

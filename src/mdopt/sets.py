@@ -211,8 +211,8 @@ def solve_boundary_move(m: NascentMD, x, delta_k: float):
     solved there.  Any other row falls back to a 65-point scan over 10x the
     predicted move on both sides, which brackets the sign change nearest t = 0.
     """
-    if delta_k <= 0:
-        raise ValueError("delta_k must be positive")
+    if not m.k + delta_k > m.k:
+        raise ValueError(f"delta_k = {delta_k} must be positive and change k = {m.k}")
     pts, single = _as_points(x, m.region.dim)
     g, gn = _gradients(m, pts)
     d = g / gn[:, None]
@@ -264,6 +264,8 @@ def _descent_rate(m: NascentMD, f: np.ndarray) -> np.ndarray:
 
 def basin_masses(m: NascentMD, minimizers, radius: float) -> BasinReport:
     """Density mass inside disjoint balls around the given minimizers."""
+    if not (np.isfinite(radius) and radius > 0):
+        raise BasinError(f"basin radius must be finite and positive, got {radius}")
     centers = [np.atleast_1d(np.asarray(c, dtype=float)) for c in minimizers]
     for c in centers:
         if c.shape[0] != m.region.dim:

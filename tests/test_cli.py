@@ -199,6 +199,16 @@ def test_out_of_range_option_usage_error(runner, tmp_path, argv):
     assert not (tmp_path / "run").exists()
 
 
+def test_shrinkrate_dk_that_leaves_k_unchanged_usage_error(runner, tmp_path):
+    """--dk 1e-300 at the default --k 8 passes the range check, but k + dk rounds to k,
+    so the measured move would be 0 divided by dk."""
+    result = runner.invoke(main, ["shrinkrate", "--function", "paper1d", "--dk", "1e-300",
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert "--dk" in result.output and "unchanged" in result.output
+    assert not (tmp_path / "run").exists()
+
+
 _RATIONAL = (["--tau", "rational", "--p", "2"], {"tau": "rational", "p": 2.0})
 
 

@@ -581,11 +581,11 @@ def test_support_is_whole_at_k0_and_smaller_at_large_k(tau, support_weights):
 
 
 @pytest.mark.parametrize("on_disk", [False, True])
-def test_location_from_lattice_marginals_matches_dense(paper2d_disk, on_disk, support_weights):
-    """E x on a grid level is summed slab by slab from each axis's lattice marginal
-    of the weights dotted with the axis; it equals w @ nodes within 1e-14 of E|x|,
-    for the dense softmax weights and for the support's, which at k = 300 clip
-    nodes to 0 on the whole level."""
+def test_location_from_points_matches_dense(paper2d_disk, on_disk, support_weights):
+    """E x on a grid level is summed slab by slab as the weights dotted with the slab's
+    points, written from the axes; it equals w @ nodes within 1e-14 of E|x|, for the
+    dense softmax weights and for the support's, which at k = 300 clip nodes to 0 on
+    the whole level."""
     obj, region = paper2d_disk if on_disk else catalog_get("paper2d")
     clipped = 0
     for k in (0.0, 1.0, np.e ** 2, np.e ** 4, 300.0):
@@ -595,7 +595,7 @@ def test_location_from_lattice_marginals_matches_dense(paper2d_disk, on_disk, su
             sub, w_support = support_weights(m, i)
             assert sub.mesh is not None
             clipped += np.count_nonzero(w_support == 0.0)
-            (got,), *_ = m._reduce(sub, [lambda f, points, weighted_sum: weighted_sum])
+            (got,), *_ = m._reduce(sub, [lambda f, points: points])
             for w in (softmax(k * m.resolved_tau().log_tau(lv.f)), w_support):
                 assert np.all(np.abs(got - w @ nodes) <= 1e-14 * (w @ np.abs(nodes))), (k, i)
             assert "nodes" not in vars(lv.mesh)
@@ -775,7 +775,7 @@ def test_cut_gathers_kept_nodes_bit_for_bit(cut_levels, name, p, seed):
     dense = nmd.DensityLevel(want, level.log_node_weight, None, level.f[keep],
                              level.log_tau_max, level.log_tau_min)
     moments = [lambda f, *_: f, lambda f, *_: np.square(f - 1.0),
-               lambda f, points, weighted_sum: weighted_sum]
+               lambda f, points: points]
     got, ref = m._reduce(sub, moments)[0], m._reduce(dense, moments)[0]
     assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, ref))
     again = rng.random(sub.size) < 0.5

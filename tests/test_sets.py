@@ -195,6 +195,14 @@ def test_descent_rate_cross_check(tau, paper1d_mesh):
         assert measured == pytest.approx(rate, rel=0.05)
 
 
+@pytest.mark.parametrize("dk", [0.0, -0.01, 1e-300, np.nan])
+def test_boundary_move_needs_a_dk_that_changes_k(paper1d_md, dk):
+    """A delta_k that is not positive, or so small that k + delta_k rounds to k, would
+    divide a zero move by delta_k; it is rejected before any root is sought."""
+    with pytest.raises(ValueError, match="delta_k"):
+        solve_boundary_move(paper1d_md.with_k(8.0), np.array([1.0]), dk)
+
+
 def test_descent_rate_sign(paper1d_md):
     m = paper1d_md.with_k(8.0)
     obj, _ = catalog_get("paper1d")
@@ -233,6 +241,16 @@ def test_basin_mass_overlap_rejected(paper1d_md):
 def test_basin_mass_boundary_rejected(paper1d_md):
     with pytest.raises(BasinError):
         basin_masses(paper1d_md, [[0.1]], 0.25)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+def test_basin_mass_radius_must_be_finite_and_positive(radius):
+    """A radius that is not finite and positive is rejected by name: 0, -1 and NaN
+    used to report masses of 0, and inf a ball that touches the boundary."""
+    obj, region = catalog_get("doublewell")
+    m = NascentMD(obj, region, k=50.0, integrator=GRID_1D)
+    with pytest.raises(BasinError, match="radius"):
+        basin_masses(m, [[-1.0], [1.0]], radius)
 
 
 def test_rational_rates_match_closed_forms(paper1d_mesh):
