@@ -177,15 +177,29 @@ def common_options(f, density: bool = True):
     return wrapper
 
 
+def _config_defaults(ctx, param, path):
+    """Click callback: the --config file as per-command defaults, a JSON object with one
+    object per command; anything else is a usage error that names the file."""
+    if path is None:
+        return None
+    try:
+        with open(path) as fh:
+            defaults = json.load(fh)
+    except ValueError as exc:  # not JSON, or not text
+        raise click.BadParameter(f"{path} is not valid JSON: {exc}")
+    if not (isinstance(defaults, dict) and all(isinstance(v, dict) for v in defaults.values())):
+        raise click.BadParameter(f"{path} must be a JSON object of one object per command")
+    return defaults
+
+
 @click.group()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+@click.option("--config", "defaults", type=click.Path(exists=True), default=None,
+              callback=_config_defaults,
               help="JSON file of per-command defaults; explicit flags win")
 @click.pass_context
-def main(ctx, config_path):
+def main(ctx, defaults):
     """Global minimization via annealed densities on compact regions."""
-    if config_path:
-        with open(config_path) as fh:
-            ctx.default_map = json.load(fh)
+    ctx.default_map = defaults
 
 
 @main.command()

@@ -20,9 +20,10 @@ log E^(k)(tau) is c' + log E^(k)(exp(log tau - c')), c' the finest level's max
 log tau, so an offset in f cancels inside the exponent.  ``with_k`` clones share
 the levels, log Z, ``Moments``, E log tau (reduced when first read) and the f
 that ``mesh_values`` held for the latest mesh without a level's layout.  k log tau
-is clipped at 650 below its max, the clipped nodes weighing exactly 0, so exp stays
-on numpy's SIMD fast path (inputs > -708) and the mass dropped is at most N e^-650
-~ 1e-273 of Z.  A pass that clips marks the nodes it weighs, and when at most 1/8
+is clipped at CLIP = 64 below its max, the clipped nodes weighing exactly 0: the
+mass dropped is at most N e^-64 ~ N 1.6e-28 of Z, under one rounding of Z (2^-53)
+for N < 2^39, and exp sees no input below -64, well inside numpy's SIMD fast path
+(inputs > -708).  A pass that clips marks the nodes it weighs, and when at most 1/4
 are, cuts the level to them, a level of explicit points that copies their f and
 coordinates: the support of m^(k) at every larger k, where the clipped nodes stay
 clipped.  A larger k starts from the last cut, a smaller one from the whole level.
@@ -43,6 +44,8 @@ from .integrate import IntegratorConfig, Level, default_config, levels as quadra
 from .integrate import logsumexp, softmax  # noqa: F401  bench/tracer.py wraps both by name
 from .objective import Objective, evaluate_batch, gradient
 from .region import BLOCK_ROWS, CompactRegion, Estimate, GridMesh, _as_points, _dot
+
+CLIP = 64.0  # k log tau below its max by more than this weighs 0: e^-64 ~ 1.6e-28
 
 
 class InvalidShiftError(ValueError):
@@ -217,7 +220,7 @@ class NascentMD:
 
     def _support(self, i: int) -> DensityLevel:
         """Level i (0 coarse, 1 finest) or the cut that a pass at k0 <= k left: a node
-        with k0 (log tau - max) < -650 stays below -650 at any k >= k0, so it weighs 0."""
+        with k0 (log tau - max) < -CLIP stays below -CLIP at any k >= k0, so it weighs 0."""
         k0, cut = self._shared["support"].get(i, (np.inf, None))
         return cut if self.k >= k0 else self.levels()[i]
 
@@ -226,19 +229,20 @@ class NascentMD:
         ``level.blocks()`` to its node values, one row per node (the location x: points),
         from one walk over the blocks: the one place weights meet node values.
         A block's weights are e = exp(k log tau - top), top = k max log tau, 0 where k log
-        tau is clipped; sums are divided by sum e at the end, and top + log sum e follows.
+        tau is more than CLIP below top; sums are divided by sum e at the end, and
+        top + log sum e follows.
         With ``spread``, also sum w^2 (h - E h)^2 per scalar integrand (else None), from
         each block's sums of e^2 (h - b)^j, j = 0, 1, 2, about its own mean b.  Last is
         the mask of the nodes with e > 0, one bool per node, or None when nothing clips."""
         tau, k = self._shared["tau"], self.k
         top = k * level.log_tau_max
-        keep = np.empty(level.size, dtype=bool) if k * level.log_tau_min < top - 650.0 else None
+        keep = np.empty(level.size, dtype=bool) if k * level.log_tau_min < top - CLIP else None
         z, sums, parts, n = 0.0, [0.0] * len(integrands), [], 0
         for f, points in level.blocks():
             e = tau.log_tau(f, k)
             if keep is not None:
-                kept = np.greater_equal(e, top - 650.0, out=keep[n:n + e.size])
-                np.maximum(e, top - 650.0, out=e)
+                kept = np.greater_equal(e, top - CLIP, out=keep[n:n + e.size])
+                np.maximum(e, top - CLIP, out=e)
             np.exp(np.subtract(e, top, out=e), out=e)
             if keep is not None:
                 np.multiply(e, kept, out=e)
@@ -258,11 +262,11 @@ class NascentMD:
         return means, out / z ** 2 if spread else None, float(top + np.log(z)), keep
 
     def _pass(self, i: int, integrands, spread: bool = False):
-        """``_reduce`` on level i's support, cut to the nodes it weighed when at most 1/8
+        """``_reduce`` on level i's support, cut to the nodes it weighed when at most 1/4
         of them were, the cut cached at k; the first pass over the finest at k keeps log Z."""
         level = self._support(i)
         means, out, log_sum, keep = self._reduce(level, integrands, spread)
-        if keep is not None and 8 * np.count_nonzero(keep) <= keep.size:
+        if keep is not None and 4 * np.count_nonzero(keep) <= keep.size:
             self._shared["support"][i] = (self.k, level.restrict(keep))
         if i == 1:
             self._shared["log_Z"].setdefault(self.k, log_sum + self.levels()[1].log_node_weight)

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles  # noqa: E402
+from mdopt.nmd import CLIP  # noqa: E402
 from mdopt.objective import catalog_get  # noqa: E402
 from mdopt.region import CompactRegion  # noqa: E402
 
@@ -45,12 +46,12 @@ def paper2d_disk():
 def support_weights():
     """A map from a density m and a level index i to ``m._support(i)`` and the dense
     weights over its nodes that the blocked pass sums without forming: softmax of
-    k log tau, where k log tau more than 650 below its max weighs exactly 0.  A cut
-    holds its own f."""
+    k log tau, where k log tau more than ``nmd.CLIP`` below its max weighs exactly 0.
+    A cut holds its own f."""
     def weights(m, i):
         sub = m._support(i)
         a = m.resolved_tau().log_tau(sub.f, m.k)
         top = m.k * sub.log_tau_max
-        e = np.where(a < top - 650.0, 0.0, np.exp(np.maximum(a, top - 650.0) - top))
+        e = np.where(a < top - CLIP, 0.0, np.exp(np.maximum(a, top - CLIP) - top))
         return sub, e / np.sum(e)
     return weights

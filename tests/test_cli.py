@@ -401,6 +401,20 @@ def test_config_file_defaults(runner, tmp_path):
     assert (tmp_path / "cfgout" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["{bad", "[1]", '{"minimize": 3}'],
+                         ids=["not-json", "list", "section-not-object"])
+def test_malformed_config_file_usage_error(runner, tmp_path, text):
+    """A --config file that is not JSON, not an object, or has a command section that
+    is not an object exits 2 with a message naming the file, before any command runs."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    result = runner.invoke(main, ["--config", str(cfg), "minimize", "--function", "const3",
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert "--config" in result.output and str(cfg) in result.output
+    assert not (tmp_path / "run").exists()
+
+
 def test_byte_identical_reruns(runner, tmp_path):
     args = ["minimize", "--function", "paper1d", "--grid", "512",
             "--stages", "5", "--var-tol", "0"]

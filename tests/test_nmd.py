@@ -12,7 +12,7 @@ from mdopt.integrate import IntegratorConfig, integrate, logsumexp
 from mdopt.nmd import DomainError, Exponential, InvalidShiftError, NascentMD, Rational
 from mdopt.objective import Objective, catalog_get
 from mdopt.region import GridMesh, box
-from mdopt.schedule import run_continuation
+from mdopt.schedule import ContinuationConfig, run_continuation
 
 import oracles
 
@@ -488,8 +488,9 @@ def _dense_moments(m: NascentMD) -> dict:
     over every node of both levels, the reference for the support path, the
     finest level's E|h| and the larger of the two levels' E|h|, the size of the
     summands that rounding follows in the value and in the levels' difference, and
-    N e^-650 max|h|, the most that the weights clipped to 0 can carry: E (f - c)^2
-    is 0 at the top weights, so at large k it is that tail alone."""
+    N e^-CLIP max|h|, the most that the weights clipped to 0 can carry (the bound that
+    ``nmd`` documents for its clip): E (f - c)^2 is 0 at the top weights, so at large k
+    it is that tail alone."""
     avgs = []
     c = float(np.min(m.levels()[1].f))
     for lv in m.levels():
@@ -508,7 +509,7 @@ def _dense_moments(m: NascentMD) -> dict:
             err = 3.0 * float(np.sqrt(np.sum(w ** 2 * (h - fine) ** 2)))
         else:
             err = abs(float(fine) - float(coarse))
-        clip = h.shape[0] * np.exp(-650.0) * np.max(np.abs(h))
+        clip = h.shape[0] * np.exp(-nmd.CLIP) * np.max(np.abs(h))
         abs_mean = np.max(w @ np.abs(h))
         out[name] = (fine, err, abs_mean, max(abs_mean, np.max(w0 @ np.abs(h0))), clip)
     return out
@@ -529,7 +530,7 @@ def _check_support_ladder(function, tau, integrator, scale_of):
     last one left: the moments equal the dense ones within 1e-13 of
     ``scale_of(value, E|h|)``, their errors within 1e-13 of the larger level's
     E|h| (an error is a difference of the two levels' values), and no node that the
-    pass weighs, k log tau >= max - 650, is ever dropped."""
+    pass weighs, k log tau >= max - CLIP, is ever dropped."""
     obj, region = catalog_get(function)
     base = NascentMD(obj, region, tau=tau, k=0.0, integrator=integrator)
     for ks in (LADDER, LADDER[::-1], LADDER):
@@ -545,7 +546,7 @@ def _check_support_ladder(function, tau, integrator, scale_of):
             for i, lv in enumerate(m.levels()):
                 sub = m._support(i)
                 a = k * m.resolved_tau().log_tau(lv.f)
-                weighted = lv.nodes[a >= a.max() - 650.0]
+                weighted = lv.nodes[a >= a.max() - nmd.CLIP]
                 assert np.all(np.isin(_complex_rows(weighted), _complex_rows(sub.nodes)))
                 (mass,), *_ = m._reduce(sub, [lambda f, *_: np.ones(f.size)])
                 assert mass == pytest.approx(1.0, abs=1e-14)
@@ -640,13 +641,13 @@ def test_blocked_pass_matches_dense_reference_across_block_boundaries(paper2d_di
 def test_moments_make_no_level_sized_float_array():
     """A stage walks each 1024^2 level in blocks: moments(), and log Z and log E tau at
     a fresh k, each allocate under 1 MiB at their peak without clipping (k = 1), and
-    with clipping but no cut (k = 200 puts k log tau's range above 650 and most nodes
-    within 650 of the max) only the pass's bool mask of the nodes it weighs, N bytes,
-    more.  One level-sized float array is 8 MiB."""
+    with clipping but no cut (k = 20 puts k log tau's range above CLIP, and 815,584
+    nodes, more than N/4, within CLIP of the max) only the pass's bool mask of the
+    nodes it weighs, N bytes, more.  One level-sized float array is 8 MiB."""
     obj, region = catalog_get("paper2d")
     m = NascentMD(obj, region, integrator=IntegratorConfig(kind="grid", resolution=1024))
     n = m.levels()[1].f.size
-    for k, bound in ((1.0, 2 ** 20), (200.0, n + 2 ** 20)):
+    for k, bound in ((1.0, 2 ** 20), (20.0, n + 2 ** 20)):
         for name in ("moments", "log_Z", "log_expect_tau"):
             m._shared["moments"].clear()  # a fresh k: no pass at k is cached
             m._shared["log_Z"].clear()
@@ -658,63 +659,112 @@ def test_moments_make_no_level_sized_float_array():
                 tracemalloc.stop()
             assert peak < bound, (k, name, peak)
     lv = m.levels()[1]
-    assert 200.0 * lv.log_tau_min < 200.0 * lv.log_tau_max - 650.0  # k = 200 clips
+    assert 20.0 * lv.log_tau_min < 20.0 * lv.log_tau_max - nmd.CLIP  # k = 20 clips
     assert not m._shared["support"]  # and cuts neither level
 
 
 def test_support_cut_allocates_its_mask_and_copies_alone():
-    """The log Z pass at k = e^6 over paper2d's 1024^2 level weighs 219,964 nodes, more
-    than N/8, and leaves the level whole; the pass at e^7 cuts it to 47,979 nodes and
-    allocates the pass's bool mask, N bytes, the copies of the kept nodes' f and points,
-    24 bytes per kept node, and under 1 MiB more (32 bytes per kept node for slack)."""
+    """The log Z pass at k = e^3 over paper2d's 1024^2 level weighs 811,201 nodes, more
+    than N/4, and leaves the level whole; the pass at e^4 weighs 131,861, between N/8 and
+    N/4, cuts the level to them and allocates the pass's bool mask, N bytes, the copies
+    of the kept nodes' f and points, 24 bytes per kept node, and under 1 MiB more (32
+    bytes per kept node for slack)."""
     obj, region = catalog_get("paper2d")
     m = NascentMD(obj, region, integrator=IntegratorConfig(kind="grid", resolution=1024))
     level = m.levels()[1]
-    m.with_k(np.exp(6.0)).log_Z()
-    assert m.with_k(np.exp(6.0))._support(1) is level
+    m.with_k(np.exp(3.0)).log_Z()
+    assert m.with_k(np.exp(3.0))._support(1) is level
     tracemalloc.start()
     try:
-        m.with_k(np.exp(7.0)).log_Z()
+        m.with_k(np.exp(4.0)).log_Z()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    sub = m.with_k(np.exp(7.0))._support(1)
-    assert sub.size == 47_979
+    sub = m.with_k(np.exp(4.0))._support(1)
+    assert sub.size == 131_861
     assert peak < level.size + 32 * sub.size + 2 ** 20, peak
 
 
 def test_a_cut_holds_exactly_the_nodes_its_pass_weighed():
-    """The pass at k = e^7 over paper2d's 1024^2 level cuts it to the nodes whose weight
-    it made non-zero, k log tau >= k max log tau - 650: 47,979 nodes, with the f and
+    """The pass at k = e^4 over paper2d's 1024^2 level cuts it to the nodes whose weight
+    it made non-zero, k log tau >= k max log tau - CLIP: 131,861 nodes, with the f and
     the point bits of the compressed level."""
     obj, region = catalog_get("paper2d")
-    m = NascentMD(obj, region, k=np.exp(7.0),
+    m = NascentMD(obj, region, k=np.exp(4.0),
                   integrator=IntegratorConfig(kind="grid", resolution=1024))
     m.moments()
     lv = m.levels()[1]
     a = m.resolved_tau().log_tau(lv.f, m.k)
-    want = a >= m.k * lv.log_tau_max - 650.0
-    assert np.count_nonzero(want) == 47_979
+    want = a >= m.k * lv.log_tau_max - nmd.CLIP
+    assert np.count_nonzero(want) == 131_861
     sub = m._support(1)
     assert sub.f.tobytes() == lv.f[want].tobytes()
     assert sub.points.tobytes(order="A") == region.build_grid(1024).nodes[want].tobytes(order="F")
 
 
-def test_a_pass_cuts_when_at_most_an_eighth_of_its_nodes_weigh():
-    """On rastrigin's 1024^2 level the pass at k = e^3 weighs 404,076 nodes, more than
-    N/8, and leaves the level whole; the pass at e^4 cuts it to 40,220 nodes, and the
-    pass at e^5, which walks that cut, cuts it again to 4,824."""
+def test_a_pass_cuts_when_at_most_a_quarter_of_its_nodes_weigh():
+    """On rastrigin's 1024^2 level the pass at k = 2 weighs 394,556 nodes, more than N/4,
+    and leaves the level whole; the pass at k = e weighs 192,744, between N/8 and N/4,
+    and cuts the level to them, and the pass at e^2, which walks that cut, cuts it again
+    to 20,200."""
     obj, region = catalog_get("rastrigin")
     base = NascentMD(obj, region, integrator=IntegratorConfig(kind="grid", resolution=1024))
     lv = base.levels()[1]
     sizes = []
-    for k in (np.exp(3.0), np.exp(4.0), np.exp(5.0)):
+    for k in (2.0, np.e, np.exp(2.0)):
         m = base.with_k(k)
         m.moments()
         sizes.append(m._support(1).size)
-    a = base.resolved_tau().log_tau(lv.f, np.exp(3.0))
-    assert np.count_nonzero(a >= np.exp(3.0) * lv.log_tau_max - 650.0) == 404_076
-    assert sizes == [lv.size, 40_220, 4_824]
+    a = base.resolved_tau().log_tau(lv.f, 2.0)
+    assert np.count_nonzero(a >= 2.0 * lv.log_tau_max - nmd.CLIP) == 394_556
+    assert sizes == [lv.size, 192_744, 20_200]
+
+
+@pytest.mark.parametrize("case", ["grid1024", "mc20000"])
+def test_clipped_nodes_carry_at_most_n_e_minus_clip(case):
+    """At k = e^2 ... e^8, each k starting from the cut the last one left, the nodes
+    that the weight pass clips (k log tau more than CLIP below its max) carry at most
+    N e^-CLIP of each level's dense softmax(k log tau) mass, and the pass's E f,
+    E (f - c)^2 and E x equal the unclipped dense ones within 1e-13 of E|h| plus that
+    tail times max|h|: paper2d at 1024^2, and rastrigin under Monte Carlo at 20,000."""
+    function, integrator = {
+        "grid1024": ("paper2d", IntegratorConfig(kind="grid", resolution=1024)),
+        "mc20000": ("rastrigin", IntegratorConfig(kind="mc", n=20_000, seed=7))}[case]
+    base = NascentMD(*catalog_get(function), k=0.0, integrator=integrator)
+    clipped = 0
+    for k in np.exp(np.arange(2.0, 9.0)):
+        m = base.with_k(k)
+        mom = m.moments()
+        for lv in m.levels():
+            a = m.resolved_tau().log_tau(lv.f, k)
+            e = np.exp(a - a.max())
+            out = a < a.max() - nmd.CLIP
+            clipped += np.count_nonzero(out)
+            assert np.sum(e[out]) <= lv.size * np.exp(-nmd.CLIP) * np.sum(e), k
+        for name, (value, _, abs_mean, _, clip) in _dense_moments(m).items():
+            if name != "log_tau":
+                got = getattr(mom, name).value
+                assert np.max(np.abs(got - value)) <= 1e-13 * abs_mean + clip, (k, name)
+    assert clipped > 0 and base._shared["support"]
+
+
+def test_paper2d_1024_continuation_walks_its_cuts(monkeypatch):
+    """Annealing paper2d at 1024^2 reduces levels of 6,775,547 nodes in all (10,610,180
+    when k log tau was clipped at 650 below its max and a level cut at 1/8): the fine
+    passes walk the whole level five times, then cuts of 131,861, 29,415, 7,193 and 953
+    nodes, the last two twice, since a pass weighing more than a quarter of them does
+    not cut."""
+    reduced = []
+    reduce = NascentMD._reduce
+
+    def spy_reduce(self, level, *args, **kwargs):
+        reduced.append(level.size)
+        return reduce(self, level, *args, **kwargs)
+    monkeypatch.setattr(NascentMD, "_reduce", spy_reduce)
+    run_continuation(*catalog_get("paper2d"),
+                     ContinuationConfig(integrator=IntegratorConfig(kind="grid", resolution=1024)))
+    assert reduced[1::2] == [1024 ** 2] * 5 + [131_861, 29_415, 7_193, 7_193, 953, 953]
+    assert sum(reduced) == 6_775_547
 
 
 def test_a_weight_pass_is_the_one_walk_over_its_level(monkeypatch):
