@@ -147,7 +147,7 @@ class DensityLevel(Level):
                            f.size))
         for i in range(0, keep.size, BLOCK_ROWS):
             ix = np.flatnonzero(keep[i:i + BLOCK_ROWS]) + i
-            coords[:, n:n + ix.size] = (np.take(self.points.T, ix, axis=1) if self.mesh is None
+            coords[:, n:n + ix.size] = (self.points[ix].T if self.mesh is None
                                         else self.mesh.points_at(ix).T)
             n += ix.size
         return replace(self, points=coords.T, mesh=None, f=f)

@@ -2,20 +2,27 @@
 
 Objectives are vectorized and row-wise: ``fn`` maps an ``(N, dim)`` array to
 an ``(N,)`` array whose i-th value depends on row i only, since batches are
-evaluated in blocks of ``BLOCK_ROWS`` rows and grid meshes slab by slab.
-Gradients are analytic when registered, central finite differences otherwise.
+evaluated in blocks of ``BLOCK_ROWS`` rows and grid meshes slab by slab.  Those
+blocks are shared out among ``WORKERS`` threads (two, or one on a process pinned
+to one CPU), so ``fn`` may be called from several threads at once on disjoint
+blocks and must keep no mutable state; numpy's ufuncs release the interpreter
+lock, so the calls overlap.  Gradients are analytic when registered, central
+finite differences otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import re
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .region import (BLOCK_ROWS, CompactRegion, DimensionMismatchError, GridMesh, _as_points,
-                     box)
+                     _slab_buffer, box)
 
 
 class EvaluationError(ValueError):
@@ -34,12 +41,20 @@ class StencilError(ValueError):
     """Finite-difference stencil would leave the region."""
 
 
+# threads that share one evaluate_batch call's blocks: the CPUs this process may run on,
+# at most 2, the count whose time and memory were measured (each thread holds one
+# block's buffer and fn's temporaries); the BLAS thread variables do not apply
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
 class Objective:
-    """Scalar field on a region, with optional gradient and test oracle data."""
+    """Scalar field on a region, with optional gradient and test oracle data.
+
+    ``fn`` is row-wise and may be called from several threads at once, each on its
+    own block of rows: it must keep no mutable state."""
 
     name: str
     dim: int
@@ -58,28 +73,72 @@ def evaluate_batch(obj: Objective, xs) -> np.ndarray:
     """f per row of a batch, one fn call per BLOCK_ROWS rows, or per node of a grid
     mesh, one fn call per slab of at most BLOCK_ROWS lattice points written from
     its axes (no node array is made); rejects non-finite or misshapen values and
-    names the first non-finite point in row or mesh order."""
+    names the first non-finite point in row or mesh order.
+
+    The caller and up to WORKERS - 1 helper threads, started only when there is more
+    than one block, claim blocks by index and write each block's values at its offset,
+    so every value has the same bits at any thread count.  A block that raises (a
+    misshapen result too) stops further claims, and the caller raises the exception of
+    the lowest such block; failing that, a non-finite value is named from the lowest
+    block that holds one, after every block has been evaluated.  An interrupt
+    (``KeyboardInterrupt``, or ``SystemExit`` from fn) stops the claims too and is
+    raised ahead of any block's exception."""
     if isinstance(xs, GridMesh):
         if xs.region.dim != obj.dim:
             raise DimensionMismatchError(
                 f"expected points of dimension {obj.dim}, got a mesh of dimension {xs.region.dim}")
-        vals, blocks = np.empty(xs.node_count), xs.blocks(BLOCK_ROWS)
+        vals, (starts, offsets) = np.empty(xs.node_count), xs.slabs(BLOCK_ROWS)
     else:
-        pts, _ = _as_points(xs, obj.dim)
-        vals = np.empty(pts.shape[0])
-        blocks = (pts[i:i + BLOCK_ROWS] for i in range(0, len(pts), BLOCK_ROWS))
-    i, bad = 0, None
-    for block in blocks:
-        out = np.asarray(obj.fn(block), dtype=float)
-        if out.shape != (len(block),):
-            raise ValueError(f"{obj.name} returned shape {out.shape} for {len(block)} rows")
-        vals[i:i + len(block)] = out
-        if bad is None and not np.isfinite(out).all():
-            bad = block[np.argmin(np.isfinite(out))].copy()
-        i += len(block)
-    if bad is not None:
-        raise EvaluationError(f"{obj.name} returned non-finite value at {bad}", point=bad)
+        xs, _ = _as_points(xs, obj.dim)
+        vals, starts = np.empty(xs.shape[0]), range(0, xs.shape[0], BLOCK_ROWS)
+        offsets = starts
+    errors, bad = {}, {}
+    work = (obj, xs, starts, offsets, vals, itertools.count(), errors, bad)
+    helpers = min(WORKERS, len(starts)) - 1
+    threads = ([threading.Thread(target=_evaluate_blocks, args=work) for _ in range(helpers)]
+               if helpers > 0 else ())
+    for t in threads:
+        t.start()
+    _evaluate_blocks(*work)  # records what it raises, so the helpers are always joined
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    if bad:
+        point = bad[min(bad)]
+        raise EvaluationError(f"{obj.name} returned non-finite value at {point}", point=point)
     return vals
+
+
+def _evaluate_blocks(obj, xs, starts, offsets, vals, claim, errors, bad) -> None:
+    """Evaluate the blocks whose indices this thread claims from ``claim`` until none is
+    left or a block has raised: block b's points (a mesh slab written into this thread's
+    buffer, or rows of the batch) go to fn, its values to ``vals`` at ``offsets[b]``, its
+    exception to ``errors[b]`` and its first non-finite point to ``bad[b]``.  An
+    interrupt, wherever it lands in the loop, goes to ``errors[-1]``, ahead of every
+    block."""
+    try:
+        mesh = isinstance(xs, GridMesh)
+        buf = _slab_buffer(xs.axes, BLOCK_ROWS) if mesh else None
+        for b in claim:
+            if b >= len(starts) or errors:
+                return
+            try:
+                i = starts[b]
+                block = xs.slab(BLOCK_ROWS, i, buf) if mesh else xs[i:i + BLOCK_ROWS]
+                if not len(block):
+                    continue
+                out = np.asarray(obj.fn(block), dtype=float)
+                if out.shape != (len(block),):
+                    raise ValueError(f"{obj.name} returned shape {out.shape} for {len(block)} rows")
+            except Exception as e:  # re-raised by the caller of evaluate_batch
+                errors[b] = e
+                return
+            vals[offsets[b]:offsets[b] + len(block)] = out
+            if not np.isfinite(out).all():
+                bad[b] = block[np.argmin(np.isfinite(out))].copy()
+    except BaseException as e:  # an interrupt: re-raised by the caller after the join
+        errors[-1] = e
 
 
 def gradient(obj: Objective, x, h: float | None = None,

@@ -4,9 +4,13 @@ A region is an axis-aligned box optionally intersected with inequality
 constraints ``g_i(x) >= 0``.  Constraint callables must be vectorized:
 they take an ``(N, dim)`` array and return an ``(N,)`` array.  A grid mesh
 holds its axes and membership mask (one broadcast element on a box); its points
-are written from the axes slab by slab into one reused buffer (``blocks``, the one
-mesh walker) or read by position, and its node array is built only when read,
-coordinate-major: each ``nodes[:, j]`` is contiguous.
+are written from the axes slab by slab (``_slab``, the one lattice writer: any slab,
+by its start, into a given buffer) and read in mesh order through ``blocks``, or one
+slab at a time through ``slab``, or by position; its node array is built only when
+read, coordinate-major: each ``nodes[:, j]`` is contiguous.  Slabs are independent:
+``objective.evaluate_batch`` writes a mesh's slabs from several threads at once, each
+into its own buffer, and calls the objective's ``fn`` on them concurrently, so ``fn``
+must keep no mutable state.
 """
 
 from __future__ import annotations
@@ -74,28 +78,42 @@ class Estimate:
     error: float
 
 
-def _lattice(axes: tuple[np.ndarray, ...], rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The lattice of ``axes`` in row-major order as (start, points) slabs of at most
-    ``rows`` points, lattice points start .. start + n - 1: whole rows of the last axis,
-    as many as fit, or a piece of one row when a row is longer than ``rows``.  A slab's
-    points are a ``(dim, n)`` view of one reused buffer, valid until the next slab is
-    made, each axis written by broadcasting: the leading coordinates once per row,
-    then the piece of the last axis that each row crosses."""
+def _slab_shape(res: int, rows: int) -> tuple[int, int]:
+    """Lattice rows per slab and points per row piece: whole rows of the last axis, as
+    many as fit in ``rows`` points, or a piece of one row when a row is longer."""
+    return max(rows // res, 1), min(res, rows)
+
+
+def _slab_starts(axes: tuple[np.ndarray, ...], rows: int) -> np.ndarray:
+    """The lattice position of each slab's first point, in row-major order."""
     dim, res = len(axes), len(axes[0])
-    per, width = max(rows // res, 1), min(res, rows)  # rows per slab, points per row piece
-    n_rows = res ** (dim - 1)
-    buf = np.empty((dim, min(rows, res ** dim)))
-    for g in range(0, n_rows, per):
-        row = np.arange(g, min(g + per, n_rows))
-        lead = np.array([axes[j][row // res ** (dim - 2 - j) % res] for j in range(dim - 1)])
-        lead = lead.reshape(dim - 1, len(row), 1)
-        for c in range(0, res, width):
-            last = axes[-1][c:c + width]
-            coords = buf[:, :len(row) * len(last)]
-            grid = coords.reshape(dim, len(row), len(last))
-            grid[:-1] = lead
-            grid[-1] = last
-            yield g * res + c, coords
+    per, width = _slab_shape(res, rows)
+    return (np.arange(0, res ** (dim - 1), per)[:, None] * res
+            + np.arange(0, res, width)).reshape(-1)
+
+
+def _slab(axes: tuple[np.ndarray, ...], rows: int, start: int, buf: np.ndarray) -> np.ndarray:
+    """The slab of the lattice of ``axes`` that begins at lattice position ``start`` (one of
+    ``_slab_starts``), written into ``buf`` as a ``(dim, n)`` view, lattice points start ..
+    start + n - 1: each axis by broadcasting, the leading coordinates once per row, then
+    the piece of the last axis that each row crosses.  Slabs are independent, so each
+    thread may write its own into its own buffer."""
+    dim, res = len(axes), len(axes[0])
+    per, width = _slab_shape(res, rows)
+    g, c = divmod(int(start), res)
+    row = np.arange(g, min(g + per, res ** (dim - 1)))
+    lead = np.array([axes[j][row // res ** (dim - 2 - j) % res] for j in range(dim - 1)])
+    last = axes[-1][c:c + width]
+    coords = buf[:, :len(row) * len(last)]
+    grid = coords.reshape(dim, len(row), len(last))
+    grid[:-1] = lead.reshape(dim - 1, len(row), 1)
+    grid[-1] = last
+    return coords
+
+
+def _slab_buffer(axes: tuple[np.ndarray, ...], rows: int) -> np.ndarray:
+    """A buffer that holds any slab of at most ``rows`` lattice points."""
+    return np.empty((len(axes), min(rows, len(axes[0]) ** len(axes))))
 
 
 @dataclass(frozen=True)
@@ -131,14 +149,32 @@ class GridMesh:
 
     def blocks(self, rows: int) -> Iterator[np.ndarray]:
         """The member points in mesh order as ``(n, dim)`` blocks, one per slab of at most
-        ``rows`` lattice points that holds a member (see ``_lattice``), each valid until
-        the next is made: a constrained slab compressed by its slice of ``lattice_mask``."""
-        member, cut = self.lattice_mask.reshape(-1), bool(self.region.constraints)
-        for start, coords in _lattice(self.axes, rows):
-            if cut:
-                coords = np.compress(member[start:start + coords.shape[1]], coords, axis=1)
-            if coords.size:
-                yield coords.T
+        ``rows`` lattice points that holds a member (see ``slab``), each valid until the
+        next is made."""
+        buf = _slab_buffer(self.axes, rows)
+        for start in _slab_starts(self.axes, rows):
+            block = self.slab(rows, start, buf)
+            if len(block):
+                yield block
+
+    def slabs(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each slab's lattice start (see ``_slab_starts``) and the mesh position of its
+        first member, the count of members before it (the start itself on a box)."""
+        starts = _slab_starts(self.axes, rows)
+        if not self.region.constraints:
+            return starts, starts
+        counts = np.add.reduceat(self.lattice_mask.reshape(-1), starts, dtype=np.intp)
+        return starts, np.cumsum(counts) - counts
+
+    def slab(self, rows: int, start: int, buf: np.ndarray) -> np.ndarray:
+        """The member points of the slab at lattice position ``start``, ``(n, dim)``, in
+        mesh order: the slab written into ``buf`` (see ``_slab``), a constrained slab
+        compressed by its slice of ``lattice_mask`` into a new array."""
+        coords = _slab(self.axes, rows, start, buf)
+        if self.region.constraints:
+            member = self.lattice_mask.reshape(-1)[start:start + coords.shape[1]]
+            coords = np.compress(member, coords, axis=1)
+        return coords.T
 
     @cached_property
     def lattice_index(self) -> np.ndarray:
@@ -244,8 +280,9 @@ class CompactRegion:
         shape = (res,) * self.dim
         mask = np.ones(shape, dtype=bool) if self.constraints else np.broadcast_to(np.True_, shape)
         if self.constraints:
-            member = mask.reshape(-1)
-            for start, coords in _lattice(axes, BLOCK_ROWS):
+            member, buf = mask.reshape(-1), _slab_buffer(axes, BLOCK_ROWS)
+            for start in _slab_starts(axes, BLOCK_ROWS):
+                coords = _slab(axes, BLOCK_ROWS, start, buf)
                 member[start:start + coords.shape[1]] = self.contains(coords.T)
         return GridMesh(region=self, resolution=shape, axes=axes, lattice_mask=mask,
                         cell_volume=float(np.prod(widths)))

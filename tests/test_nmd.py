@@ -664,25 +664,31 @@ def test_moments_make_no_level_sized_float_array():
 
 
 def test_support_cut_allocates_its_mask_and_copies_alone():
-    """The log Z pass at k = e^3 over paper2d's 1024^2 level weighs 811,201 nodes, more
-    than N/4, and leaves the level whole; the pass at e^4 weighs 131,861, between N/8 and
-    N/4, cuts the level to them and allocates the pass's bool mask, N bytes, the copies
-    of the kept nodes' f and points, 24 bytes per kept node, and under 1 MiB more (32
-    bytes per kept node for slack)."""
-    obj, region = catalog_get("paper2d")
-    m = NascentMD(obj, region, integrator=IntegratorConfig(kind="grid", resolution=1024))
-    level = m.levels()[1]
-    m.with_k(np.exp(3.0)).log_Z()
-    assert m.with_k(np.exp(3.0))._support(1) is level
-    tracemalloc.start()
-    try:
-        m.with_k(np.exp(4.0)).log_Z()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    sub = m.with_k(np.exp(4.0))._support(1)
-    assert sub.size == 131_861
-    assert peak < level.size + 32 * sub.size + 2 ** 20, peak
+    """On paper2d's 1024^2 level the log Z pass at k = e^3 weighs 811,201 nodes, more
+    than N/4, and leaves the level whole; the pass at e^4 weighs 131,861, between N/8
+    and N/4, and cuts the level to them.  On rastrigin's 200,000 Monte Carlo points the
+    pass at k = 2 leaves the level whole and the pass at e cuts it to 36,765 points,
+    gathered from the sample's rows block by block.  Each cutting pass allocates its
+    bool mask, N bytes, the copies of the kept nodes' f and points, 24 bytes per kept
+    node, and under 1 MiB more (32 bytes per kept node for slack)."""
+    for name, integrator, ks, size in [
+            ("paper2d", IntegratorConfig(kind="grid", resolution=1024),
+             (np.exp(3.0), np.exp(4.0)), 131_861),
+            ("rastrigin", IntegratorConfig(kind="mc", n=200_000, seed=0), (2.0, np.e), 36_765)]:
+        obj, region = catalog_get(name)
+        m = NascentMD(obj, region, integrator=integrator)
+        level = m.levels()[1]
+        m.with_k(ks[0]).log_Z()
+        assert m.with_k(ks[0])._support(1) is level
+        tracemalloc.start()
+        try:
+            m.with_k(ks[1]).log_Z()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sub = m.with_k(ks[1])._support(1)
+        assert sub.size == size
+        assert peak < level.size + 32 * sub.size + 2 ** 20, (name, peak)
 
 
 def test_a_cut_holds_exactly_the_nodes_its_pass_weighed():

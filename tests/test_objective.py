@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -79,7 +84,7 @@ def test_evaluate_batch_in_blocks_matches_one_call():
     xs = np.random.default_rng(0).uniform(-5.12, 5.12, (2 * BLOCK_ROWS + 5, 2))
     vals = evaluate_batch(Objective(name="blocks", dim=2, fn=fn), xs)
     assert BLOCK_ROWS == 2 ** 14
-    assert rows == [BLOCK_ROWS, BLOCK_ROWS, 5]
+    assert sorted(rows) == [5, BLOCK_ROWS, BLOCK_ROWS]  # calls may arrive out of row order
     assert np.array_equal(vals, obj.fn(xs))
 
 
@@ -119,6 +124,7 @@ def _catalog_obj(name, dim=None):
 # than one lattice row
 MESH_CASES = [
     (*_catalog_obj("paper1d"), 65536, BLOCK_ROWS),
+    (*_catalog_obj("paper1d"), 100_000, BLOCK_ROWS),
     (*_catalog_obj("paper1d"), 1000, 64),
     (*_catalog_obj("paper2d"), 300, BLOCK_ROWS),
     (*_catalog_obj("rastrigin"), 1000, BLOCK_ROWS),
@@ -143,20 +149,21 @@ def test_mesh_evaluation_is_bit_identical_to_nodes(monkeypatch, obj, region, res
     monkeypatch.setattr(region_mod, "BLOCK_ROWS", rows)
     mesh = region.build_grid(res)
     assert np.array_equal(mesh.lattice_mask, want_mask)  # the mask, slab by slab
-    sizes = []
+    sizes = {}  # fn calls may arrive out of mesh order: key each by its first point
 
     def fn(p):
-        sizes.append(len(p))
+        sizes[p[0].tobytes()] = len(p)
         return obj.fn(p)
     got = evaluate_batch(Objective(name=obj.name, dim=obj.dim, fn=fn), mesh)
     assert "nodes" not in vars(mesh)
     want = evaluate_batch(obj, mesh.nodes)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-    assert sum(sizes) == mesh.node_count == len(mesh.nodes)
-    assert max(sizes) <= rows
+    assert sum(sizes.values()) == mesh.node_count == len(mesh.nodes)
+    assert max(sizes.values()) <= rows
     if not region.constraints and res ** region.dim > rows:
         # whole rows of the last axis per slab, as many as fit, or a piece of one row
-        assert sizes[0] == (rows // res * res if res <= rows else rows)
+        first = sizes[mesh.nodes[0].tobytes()]
+        assert first == (rows // res * res if res <= rows else rows)
 
 
 def _error(call):
@@ -197,6 +204,203 @@ def test_mesh_evaluation_shape_errors_match_nodes():
         assert str(got.value) == str(want.value)
     with pytest.raises(DimensionMismatchError):
         evaluate_batch(catalog_get("paper1d")[0], mesh)
+
+
+WORKER_COUNTS = [1, 2, 3, 7]
+
+
+def _evaluate_sized(obj, xs):
+    """``evaluate_batch`` with the sorted sizes of the fn calls it made."""
+    sizes = []
+
+    def fn(p):
+        sizes.append(len(p))
+        return obj.fn(p)
+    vals = evaluate_batch(Objective(name=obj.name, dim=obj.dim, fn=fn), xs)
+    return vals.view(np.uint64).tolist(), sorted(sizes)
+
+
+@pytest.mark.parametrize("obj, region, res, rows", MESH_CASES,
+                         ids=[f"{c[0].name}-{c[2]}-{c[3]}" for c in MESH_CASES])
+def test_mesh_evaluation_has_the_same_bits_at_any_worker_count(monkeypatch, obj, region,
+                                                               res, rows):
+    """However many threads share a mesh's slabs, f has the same bits and fn sees the
+    same blocks."""
+    monkeypatch.setattr(objective, "BLOCK_ROWS", rows)
+    mesh = region.build_grid(res)
+    results = []
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(objective, "WORKERS", workers)
+        results.append(_evaluate_sized(obj, mesh))
+    assert all(r == results[0] for r in results[1:])
+    assert sum(results[0][1]) == mesh.node_count
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
+def test_batch_evaluation_has_the_same_bits_at_any_worker_count(monkeypatch, n):
+    obj, _ = catalog_get("rastrigin")
+    xs = np.random.default_rng(n).uniform(-5.12, 5.12, (n, 2))
+    results = []
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(objective, "WORKERS", workers)
+        results.append(_evaluate_sized(obj, xs))
+    assert all(r == results[0] for r in results[1:])
+    assert results[0][0] == obj.fn(xs).view(np.uint64).tolist()
+    assert sum(results[0][1]) == n and all(s <= BLOCK_ROWS for s in results[0][1])
+
+
+class _Boom(RuntimeError):
+    """Raised by a test's fn, naming the first point of its block."""
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_failures_under_threads(monkeypatch, workers):
+    """At any thread count, a failed call raises what one thread raises today: the
+    exception of the lowest block that raised (a misshapen result included, even after
+    a non-finite value in an earlier block), else the first non-finite point in mesh
+    order; and it leaves no thread running."""
+    monkeypatch.setattr(objective, "BLOCK_ROWS", 100)
+    monkeypatch.setattr(objective, "WORKERS", workers)
+    mesh = CompactRegion(np.zeros(2), np.ones(2), (_disk,)).build_grid(256)
+    nodes = mesh.nodes
+    bad = nodes[[len(nodes) // 3, len(nodes) // 2, len(nodes) - 3]]  # three slabs
+    threads = threading.active_count()
+
+    def nan_at(p):
+        return np.where((p[:, None] == bad).all(axis=2).any(axis=1), np.nan, p[:, 0])
+
+    def boom_from(x0, first):
+        def fn(p):
+            if p[0, 0] >= x0:
+                if np.array_equal(p[0], first):
+                    time.sleep(0.05)  # later blocks raise first
+                raise _Boom(p[0].tolist())
+            return p[:, 0]
+        return fn
+
+    def misshapen_from(x0):
+        return lambda p: (p[:, 0] if p[0, 0] < x0 else p[:-1, 0]) * np.nan
+
+    assert len(evaluate_batch(Objective("ok", 2, lambda p: p[:, 0]), mesh)) == len(nodes)
+    assert threading.active_count() == threads
+    with pytest.raises(EvaluationError) as err:
+        evaluate_batch(Objective("nan_at", 2, nan_at), mesh)
+    assert np.array_equal(err.value.point, bad[0])
+    assert str(err.value) == f"nan_at returned non-finite value at {bad[0]}"
+    assert threading.active_count() == threads
+    x0 = nodes[len(nodes) // 2, 0]
+    first = nodes[np.argmax(nodes[:, 0] >= x0)]  # the first point of the first raising slab
+    with pytest.raises(_Boom) as err:
+        evaluate_batch(Objective("boom", 2, boom_from(x0, first)), mesh)
+    assert err.value.args[0] == first.tolist()
+    assert threading.active_count() == threads
+    with pytest.raises(ValueError, match=r"misshapen returned shape \(\d+,\) for \d+ rows"):
+        evaluate_batch(Objective("misshapen", 2, misshapen_from(x0)), mesh)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
+def test_an_exception_in_a_helper_reaches_the_caller(monkeypatch, workers):
+    """The caller holds its first block until a helper has raised in one of its own;
+    the helper's exception, or its misshapen result, is what the caller raises."""
+    monkeypatch.setattr(objective, "WORKERS", workers)
+    xs = np.linspace(0.0, 1.0, 4 * BLOCK_ROWS)[:, None]
+    threads = threading.active_count()
+    for fail, want in [(lambda p: _Boom(threading.current_thread().name), _Boom),
+                       (lambda p: p[:-1, 0], ValueError)]:
+        helper_ran = threading.Event()
+
+        def fn(p):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_ran.wait(10)
+                return p[:, 0]
+            helper_ran.set()
+            out = fail(p)
+            if isinstance(out, BaseException):
+                raise out
+            return out
+        with pytest.raises(want) as err:
+            evaluate_batch(Objective("helper", 1, fn), xs)
+        assert threading.active_count() == threads
+        if want is _Boom:
+            assert err.value.args[0] != threading.main_thread().name
+        else:
+            assert "helper returned shape" in str(err.value)
+
+
+@pytest.mark.parametrize("interrupter, interrupt", [("caller", KeyboardInterrupt),
+                                                    ("helper", SystemExit)])
+def test_an_interrupt_is_raised_ahead_of_every_block(monkeypatch, interrupter, interrupt):
+    """One thread raises an interrupt in its block while the other raises an ordinary
+    exception in its own, which is the lower block whenever the interrupter took block 0
+    and went on: the caller raises the interrupt, and leaves no thread running."""
+    monkeypatch.setattr(objective, "WORKERS", 2)
+    xs = np.arange(8 * BLOCK_ROWS, dtype=float)[:, None]
+    threads = threading.active_count()
+    waiting, boomed = threading.Event(), threading.Event()
+
+    def fn(p):
+        if (threading.current_thread() is threading.main_thread()) == (interrupter == "caller"):
+            if p[0, 0] == 0.0:
+                return p[:, 0]
+            waiting.set()
+            assert boomed.wait(10)
+            raise interrupt()
+        assert waiting.wait(10)
+        boomed.set()
+        raise _Boom()
+    with pytest.raises(interrupt):
+        evaluate_batch(Objective("interrupt", 1, fn), xs)
+    assert threading.active_count() == threads
+
+
+def test_workers_is_at_most_two():
+    """Time and memory were measured at two threads, so no more are started."""
+    assert objective.WORKERS == min(2, len(os.sched_getaffinity(0)))
+
+
+def test_no_block_is_claimed_after_a_failure(monkeypatch):
+    """The first of 64 blocks raises at once while every other block takes 50 ms, so each
+    thread evaluates at most about two blocks before it sees the failure and stops."""
+    xs = np.arange(BLOCK_ROWS, dtype=float)[:, None]
+    monkeypatch.setattr(objective, "BLOCK_ROWS", BLOCK_ROWS // 64)
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(objective, "WORKERS", workers)
+        calls = []
+
+        def fn(p):
+            calls.append(len(p))
+            if p[0, 0] == 0.0:
+                raise _Boom()
+            time.sleep(0.05)
+            return p[:, 0]
+        with pytest.raises(_Boom):
+            evaluate_batch(Objective("boom", 1, fn), xs)
+        assert 1 <= len(calls) <= 2 * workers
+
+
+def test_slab_claims_under_thread_switches_lose_no_block(monkeypatch):
+    """Seven threads on a 30^3 mesh cut into 4,500 slabs of at most seven points,
+    switching every microsecond: every slab is evaluated exactly once, and f keeps
+    its bits."""
+    obj, region = _catalog_obj("rastrigin", 3)
+    monkeypatch.setattr(objective, "BLOCK_ROWS", 7)
+    mesh = region.build_grid(30)
+    want = evaluate_batch(obj, mesh.nodes)
+    firsts = []
+
+    def fn(p):
+        firsts.append(p[0].tobytes())
+        return obj.fn(p)
+    monkeypatch.setattr(objective, "WORKERS", 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = evaluate_batch(Objective(obj.name, 3, fn), mesh)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(firsts) == len(set(firsts)) == 30 * 30 * 5
+    assert got.tobytes() == want.tobytes()
 
 
 def test_non_finite_f_raises_naming_the_point():
