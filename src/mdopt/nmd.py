@@ -23,10 +23,11 @@ that ``mesh_values`` held for the latest mesh without a level's layout.  k log t
 is clipped at CLIP = 64 below its max, the clipped nodes weighing exactly 0: the
 mass dropped is at most N e^-64 ~ N 1.6e-28 of Z, under one rounding of Z (2^-53)
 for N < 2^39, and exp sees no input below -64, well inside numpy's SIMD fast path
-(inputs > -708).  A pass that clips marks the nodes it weighs, and when at most 1/4
-are, cuts the level to them, a level of explicit points that copies their f and
-coordinates: the support of m^(k) at every larger k, where the clipped nodes stay
-clipped.  A larger k starts from the last cut, a smaller one from the whole level.
+(inputs > -708).  Before a pass that clips walks, it marks the nodes it would weigh
+from the level's f alone, and when at most 1/4 are, cuts the level to them and walks
+the cut: a level of explicit points that copies their f and coordinates, the support
+of m^(k) at every larger k, where the clipped nodes stay clipped.  A larger k starts
+from the last cut, a smaller one from the whole level.
 Dot products sum chunks of at most 8,192 nodes (``region._dot``), so no output
 follows the BLAS thread count.
 ``expectation(h)`` evaluates h, and checks ``DomainError``, block by block on the
@@ -116,8 +117,8 @@ TauKind = Exponential | Rational
 @dataclass(frozen=True)
 class DensityLevel(Level):
     """A quadrature level with f on its nodes, and the max and min of log tau
-    (resolved tau) over the whole level; a cut (``restrict``) is a level of explicit
-    points, copies of the kept nodes' f and coordinates."""
+    (resolved tau) over them; a cut (``restrict``) is a level of explicit points,
+    copies of the kept nodes' f and coordinates, with its own min."""
 
     f: np.ndarray
     log_tau_max: float
@@ -138,10 +139,11 @@ class DensityLevel(Level):
             yield self.f[i:i + len(pts)], pts
             i += len(pts)
 
-    def restrict(self, keep: np.ndarray) -> "DensityLevel":
+    def restrict(self, keep: np.ndarray, tau: TauKind) -> "DensityLevel":
         """The cut to the nodes where ``keep`` (one flag per node) holds, which must include
         a node where log tau is maximal: their f and their coordinates, copied coordinate-major
-        at most BLOCK_ROWS at a time; the min stays the whole level's, a lower bound."""
+        at most BLOCK_ROWS at a time, and the min of log tau (``tau``, the resolved kind)
+        over the kept nodes, so a pass over a fresh cut at its own k clips nothing."""
         f, n = self.f[keep], 0
         coords = np.empty((self.points.shape[1] if self.mesh is None else self.mesh.region.dim,
                            f.size))
@@ -150,7 +152,8 @@ class DensityLevel(Level):
             coords[:, n:n + ix.size] = (self.points[ix].T if self.mesh is None
                                         else self.mesh.points_at(ix).T)
             n += ix.size
-        return replace(self, points=coords.T, mesh=None, f=f)
+        (lo,) = tau.log_tau(np.array([np.max(f)]))
+        return replace(self, points=coords.T, mesh=None, f=f, log_tau_min=float(lo))
 
 
 @dataclass(frozen=True)
@@ -232,21 +235,19 @@ class NascentMD:
         tau is more than CLIP below top; sums are divided by sum e at the end, and
         top + log sum e follows.
         With ``spread``, also sum w^2 (h - E h)^2 per scalar integrand (else None), from
-        each block's sums of e^2 (h - b)^j, j = 0, 1, 2, about its own mean b.  Last is
-        the mask of the nodes with e > 0, one bool per node, or None when nothing clips."""
+        each block's sums of e^2 (h - b)^j, j = 0, 1, 2, about its own mean b."""
         tau, k = self._shared["tau"], self.k
         top = k * level.log_tau_max
-        keep = np.empty(level.size, dtype=bool) if k * level.log_tau_min < top - CLIP else None
-        z, sums, parts, n = 0.0, [0.0] * len(integrands), [], 0
+        clips = k * level.log_tau_min < top - CLIP
+        z, sums, parts = 0.0, [0.0] * len(integrands), []
         for f, points in level.blocks():
             e = tau.log_tau(f, k)
-            if keep is not None:
-                kept = np.greater_equal(e, top - CLIP, out=keep[n:n + e.size])
+            if clips:
+                kept = e >= top - CLIP
                 np.maximum(e, top - CLIP, out=e)
             np.exp(np.subtract(e, top, out=e), out=e)
-            if keep is not None:
+            if clips:
                 np.multiply(e, kept, out=e)
-            n += e.size
             z_block = np.sum(e)
             z += z_block
             for j, v in enumerate(h(f, points) for h in integrands):
@@ -259,17 +260,27 @@ class NascentMD:
         out = np.zeros(len(integrands))
         for j, b, q0, q1, q2 in parts:
             out[j] += q2 - 2.0 * (means[j] - b) * q1 + (means[j] - b) ** 2 * q0
-        return means, out / z ** 2 if spread else None, float(top + np.log(z)), keep
+        return means, out / z ** 2 if spread else None, float(top + np.log(z))
 
     def _pass(self, i: int, integrands, spread: bool = False):
-        """``_reduce`` on level i's support, cut to the nodes it weighed when at most 1/4
-        of them were, the cut cached at k; the first pass over the finest at k keeps log Z."""
-        level = self._support(i)
-        means, out, log_sum, keep = self._reduce(level, integrands, spread)
-        if keep is not None and 4 * np.count_nonzero(keep) <= keep.size:
-            self._shared["support"][i] = (self.k, level.restrict(keep))
+        """``_reduce`` on level i's support, first cut to the nodes that the walk would
+        weigh, k log tau >= top - CLIP, when k log tau clips there and at most 1/4 of them
+        survive: marked from the support's f alone, block by block, and the cut cached at
+        k.  The first pass over the finest at k keeps log Z."""
+        level, tau, k = self._support(i), self._shared["tau"], self.k
+        top = k * level.log_tau_max
+        if k * level.log_tau_min < top - CLIP:
+            keep = np.empty(level.size, dtype=bool)
+            for n in range(0, level.size, BLOCK_ROWS):
+                np.greater_equal(tau.log_tau(level.f[n:n + BLOCK_ROWS], k), top - CLIP,
+                                 out=keep[n:n + BLOCK_ROWS])
+            if 4 * np.count_nonzero(keep) <= keep.size:
+                level = level.restrict(keep, tau)
+                self._shared["support"][i] = (k, level)
+            del keep
+        means, out, log_sum = self._reduce(level, integrands, spread)
         if i == 1:
-            self._shared["log_Z"].setdefault(self.k, log_sum + self.levels()[1].log_node_weight)
+            self._shared["log_Z"].setdefault(k, log_sum + self.levels()[1].log_node_weight)
         return means, out
 
     def log_Z(self) -> float:

@@ -66,7 +66,8 @@ def run_continuation(obj: Objective, region: CompactRegion,
     x* is the finest level's node of least f, where log tau and so m^(k) are
     largest at every k > 0, the first in mesh order on ties, read from a grid
     mesh's axes (the bits of that node, with no node array built); f* is the last
-    stage's E^(k)(f).
+    stage's E^(k)(f).  A stage that fails with an ArithmeticError or ValueError
+    re-raises it with ``stage j (k = ...): `` before its message.
     """
     cfg = cfg or ContinuationConfig()
     md = NascentMD(obj, region, tau=cfg.tau, k=cfg.k0, integrator=cfg.integrator)
@@ -82,12 +83,13 @@ def run_continuation(obj: Objective, region: CompactRegion,
             raise OverflowError(f"stage {j}: k = {cfg.k0:g} * {cfg.growth:g}^{j} "
                                 "is not a finite float")
         m = md.with_k(k)
-        ef = m.expect_f()
-        var = m.variance_f()
-        trace.append(TraceRecord(
-            k=m.k, Ef=ef.value, Ef_error=ef.error, Varf=var.value,
-            mean_x=m.mean_location(),
-        ))
+        try:
+            ef, var, mean_x = m.expect_f(), m.variance_f(), m.mean_location()
+        except (ArithmeticError, ValueError) as exc:  # same type and attributes, stage named
+            exc.args = (f"stage {j} (k = {k:g}): {exc}",)
+            raise
+        trace.append(TraceRecord(k=m.k, Ef=ef.value, Ef_error=ef.error, Varf=var.value,
+                                 mean_x=mean_x))
         if var.value < cfg.var_tol:
             stop_reason = "var_tol"
             break

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles  # noqa: E402
-from mdopt.nmd import CLIP  # noqa: E402
+from mdopt.nmd import CLIP, NascentMD  # noqa: E402
 from mdopt.objective import catalog_get  # noqa: E402
 from mdopt.region import CompactRegion  # noqa: E402
 
@@ -55,3 +56,30 @@ def support_weights():
         e = np.where(a < top - CLIP, 0.0, np.exp(np.maximum(a, top - CLIP) - top))
         return sub, e / np.sum(e)
     return weights
+
+
+@pytest.fixture(scope="session")
+def quarter_walks():
+    """A context manager that spies on ``NascentMD._reduce``, the one walk over a level,
+    and yields the list of its walks as (density, level, whether the level is the cut
+    made at the density's k).  On exit it checks that every walk that clips, k log tau
+    more than CLIP below its max somewhere, weighs more than a quarter of its nodes:
+    a pass that would weigh fewer cuts its support first and walks the cut."""
+    @contextlib.contextmanager
+    def spy():
+        walks, reduce = [], NascentMD._reduce
+
+        def spy_reduce(self, level, *args, **kwargs):
+            cut = any(k0 == self.k and sub is level
+                      for k0, sub in self._shared["support"].values())
+            walks.append((self, level, cut))
+            return reduce(self, level, *args, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(NascentMD, "_reduce", spy_reduce)
+            yield walks
+        for m, level, _ in walks:
+            top = m.k * level.log_tau_max
+            if m.k * level.log_tau_min < top - CLIP:
+                weighed = np.count_nonzero(m.resolved_tau().log_tau(level.f, m.k) >= top - CLIP)
+                assert 4 * weighed > level.size, (m.k, weighed, level.size)
+    return spy

@@ -280,6 +280,7 @@ def test_numerical_failure_exits_3_naming_the_point(runner, tmp_path, monkeypatc
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 3
     assert result.stderr.startswith("error: minimize: ")
+    assert result.stderr.startswith("error: minimize: stage 0 (k = 1): ")
     assert "halfnan returned non-finite value at [" in result.stderr
     point = float(result.stderr.split("[")[1].split("]")[0])
     assert 0.5 < point <= 1.0

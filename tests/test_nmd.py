@@ -642,8 +642,9 @@ def test_moments_make_no_level_sized_float_array():
     """A stage walks each 1024^2 level in blocks: moments(), and log Z and log E tau at
     a fresh k, each allocate under 1 MiB at their peak without clipping (k = 1), and
     with clipping but no cut (k = 20 puts k log tau's range above CLIP, and 815,584
-    nodes, more than N/4, within CLIP of the max) only the pass's bool mask of the
-    nodes it weighs, N bytes, more.  One level-sized float array is 8 MiB."""
+    nodes, more than N/4, within CLIP of the max) only the bool mask in which the pass
+    marks, before it walks, the nodes that it will weigh, N bytes, more.  One
+    level-sized float array is 8 MiB."""
     obj, region = catalog_get("paper2d")
     m = NascentMD(obj, region, integrator=IntegratorConfig(kind="grid", resolution=1024))
     n = m.levels()[1].f.size
@@ -664,13 +665,14 @@ def test_moments_make_no_level_sized_float_array():
 
 
 def test_support_cut_allocates_its_mask_and_copies_alone():
-    """On paper2d's 1024^2 level the log Z pass at k = e^3 weighs 811,201 nodes, more
-    than N/4, and leaves the level whole; the pass at e^4 weighs 131,861, between N/8
-    and N/4, and cuts the level to them.  On rastrigin's 200,000 Monte Carlo points the
-    pass at k = 2 leaves the level whole and the pass at e cuts it to 36,765 points,
-    gathered from the sample's rows block by block.  Each cutting pass allocates its
-    bool mask, N bytes, the copies of the kept nodes' f and points, 24 bytes per kept
-    node, and under 1 MiB more (32 bytes per kept node for slack)."""
+    """On paper2d's 1024^2 level, 811,201 nodes lie within CLIP of the max at k = e^3,
+    more than N/4, so the log Z pass there walks the whole level; 131,861 do at e^4,
+    between N/8 and N/4, so the pass there cuts the level to them and walks the cut.
+    On rastrigin's 200,000 Monte Carlo points the pass at k = 2 walks the whole level
+    and the pass at e cuts it to 36,765 points, gathered from the sample's rows block
+    by block.  Each cutting pass allocates the bool mask in which it marks the kept
+    nodes from f, N bytes, the copies of their f and points, 24 bytes per kept node,
+    and under 1 MiB more (32 bytes per kept node for slack)."""
     for name, integrator, ks, size in [
             ("paper2d", IntegratorConfig(kind="grid", resolution=1024),
              (np.exp(3.0), np.exp(4.0)), 131_861),
@@ -692,9 +694,11 @@ def test_support_cut_allocates_its_mask_and_copies_alone():
 
 
 def test_a_cut_holds_exactly_the_nodes_its_pass_weighed():
-    """The pass at k = e^4 over paper2d's 1024^2 level cuts it to the nodes whose weight
-    it made non-zero, k log tau >= k max log tau - CLIP: 131,861 nodes, with the f and
-    the point bits of the compressed level."""
+    """The pass at k = e^4 over paper2d's 1024^2 level cuts it, before it walks, to the
+    nodes that a walk of the whole level would weigh, k log tau >= k max log tau - CLIP:
+    131,861 nodes, with the f and the point bits of the compressed level, and with log
+    tau at their own largest f as the cut's min, so the walk of the cut at e^4 clips
+    nothing."""
     obj, region = catalog_get("paper2d")
     m = NascentMD(obj, region, k=np.exp(4.0),
                   integrator=IntegratorConfig(kind="grid", resolution=1024))
@@ -706,13 +710,15 @@ def test_a_cut_holds_exactly_the_nodes_its_pass_weighed():
     sub = m._support(1)
     assert sub.f.tobytes() == lv.f[want].tobytes()
     assert sub.points.tobytes(order="A") == region.build_grid(1024).nodes[want].tobytes(order="F")
+    assert sub.log_tau_min == m.resolved_tau().log_tau(np.max(lv.f[want]), 1.0) > lv.log_tau_min
+    assert m.k * sub.log_tau_min >= m.k * sub.log_tau_max - nmd.CLIP
 
 
 def test_a_pass_cuts_when_at_most_a_quarter_of_its_nodes_weigh():
-    """On rastrigin's 1024^2 level the pass at k = 2 weighs 394,556 nodes, more than N/4,
-    and leaves the level whole; the pass at k = e weighs 192,744, between N/8 and N/4,
-    and cuts the level to them, and the pass at e^2, which walks that cut, cuts it again
-    to 20,200."""
+    """On rastrigin's 1024^2 level, 394,556 nodes lie within CLIP of the max at k = 2,
+    more than N/4, so the pass at 2 walks the whole level; 192,744 do at k = e, between
+    N/8 and N/4, so the pass at e cuts the level to them before it walks, and the pass
+    at e^2 cuts that cut again to 20,200."""
     obj, region = catalog_get("rastrigin")
     base = NascentMD(obj, region, integrator=IntegratorConfig(kind="grid", resolution=1024))
     lv = base.levels()[1]
@@ -755,11 +761,12 @@ def test_clipped_nodes_carry_at_most_n_e_minus_clip(case):
 
 
 def test_paper2d_1024_continuation_walks_its_cuts(monkeypatch):
-    """Annealing paper2d at 1024^2 reduces levels of 6,775,547 nodes in all (10,610,180
-    when k log tau was clipped at 650 below its max and a level cut at 1/8): the fine
-    passes walk the whole level five times, then cuts of 131,861, 29,415, 7,193 and 953
-    nodes, the last two twice, since a pass weighing more than a quarter of them does
-    not cut."""
+    """Annealing paper2d at 1024^2 reduces levels of 5,464,988 nodes in all (6,775,547
+    when a pass cut its level only after walking it, 10,610,180 when k log tau was also
+    clipped at 650 below its max and a level cut at 1/8): the fine passes walk the whole
+    level four times, then cuts of 131,861, 29,415, 7,193, 953 and 129 nodes, each
+    walked by the stage that makes it, 7,193 and 953 twice, since a stage that would
+    keep more than a quarter of its support does not cut."""
     reduced = []
     reduce = NascentMD._reduce
 
@@ -769,8 +776,37 @@ def test_paper2d_1024_continuation_walks_its_cuts(monkeypatch):
     monkeypatch.setattr(NascentMD, "_reduce", spy_reduce)
     run_continuation(*catalog_get("paper2d"),
                      ContinuationConfig(integrator=IntegratorConfig(kind="grid", resolution=1024)))
-    assert reduced[1::2] == [1024 ** 2] * 5 + [131_861, 29_415, 7_193, 7_193, 953, 953]
-    assert sum(reduced) == 6_775_547
+    assert reduced[1::2] == [1024 ** 2] * 4 + [131_861, 29_415, 7_193, 7_193, 953, 953, 129]
+    assert sum(reduced) == 5_464_988
+
+
+@pytest.mark.parametrize("case", ["paper2d1024", "rastrigin1024", "paper2d-rational",
+                                  "rastrigin-mc200000"])
+def test_every_walk_weighs_over_a_quarter_of_what_it_walks(case, quarter_walks):
+    """Annealing paper2d and rastrigin at 1024^2, paper2d under rational tau and rastrigin
+    under Monte Carlo at 200,000 points, every walk that clips weighs more than a quarter
+    of the nodes it walks: a pass that would weigh fewer cuts its support from f before
+    it walks.  At each k where a cut is made, the moments from the cut equal the dense
+    ones over every node of both levels within 1e-13 of E|h|."""
+    function, integrator, tau = {
+        "paper2d1024": ("paper2d", IntegratorConfig(kind="grid", resolution=1024), Exponential()),
+        "rastrigin1024": ("rastrigin", IntegratorConfig(kind="grid", resolution=1024),
+                          Exponential()),
+        "paper2d-rational": ("paper2d", None, Rational()),
+        "rastrigin-mc200000": ("rastrigin", IntegratorConfig(kind="mc", n=200_000, seed=7),
+                               Exponential())}[case]
+    with quarter_walks() as walks:
+        run_continuation(*catalog_get(function),
+                         ContinuationConfig(integrator=integrator, tau=tau))
+    cut_at = {m.k: m for m, _, cut in walks if cut}
+    assert cut_at
+    for k, m in cut_at.items():
+        mom = m.moments()
+        for name, (value, err, abs_mean, both_abs_mean, clip) in _dense_moments(m).items():
+            if name != "log_tau":
+                got = getattr(mom, name)
+                assert np.max(np.abs(got.value - value)) <= 1e-13 * abs_mean + clip, (k, name)
+                assert abs(got.error - err) <= 1e-13 * both_abs_mean + clip, (k, name)
 
 
 def test_a_weight_pass_is_the_one_walk_over_its_level(monkeypatch):
@@ -824,7 +860,7 @@ def test_cut_gathers_kept_nodes_bit_for_bit(cut_levels, name, p, seed):
     rng = np.random.default_rng(seed)
     keep = rng.random(level.size) < p
     keep[np.argmin(level.f)] = True  # a node where log tau is maximal
-    sub = level.restrict(keep)
+    sub = level.restrict(keep, m.resolved_tau())
     want = np.compress(keep, nodes.T, axis=1).T
     assert sub.nodes.flags.f_contiguous and sub.nodes.tobytes() == want.tobytes()
     assert sub.node(sub.size - 1).tobytes() == want[-1].tobytes()
@@ -835,9 +871,10 @@ def test_cut_gathers_kept_nodes_bit_for_bit(cut_levels, name, p, seed):
     got, ref = m._reduce(sub, moments)[0], m._reduce(dense, moments)[0]
     assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, ref))
     again = rng.random(sub.size) < 0.5
+    again[np.argmin(sub.f)] = True  # a cut keeps a node where log tau is maximal
     both = np.zeros_like(keep)
     both[np.flatnonzero(keep)[again]] = True
-    twice, once = sub.restrict(again), level.restrict(both)
+    twice, once = sub.restrict(again, m.resolved_tau()), level.restrict(both, m.resolved_tau())
     assert twice.f.tobytes() == once.f.tobytes()
     assert twice.points.tobytes(order="A") == once.points.tobytes(order="A")
     assert level.mesh is None or "nodes" not in vars(level.mesh)

@@ -9,7 +9,7 @@ from mdopt.cli import main
 from mdopt.integrate import IntegratorConfig
 from mdopt import nmd
 from mdopt.nmd import NascentMD, Rational
-from mdopt.objective import Objective, catalog_get, catalog_names
+from mdopt.objective import EvaluationError, Objective, catalog_get, catalog_names
 from mdopt.region import box
 from mdopt.schedule import ContinuationConfig, run_continuation
 
@@ -165,6 +165,24 @@ def test_overflowing_ladder_names_stage_and_k():
     cfg = ContinuationConfig(growth=1e300, var_tol=0.0, max_stages=3)
     with pytest.raises(OverflowError, match=r"stage 2: k = 1 \* 1e\+300\^2"):
         run_continuation(obj, region, cfg)
+
+
+def test_failing_stage_names_stage_and_k_and_keeps_the_exception(monkeypatch):
+    """A non-finite f at the first stage is still an ``EvaluationError`` carrying its
+    point, its message led by the stage and k; so is a failure at a later stage."""
+    obj = Objective(name="halfnan", dim=1, fn=lambda p: np.where(p[:, 0] > 0.5, np.nan, p[:, 0]))
+    with pytest.raises(EvaluationError, match=r"^stage 0 \(k = 1\): halfnan ") as err:
+        run_continuation(obj, box(0.0, 1.0))
+    assert 0.5 < err.value.point[0] <= 1.0
+    expect_f = NascentMD.expect_f
+
+    def fails_above_5(self):
+        if self.k > 5.0:
+            raise FloatingPointError("overflow")
+        return expect_f(self)
+    monkeypatch.setattr(NascentMD, "expect_f", fails_above_5)
+    with pytest.raises(FloatingPointError, match=r"^stage 2 \(k = 7.38906\): overflow$"):
+        run_continuation(*catalog_get("paper1d"), ContinuationConfig(var_tol=0.0))
 
 
 def test_one_weight_pass_per_level_per_stage(monkeypatch):
