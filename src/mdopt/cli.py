@@ -151,7 +151,7 @@ def common_options(f, density: bool = True):
             click.option("--tau", type=click.Choice(["exp", "rational"]), default="exp",
                          show_default=True, help="density transform kind"),
             click.option("--p", type=click.FloatRange(0, min_open=True), default=Rational.p,
-                         show_default=True, help="rational transform offset"),
+                         show_default=True, callback=_finite, help="rational transform offset"),
             click.option("--grid", type=click.IntRange(min=2), default=None,
                          help="grid resolution per axis (default picked per dimension)"),
             click.option("--mc", type=click.IntRange(min=100), default=None,
@@ -292,9 +292,10 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     g = gradient(obj, pts)
     gn = np.sqrt(np.vecdot(g, g))  # BLAS dot, as np.linalg.norm of one row
     pts, gn = pts[gn > grad_min], gn[gn > grad_min]
-    descent = sets_mod.descent_rate(m, pts)
+    f = obj(pts)  # descent_rate and shrink_rate_empirical read one evaluation of f
+    descent = sets_mod._descent_rate(m, f)
     theo = np.abs(descent) / gn  # shrink_rate_theoretical, from norms already at hand
-    emp = sets_mod.shrink_rate_empirical(m, pts, dk)
+    emp = np.abs(sets_mod._boundary_move(m, pts, f, dk)[0]) / dk
     ratio = np.divide(emp, theo, out=np.full_like(theo, np.nan), where=theo > 0)
     _write_outputs(out, {"shrinkrate.csv": {
         **{f"x{j}": pts[:, j] for j in range(region.dim)},

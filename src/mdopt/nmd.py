@@ -6,9 +6,11 @@ grows.  Each tau kind owns ``log_tau(f, k)`` (k log tau in one pass),
 ``dlog_tau_df(f)`` and ``resolved(f)``, which fixes a data-dependent shift once.
 Everything is evaluated in log space on the two levels of ``integrate.levels``,
 held as frozen ``DensityLevel`` records (points or mesh, weight, f, and log tau at
-the level's min and max f) built once with the resolved tau and mu: m^(k) depends
-on a node only through f, and a grid level keeps no node array.  One pass per
-level (``_reduce``) serves every density sum: it walks the level in (f, points)
+the level's min and max f): m^(k) depends on a node only through f, and a grid level
+keeps no node array.  Each level is built once, when first read, the finest first,
+whose f fixes the resolved tau and mu; a coarse grid level's f is evaluated only when
+a pass or ``mesh_values`` asks for it, so log Z and E log tau never evaluate it.
+One pass per level (``_reduce``) serves every density sum: it walks the level in (f, points)
 blocks of at most BLOCK_ROWS nodes (a grid mesh's slabs, written from its axes into
 one reused buffer, or slices of the points) and sums e = exp(k log tau - top),
 top = k max log tau, and e h per integrand, h a map from the block to its node
@@ -18,9 +20,9 @@ to f) and E x, with the levels' difference as error, and
 top + log sum e: the first pass over the finest level at k leaves log Z(k).
 log E^(k)(tau) is c' + log E^(k)(exp(log tau - c')), c' the finest level's max
 log tau, so an offset in f cancels inside the exponent.  ``with_k`` clones share
-the levels, log Z, ``Moments``, E log tau (reduced when first read) and the f
-that ``mesh_values`` held for the latest mesh without a level's layout.  k log tau
-is clipped at CLIP = 64 below its max, the clipped nodes weighing exactly 0: the
+the levels, log Z, ``Moments``, E log tau (a finest-level value, reduced when first
+read) and the f that ``mesh_values`` held for the latest mesh without a level's layout.
+k log tau is clipped at CLIP = 64 below its max, the clipped nodes weighing exactly 0: the
 mass dropped is at most N e^-64 ~ N 1.6e-28 of Z, under one rounding of Z (2^-53)
 for N < 2^39, and exp sees no input below -64, well inside numpy's SIMD fast path
 (inputs > -708).  Before a pass that clips walks, it marks the nodes it would weigh
@@ -84,8 +86,10 @@ class Rational:
     L: Optional[float] = None
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError("rational tau needs p > 0")
+        if not (np.isfinite(self.p) and self.p > 0):
+            raise ValueError(f"rational tau needs a finite p > 0, got p={self.p}")
+        if self.L is not None and not np.isfinite(self.L):
+            raise ValueError(f"rational tau needs a finite L, got L={self.L}")
 
     def resolved(self, f: np.ndarray) -> "Rational":
         """This kind with L fixed from node values f when it was left automatic."""
@@ -186,9 +190,11 @@ class NascentMD:
         self.tau = tau if tau is not None else Exponential()
         self.k = float(k)
         self.integrator = integrator or default_config(region.dim)
-        # shared across with_k clones (one tau kind): density levels, measure, resolved tau,
-        # per-k log Z (from a finest pass), moments and E log tau, per-level support, one mesh's f
-        self._shared = _shared or dict(log_Z={}, moments={}, log_tau={}, support={}, mesh=[])
+        # shared across with_k clones (one tau kind): quadrature node sets, density levels
+        # (each built when first read), measure, resolved tau, per-k log Z (from a finest
+        # pass), moments and E log tau, per-level support, one mesh's f
+        self._shared = _shared or dict(levels=[None, None], log_Z={}, moments={}, log_tau={},
+                                       support={}, mesh=[])
 
     def with_k(self, k: float) -> "NascentMD":
         """Same density family at a different k, sharing all node caches."""
@@ -197,35 +203,48 @@ class NascentMD:
 
     # --- node caches ---------------------------------------------------------
 
+    def level(self, i: int) -> DensityLevel:
+        """Quadrature level i (0 coarse, 1 finest) with f, built when first read.  The
+        finest comes first and fixes mu, the resolved tau and its min f; a coarse grid
+        level's f is evaluated when a pass or ``mesh_values`` first reads it.  Under Monte
+        Carlo f is evaluated once on the whole sample, and the coarse level, its prefix,
+        is built with the finest."""
+        shared, built = self._shared, self._shared["levels"]
+        if built[1] is None:
+            nodesets, mu = quadrature_levels(self.region, self.integrator)
+            coarse, fine = nodesets
+            mc = self.integrator.kind == "mc"
+            f = evaluate_batch(self.objective, fine.points if mc else fine.mesh)
+            shared.update(mu=mu.value, tau=self.tau.resolved(f), f_min=float(np.min(f)),
+                          nodesets=nodesets)
+            if mc:  # the coarse level is a prefix of the sample
+                built[0] = self._with_f(coarse, f[:len(coarse.points)])
+            built[1] = self._with_f(fine, f)
+        if built[i] is None:  # a coarse grid level
+            coarse = shared["nodesets"][0]
+            built[0] = self._with_f(coarse, evaluate_batch(self.objective, coarse.mesh))
+        return built[i]
+
+    def _with_f(self, lv: Level, f: np.ndarray) -> DensityLevel:
+        """Level ``lv`` holding f, with log tau at its min and max f: tau decreases in f,
+        so log tau is extreme where f is (a rational tau checks its shift there)."""
+        hi, lo = self._shared["tau"].log_tau(np.array([np.min(f), np.max(f)]))
+        return DensityLevel(lv.points, lv.log_node_weight, lv.mesh, f, hi, lo)
+
     def levels(self) -> list[DensityLevel]:
-        """The two quadrature levels, coarsest first, with f; fills mu and tau."""
-        levels = self._shared.get("levels")
-        if levels is not None:
-            return levels
-        nodesets, mu = quadrature_levels(self.region, self.integrator)
-        if self.integrator.kind == "mc":  # levels are prefixes of one sample
-            f = evaluate_batch(self.objective, nodesets[-1].points)
-            fs = [f[:len(lv.points)] for lv in nodesets]
-        else:
-            fs = [evaluate_batch(self.objective, lv.mesh) for lv in nodesets]
-        tau = self.tau.resolved(fs[-1])
-        levels = []
-        for lv, f in zip(nodesets, fs):  # tau decreases in f: log tau is extreme where f is
-            hi, lo = tau.log_tau(np.array([np.min(f), np.max(f)]))
-            levels.append(DensityLevel(lv.points, lv.log_node_weight, lv.mesh, f, hi, lo))
-        self._shared.update(mu=mu.value, tau=tau, levels=levels, f_min=float(np.min(fs[-1])))
-        return levels
+        """The two quadrature levels with f, coarsest first (see ``level``)."""
+        return [self.level(0), self.level(1)]
 
     def resolved_tau(self) -> TauKind:
         """The tau kind with its shift fixed from the finest level's f values."""
-        self.levels()
+        self.level(1)
         return self._shared["tau"]
 
     def _support(self, i: int) -> DensityLevel:
         """Level i (0 coarse, 1 finest) or the cut that a pass at k0 <= k left: a node
         with k0 (log tau - max) < -CLIP stays below -CLIP at any k >= k0, so it weighs 0."""
         k0, cut = self._shared["support"].get(i, (np.inf, None))
-        return cut if self.k >= k0 else self.levels()[i]
+        return cut if self.k >= k0 else self.level(i)
 
     def _reduce(self, level: DensityLevel, integrands, spread: bool = False):
         """E^(k) on ``level`` of each integrand, a map from a block (f, points) of
@@ -280,7 +299,7 @@ class NascentMD:
             del keep
         means, out, log_sum = self._reduce(level, integrands, spread)
         if i == 1:
-            self._shared["log_Z"].setdefault(k, log_sum + self.levels()[1].log_node_weight)
+            self._shared["log_Z"].setdefault(k, log_sum + self.level(1).log_node_weight)
         return means, out
 
     def log_Z(self) -> float:
@@ -291,14 +310,20 @@ class NascentMD:
 
     def region_measure(self) -> float:
         """mu(Omega) as the quadrature levels measure it."""
-        self.levels()
+        self.level(1)
         return self._shared["mu"]
 
     def mesh_values(self, mesh: GridMesh) -> np.ndarray:
         """f on the mesh (k log tau is ``resolved_tau().log_tau(f, k)``): a level's when
-        ``GridMesh.same_layout`` matches its mesh, else evaluated once and held, the latest only."""
-        held = [(lv.mesh, lv.f) for lv in self.levels() if lv.mesh is not None]
-        for other, f in held + self._shared["mesh"]:
+        ``GridMesh.same_layout`` matches its mesh, the finest's first, so a coarse level is
+        built only when its own layout is asked for; else evaluated once and held, the
+        latest only."""
+        self.level(1)
+        for i in (1, 0):
+            other = self._shared["nodesets"][i].mesh
+            if other is not None and other.same_layout(mesh):
+                return self.level(i).f
+        for other, f in self._shared["mesh"]:
             if other.same_layout(mesh):
                 return f
         f = evaluate_batch(self.objective, mesh)
@@ -339,7 +364,7 @@ class NascentMD:
     def ddk_density(self, x) -> float:
         """d/dk of m^(k) at a single point: m^(k)(x) (log tau(x) - E(log tau))."""
         x0 = self._one_point(x)
-        return self.density(x0) * (self.log_tau(x0) - self.expect_log_tau().value)
+        return self.density(x0) * (self.log_tau(x0) - self.expect_log_tau())
 
     # --- expectations --------------------------------------------------------
 
@@ -367,7 +392,7 @@ class NascentMD:
         """E f, E (f - c)^2 and E x from one pass per level, cached per k for ``with_k`` clones."""
         cache = self._shared["moments"]
         if self.k not in cache:
-            self.levels()
+            self.level(1)
             c = self._shared["f_min"]
             f, fc2, x = self._estimates(lambda f, *_: f, lambda f, *_: np.square(f - c),
                                         lambda f, points: points)
@@ -399,18 +424,18 @@ class NascentMD:
     def expect_f(self) -> Estimate:
         return self.moments().f
 
-    def expect_log_tau(self) -> Estimate:
-        """E^(k)(log tau), reduced when first read (no continuation stage reports it)
-        and cached per k, shared by ``with_k`` clones."""
+    def expect_log_tau(self) -> float:
+        """E^(k)(log tau) on the finest level, from one pass when first read (no
+        continuation stage reports it), cached per k and shared by ``with_k`` clones."""
         cache, tau = self._shared["log_tau"], self.resolved_tau()
         if self.k not in cache:
-            cache[self.k] = self._estimates(lambda f, *_: tau.log_tau(f))[0]
+            cache[self.k] = float(self._pass(1, [lambda f, *_: tau.log_tau(f)])[0][0])
         return cache[self.k]
 
     def log_expect_tau(self) -> Estimate:
         """log E^(k)(tau) = c + log E^(k)(exp(log tau - c)), c the finest level's max log
         tau, from one pass per level, with the levels' difference of it as the error."""
-        tau, c = self.resolved_tau(), self.levels()[1].log_tau_max
+        tau, c = self.resolved_tau(), self.level(1).log_tau_max
         h = [lambda f, *_: np.exp(tau.log_tau(f) - c)]
         coarse, fine = (c + np.log(self._pass(i, h)[0][0]) for i in (0, 1))
         return Estimate(float(fine), float(abs(fine - coarse)))

@@ -100,7 +100,7 @@ def run_continuation(obj: Objective, region: CompactRegion,
                 break
         else:
             stall = 0
-    fine = md.levels()[-1]
+    fine = md.level(1)
     return MinimizeResult(
         fstar_estimate=trace[-1].Ef,
         xstar_estimate=fine.node(int(np.argmin(fine.f))),

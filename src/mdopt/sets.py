@@ -214,9 +214,16 @@ def solve_boundary_move(m: NascentMD, x, delta_k: float):
     if not m.k + delta_k > m.k:
         raise ValueError(f"delta_k = {delta_k} must be positive and change k = {m.k}")
     pts, single = _as_points(x, m.region.dim)
+    t_root, d = _boundary_move(m, pts, m.objective(pts), delta_k)
+    return (float(t_root[0]), d[0]) if single else (t_root, d)
+
+
+def _boundary_move(m: NascentMD, pts: np.ndarray, f: np.ndarray, delta_k: float):
+    """``solve_boundary_move`` on the rows of ``pts`` from f there, for a positive
+    ``delta_k`` that changes k."""
     g, gn = _gradients(m, pts)
     d = g / gn[:, None]
-    m2, tau, f = m.with_k(m.k + delta_k), m.resolved_tau(), m.objective(pts)
+    m2, tau = m.with_k(m.k + delta_k), m.resolved_tau()
     log_level = -np.log(m.region_measure())
     lo, g_lo = np.zeros(len(pts)), tau.log_tau(f, m2.k) - m2.log_Z() - log_level
     hi = -2.0 * g_lo / (m2.k * tau.dlog_tau_df(f) * gn)  # the divisor: the gap's slope at 0
@@ -235,7 +242,7 @@ def solve_boundary_move(m: NascentMD, x, delta_k: float):
         lo[miss], hi[miss], g_lo[miss], g_hi[miss] = (ts[i, cols], ts[i + 1, cols],
                                                       vals[i, cols], vals[i + 1, cols])
     t_root, _ = brentq(m2, log_level, pts, d, lo, hi, g_lo, g_hi)
-    return (float(t_root[0]), d[0]) if single else (t_root, d)
+    return t_root, d
 
 
 def shrink_rate_empirical(m: NascentMD, x, delta_k: float):
@@ -259,7 +266,7 @@ def descent_rate(m: NascentMD, x):
 def _descent_rate(m: NascentMD, f: np.ndarray) -> np.ndarray:
     """``descent_rate`` from f at the points."""
     tau = m.resolved_tau()
-    return (m.expect_log_tau().value - tau.log_tau(f)) / (m.k * np.abs(tau.dlog_tau_df(f)))
+    return (m.expect_log_tau() - tau.log_tau(f)) / (m.k * np.abs(tau.dlog_tau_df(f)))
 
 
 def basin_masses(m: NascentMD, minimizers, radius: float) -> BasinReport:

@@ -8,9 +8,23 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles  # noqa: E402
+from mdopt import nmd  # noqa: E402
 from mdopt.nmd import CLIP, NascentMD  # noqa: E402
 from mdopt.objective import catalog_get  # noqa: E402
-from mdopt.region import CompactRegion  # noqa: E402
+from mdopt.region import CompactRegion, GridMesh  # noqa: E402
+
+
+@pytest.fixture
+def level_meshes(monkeypatch):
+    """The resolution of every mesh that the density engine hands ``evaluate_batch``."""
+    meshes, evaluate_batch = [], nmd.evaluate_batch
+
+    def spy(obj, xs):
+        if isinstance(xs, GridMesh):
+            meshes.append(xs.resolution)
+        return evaluate_batch(obj, xs)
+    monkeypatch.setattr(nmd, "evaluate_batch", spy)
+    return meshes
 
 
 @pytest.fixture(scope="session")

@@ -120,12 +120,41 @@ def f_evals(monkeypatch):
     return count
 
 
-def test_sets_evaluates_f_only_on_the_density_levels(runner, tmp_path, f_evals):
-    """The set mesh and the profile mesh have the two levels' layouts (256^2, 128^2)."""
-    result = runner.invoke(main, ["sets", "--function", "paper2d", "--k", "0,1,4",
+def test_sets_evaluates_f_only_on_the_density_levels(runner, tmp_path, f_evals,
+                                                     level_meshes):
+    """The set mesh and the profile mesh have the two levels' layouts (256^2, 128^2),
+    and every k and kind reads f from each level's one evaluation."""
+    result = runner.invoke(main, ["sets", "--function", "paper2d", "--k", "0,1,4,16",
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
+    assert sorted(level_meshes) == [(128, 128), (256, 256)]
     assert f_evals[0] == 128 ** 2 + 256 ** 2 == 81_920
+
+
+def test_shrinkrate_evaluates_the_finest_level_and_its_rate_points_once(
+        runner, tmp_path, monkeypatch, level_meshes):
+    """log Z, the D0 mask and E log tau are read from the finest level alone, so the
+    256^2 mesh is the one mesh evaluated; f at the boundary points that the rates are
+    written for is evaluated in one batch, which both rates read."""
+    batches = []
+
+    def counted(name):
+        obj, region = catalog_get(name)
+
+        def fn(p):
+            batches.append(p.copy())  # a mesh slab's buffer is reused
+            return obj.fn(p)
+        return dataclasses.replace(obj, fn=fn), region
+    monkeypatch.setattr(mdopt.cli, "catalog_get", counted)
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["shrinkrate", "--function", "paper2d", "--k", "8",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert level_meshes == [(256, 256)]
+    rows = read_csv(out / "shrinkrate.csv")
+    pts = np.array([[float(r["x0"]), float(r["x1"])] for r in rows])
+    assert len(pts) > 0
+    assert sum(b.shape == pts.shape and np.array_equal(b, pts) for b in batches) == 1
 
 
 def test_sets_evaluates_its_mc_set_mesh_once(runner, tmp_path, f_evals):
@@ -304,16 +333,16 @@ def test_shrinkrate_computes_gradients_twice(runner, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (["shrinkrate", "--function", "paper2d", "--k", "8"], 4),
+    (["shrinkrate", "--function", "paper2d", "--k", "8"], 3),
     (["sets", "--function", "paper2d", "--k", "0,1,4,16"], 16),
     (["minimize", "--function", "paper2d"], 20),
 ])
 def test_weight_passes_per_command(runner, tmp_path, monkeypatch, argv, passes):
     """Every density sum is a weight pass, one per level for each reduction and one
-    over the finest level for log Z at a k that no pass has seen: shrinkrate sums
-    log Z at k and at k + dk and reduces E log tau at k once, though descent_rate
-    reads it twice; sets reduces E f and log E tau at each of its four k, and its
-    D0 set reads log Z from the E f pass; minimize reduces its moments once per
+    over the finest level for log Z at a k that no pass has seen or for E log tau:
+    shrinkrate sums log Z at k and at k + dk and reduces E log tau at k once, over
+    the finest level only; sets reduces E f and log E tau at each of its four k, and
+    its D0 set reads log Z from the E f pass; minimize reduces its moments once per
     stage for ten stages."""
     calls = []
     reduce = NascentMD._reduce
@@ -338,8 +367,13 @@ def test_weight_passes_per_command(runner, tmp_path, monkeypatch, argv, passes):
     (["shrinkrate", "--dk", "inf"], "--dk"),
     (["shrinkrate", "--grad-min", "nan"], "--grad-min"),
     (["useq", "--rel-tol", "nan"], "--rel-tol"),
+    *[([command, *extra, "--tau", "rational", "--p", p], "--p")
+      for command, extra in (("minimize", []), ("sets", ["--k", "1"]), ("shrinkrate", []))
+      for p in ("nan", "inf")],
 ], ids=["k0-inf", "growth-inf", "var-tol-nan", "sets-k-inf", "sets-k-nan", "sets-k-text",
-        "shrinkrate-k-inf", "shrinkrate-dk-inf", "shrinkrate-grad-min-nan", "useq-rel-tol-nan"])
+        "shrinkrate-k-inf", "shrinkrate-dk-inf", "shrinkrate-grad-min-nan", "useq-rel-tol-nan",
+        *[f"{command}-p-{p}" for command in ("minimize", "sets", "shrinkrate")
+          for p in ("nan", "inf")]])
 def test_non_finite_or_malformed_option_usage_error(runner, tmp_path, argv, name):
     result = runner.invoke(main, [*argv, "--function", "paper1d",
                                   "--out", str(tmp_path / "run")])

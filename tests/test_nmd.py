@@ -76,6 +76,26 @@ def test_rational_shift_resolved_from_finest_level():
     assert m.with_k(5.0).resolved_tau() is m.resolved_tau()
 
 
+@pytest.mark.parametrize("kwargs", [dict(p=np.nan), dict(p=np.inf), dict(p=1.0, L=np.nan),
+                                    dict(p=1.0, L=-np.inf)])
+def test_rational_rejects_non_finite_parameters(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        Rational(**kwargs)
+
+
+def test_coarse_level_is_built_when_a_pass_first_reads_it(level_meshes):
+    """log Z, E log tau, mu and f on the finest mesh read the finest level alone; the
+    first pass over the coarse level evaluates its f, once, and levels() holds both."""
+    obj, region = catalog_get("paper2d")
+    m = NascentMD(obj, region, k=3.0, integrator=GRID_2D)
+    m.log_Z(), m.expect_log_tau(), m.region_measure(), m.mesh_values(region.build_grid(256))
+    m.with_k(5.0).expect_log_tau()
+    assert level_meshes == [(256, 256)]
+    m.log_expect_tau(), m.moments(), m.levels()
+    assert level_meshes == [(256, 256), (128, 128)]
+    assert [lv.mesh.resolution for lv in m.levels()] == [(128, 128), (256, 256)]
+
+
 def test_rational_invalid_shift():
     obj, region = catalog_get("paper1d")
     m = NascentMD(obj, region, tau=Rational(p=0.1, L=10.0), k=1.0, integrator=GRID_1D)
@@ -271,22 +291,23 @@ def test_a_cut_holds_f_and_points_per_kept_node(tau):
 
 
 def test_a_stage_reduces_only_what_it_reports(monkeypatch):
-    """moments() reduces E f, E (f - c)^2 and E x in its weight pass; E log tau,
-    which no stage reports, is reduced only when first read, and once per k."""
-    counts, estimates = [], NascentMD._estimates
+    """moments() reduces E f, E (f - c)^2 and E x in one weight pass per level; E log
+    tau, which no stage reports, is reduced only when first read, once per k, in one
+    pass over the finest level."""
+    counts, pass_ = [], NascentMD._pass
 
-    def spy(self, *integrands):
-        counts.append(len(integrands))
-        return estimates(self, *integrands)
-    monkeypatch.setattr(NascentMD, "_estimates", spy)
+    def spy(self, i, integrands, *args, **kwargs):
+        counts.append((i, len(integrands)))
+        return pass_(self, i, integrands, *args, **kwargs)
+    monkeypatch.setattr(NascentMD, "_pass", spy)
     obj, region = catalog_get("paper1d")
     m = NascentMD(obj, region, k=3.0, integrator=GRID_1D)
     m.variance_f(), m.mean_location(), m.expect_f()
-    assert counts == [3]
+    assert counts == [(0, 3), (1, 3)]
     m.expect_log_tau()
-    assert counts == [3, 1]
+    assert counts == [(0, 3), (1, 3), (1, 1)]
     m.with_k(3.0).expect_log_tau()
-    assert counts == [3, 1]
+    assert counts == [(0, 3), (1, 3), (1, 1)]
 
 
 def test_with_k_shares_caches(paper1d_md):
@@ -391,7 +412,8 @@ def test_log_expect_tau_error_survives_a_large_shift():
 
 
 def test_grid_levels_evaluate_f_through_their_meshes(monkeypatch):
-    """The f pass of a grid density hands ``evaluate_batch`` each level's mesh."""
+    """The f pass of a grid density hands ``evaluate_batch`` each level's mesh, the
+    finest first."""
     args = []
     evaluate_batch = nmd.evaluate_batch
 
@@ -402,7 +424,7 @@ def test_grid_levels_evaluate_f_through_their_meshes(monkeypatch):
     obj, region = catalog_get("paper2d")
     levels = NascentMD(obj, region, integrator=GRID_2D).levels()
     assert [type(xs) for xs in args] == [GridMesh, GridMesh]
-    assert all(xs is lv.mesh for xs, lv in zip(args, levels))
+    assert all(xs is lv.mesh for xs, lv in zip(args, levels[::-1]))
     for lv in levels:
         assert np.array_equal(lv.f, obj(lv.nodes))
 
@@ -443,9 +465,9 @@ def test_moments_record_matches_generic_path(tau, integrator):
         c = float(np.min(m.levels()[1].f))  # the shift: the finest level's min f
         efc2 = m._estimates(lambda f, *_: (f - c) ** 2.0)[0]
         elt = m._estimates(lambda f, *_: m.resolved_tau().log_tau(f))[0]
-        for got, want in ((m.expect_f(), ef), (m.moments().fc2, efc2),
-                          (m.expect_log_tau(), elt)):
+        for got, want in ((m.expect_f(), ef), (m.moments().fc2, efc2)):
             assert (got.value, got.error) == (want.value, want.error)
+        assert m.expect_log_tau() == elt.value  # the finest level's value
         assert m.moments().c == c
         var = m.variance_f()
         assert var.value == max(efc2.value - (ef.value - c) ** 2, 0.0)
@@ -516,8 +538,12 @@ def _dense_moments(m: NascentMD) -> dict:
 
 
 def _got(m: NascentMD, mom, name: str):
-    """The estimate ``_dense_moments`` names: a field of ``mom``, or E log tau."""
-    return m.expect_log_tau() if name == "log_tau" else getattr(mom, name)
+    """The value and error that ``_dense_moments`` names: a field of ``mom``, or E log
+    tau, the finest level's value, whose error is None (it is not estimated)."""
+    if name == "log_tau":
+        return m.expect_log_tau(), None
+    est = getattr(mom, name)
+    return est.value, est.error
 
 
 def _complex_rows(nodes: np.ndarray) -> np.ndarray:
@@ -539,10 +565,11 @@ def _check_support_ladder(function, tau, integrator, scale_of):
             m = base.with_k(k)
             mom, ref = m.moments(), _dense_moments(m)
             for name, (value, err, abs_mean, both_abs_mean, clip) in ref.items():
-                got = _got(m, mom, name)
+                got, got_err = _got(m, mom, name)
                 tol = 1e-13 * np.max(scale_of(value, abs_mean)) + clip
-                assert np.max(np.abs(got.value - value)) <= tol, (k, name)
-                assert abs(got.error - err) <= 1e-13 * both_abs_mean + clip, (k, name)
+                assert np.max(np.abs(got - value)) <= tol, (k, name)
+                if got_err is not None:
+                    assert abs(got_err - err) <= 1e-13 * both_abs_mean + clip, (k, name)
             for i, lv in enumerate(m.levels()):
                 sub = m._support(i)
                 a = k * m.resolved_tau().log_tau(lv.f)
@@ -605,8 +632,8 @@ def test_location_from_points_matches_dense(paper2d_disk, on_disk, support_weigh
 
 @pytest.mark.parametrize("case", ["grid1000", "grid1d", "disk", "mc"])
 def test_blocked_pass_matches_dense_reference_across_block_boundaries(paper2d_disk, case):
-    """E f, E (f - c)^2, E log tau and E x with their errors equal the dense
-    softmax(k log tau) ones, and log Z and log E tau the dense logsumexp(k log tau)
+    """E f, E (f - c)^2, E log tau and E x, and the errors of all but E log tau, equal
+    the dense softmax(k log tau) ones, and log Z and log E tau the dense logsumexp(k log tau)
     ones, where blocks split the level unevenly: 1000^2 slabs of 16,000 nodes, a
     1-d grid whose slabs are pieces of its one row, the disk's slabs scattered onto
     the lattice, and Monte Carlo slices with 3 sigma errors."""
@@ -621,9 +648,10 @@ def test_blocked_pass_matches_dense_reference_across_block_boundaries(paper2d_di
         m = base.with_k(k)
         mom = m.moments()
         for name, (value, err, abs_mean, both_abs_mean, clip) in _dense_moments(m).items():
-            got = _got(m, mom, name)
-            assert np.max(np.abs(got.value - value)) <= 1e-13 * abs_mean + clip, (k, name)
-            assert abs(got.error - err) <= 1e-13 * both_abs_mean + clip, (k, name)
+            got, got_err = _got(m, mom, name)
+            assert np.max(np.abs(got - value)) <= 1e-13 * abs_mean + clip, (k, name)
+            if got_err is not None:
+                assert abs(got_err - err) <= 1e-13 * both_abs_mean + clip, (k, name)
         # log-sums L_i(k) of k log tau on each level, the dense reference for log Z and
         # log E tau = L(k + 1) - L(k), whose subtraction rounds at eps (|L(k)| + |L(k + 1)|);
         # the 1 stands for logsumexp's own log1p and log rounding when L is near 0
@@ -912,8 +940,9 @@ def test_weight_pass_stays_on_exp_fast_path(monkeypatch):
         mom = m.moments()
         # scaled by E|h|: E x is 0 by symmetry, up to rounding
         for name, (value, err, scale, _, clip) in _dense_moments(m).items():
-            got = _got(m, mom, name)
-            assert np.max(np.abs(got.value - value)) <= 1e-13 * scale + clip, (k, name)
+            got, got_err = _got(m, mom, name)
+            assert np.max(np.abs(got - value)) <= 1e-13 * scale + clip, (k, name)
             # and the error by the larger of E|h| and itself, which rounds with it
-            assert abs(got.error - err) <= 1e-13 * max(scale, abs(err)) + clip, (k, name)
+            if got_err is not None:
+                assert abs(got_err - err) <= 1e-13 * max(scale, abs(err)) + clip, (k, name)
     assert slow > 0  # the dense pass would have taken the slow path

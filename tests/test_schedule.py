@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -80,13 +81,28 @@ def test_xstar_is_no_worse_than_fstar(name):
     assert result.xstar_estimate.tobytes() == fine.nodes[np.argmax(log_tau)].tobytes()
 
 
+def test_continuation_evaluates_each_level_once(level_meshes):
+    """Every stage reads f from one evaluation of each level: 256^2 + 128^2 points."""
+    obj, region = catalog_get("paper2d")
+    calls = []
+
+    def fn(p):
+        calls.append(p.shape[0])
+        return obj.fn(p)
+    result = run_continuation(dataclasses.replace(obj, fn=fn), region)
+    assert len(result.trace) > 1
+    assert sorted(level_meshes) == [(128, 128), (256, 256)]
+    assert sum(calls) == 65_536 + 16_384
+
+
 @pytest.mark.parametrize("on_disk", [False, True])
 def test_continuation_builds_no_node_array(monkeypatch, paper2d_disk, on_disk):
     """E x, x* and the support cuts read the meshes' axes, so neither level's mesh
     builds its (N, dim) node array; x* has the bits of the max-weight node."""
     obj, region = paper2d_disk if on_disk else catalog_get("paper2d")
-    densities, levels = [], NascentMD.levels
-    monkeypatch.setattr(NascentMD, "levels", lambda self: densities.append(self) or levels(self))
+    densities, level = [], NascentMD.level
+    monkeypatch.setattr(NascentMD, "level",
+                        lambda self, i: densities.append(self) or level(self, i))
     result = run_continuation(obj, region)
     monkeypatch.undo()
     md = densities[-1]
