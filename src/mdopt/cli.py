@@ -34,15 +34,15 @@ _ROWS = 4096  # rows formatted and written per block
 _HOLE = "\x00ndarray\x00"  # where _write_json's stdlib text leaves out an array
 
 
-def _cells(col: np.ndarray) -> np.ndarray:
+def _cells(col: np.ndarray) -> list:
     """One block of a column as strings: each distinct float64 bit pattern
     formatted once with 17 significant digits, other values with ``str``.
     Deduplicating bits, not values, keeps ``-0.0`` apart from ``0.0``."""
     if col.dtype.kind != "f":
-        return np.array(list(map(str, col.tolist())), dtype=object)
+        return list(map(str, col.tolist()))
     bits, inverse = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
-    text = [format(v, ".17g") for v in bits.view(np.float64).tolist()]
-    return np.array(text, dtype=object)[inverse]
+    text = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def _write_csv(path: Path, columns: dict):
@@ -52,15 +52,11 @@ def _write_csv(path: Path, columns: dict):
     only one block's strings are held in memory."""
     cols = [np.asarray(col) for col in columns.values()]
     n = len(cols[0]) if cols else 0
-    table = np.empty((min(n, _ROWS), len(cols)), dtype=object)
-    row = ",".join(["%s"] * len(cols)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
         for start in range(0, n, _ROWS):
-            block = table[:min(n - start, _ROWS)]
-            for j, col in enumerate(cols):
-                block[:, j] = _cells(col[start:start + len(block)])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            cells = [_cells(col[start:start + _ROWS]) for col in cols]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _array_template(shape: tuple, indent: int) -> str:
@@ -288,14 +284,14 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     obj, region, tau_kind, integ = _resolve(function, tau, p, grid, mc, seed)
     m = NascentMD(obj, region, tau=tau_kind, k=k, integrator=integ)
     d0 = sets_mod.extract_set(m, sets_mod.SetKind.D0, region.build_grid(integ.resolution))
-    pts = np.reshape(sets_mod.boundary_points(d0), (-1, region.dim))
+    pts, f = sets_mod._boundary_points(d0)  # f from the root solve, read by both rates
     g = gradient(obj, pts)
     gn = np.sqrt(np.vecdot(g, g))  # BLAS dot, as np.linalg.norm of one row
-    pts, gn = pts[gn > grad_min], gn[gn > grad_min]
-    f = obj(pts)  # descent_rate and shrink_rate_empirical read one evaluation of f
+    keep = gn > grad_min
+    pts, f, g, gn = pts[keep], f[keep], g[keep], gn[keep]
     descent = sets_mod._descent_rate(m, f)
     theo = np.abs(descent) / gn  # shrink_rate_theoretical, from norms already at hand
-    emp = np.abs(sets_mod._boundary_move(m, pts, f, dk)[0]) / dk
+    emp = np.abs(sets_mod._boundary_move(m, pts, f, g, gn, dk)[0]) / dk
     ratio = np.divide(emp, theo, out=np.full_like(theo, np.nan), where=theo > 0)
     _write_outputs(out, {"shrinkrate.csv": {
         **{f"x{j}": pts[:, j] for j in range(region.dim)},

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .nmd import NascentMD
-from .objective import gradient
+from .objective import evaluate_batch, gradient
 from .region import GridMesh, _as_points
 
 
@@ -120,27 +120,47 @@ def equivalence_check_dtau(m: NascentMD, mesh: GridMesh) -> int:
     return int(np.count_nonzero((cond_a != cond_b) & decisive))
 
 
-def _level_crossing(m: NascentMD, log_level: float, x0, v, lo, hi, g_lo, g_hi):
-    """Per row, t in [lo, hi] with log m^(k)(x0 + t v) = log_level, and the gap there.
+def _gap(m: NascentMD, f: np.ndarray, log_level: float) -> np.ndarray:
+    """log m^(k) - log_level from f, formed as ``NascentMD.log_density`` forms it."""
+    return m.resolved_tau().log_tau(f, m.k) - m.log_Z() - log_level
 
-    Illinois false position (Dowell & Jarratt, BIT 11, 1971) from the bracket
-    ends' gaps g_lo, g_hi of opposite signs, one density call per step on the
-    rows whose gap is non-zero and bracket wider than brentq's 1e-15 + 8.9e-16 |t|.
+
+def _level_crossing(m: NascentMD, log_level: float, x0, v, lo, hi):
+    """Per row, t in [lo, hi] with log m^(k)(x0 + t v) = log_level, the gap and f there.
+
+    Each bracket end is a triple (t, point, f at the point) whose gaps have
+    opposite signs; the point is the one the caller evaluated, which x0 + t v
+    need not equal bit for bit.  Illinois false position (Dowell & Jarratt,
+    BIT 11, 1971) steps the rows whose gap is non-zero and bracket wider than
+    brentq's 1e-15 + 8.9e-16 |t|.  Per row it holds the points at t and at s
+    with their f; a step whose point x0 + c v is one of them bit for bit takes
+    that f, and f is evaluated, in one batch, only at the other rows' points.
     """
-    s, t = (np.array(np.broadcast_to(e, len(x0)), dtype=float) for e in (lo, hi))
-    fs, ft = np.array(g_lo, dtype=float), np.array(g_hi, dtype=float)
-    live = np.arange(len(t))  # t is the latest iterate, s the retained end
+    (s, xs, f_s), (t, xt, f_t) = lo, hi
+    s, t = (np.array(np.broadcast_to(e, len(x0)), dtype=float) for e in (s, t))
+    held_x, held_f = np.stack([xs, xt]), np.stack([f_s, f_t])
+    fs, ft = _gap(m, held_f, log_level)  # fs is halved by Illinois, held_f keeps the truth
+    at_t, rows = np.ones(len(t), dtype=np.intp), np.arange(len(t))  # held slot of t's point
+    live = rows
     for _ in range(100):
         wide = np.abs(t[live] - s[live]) >= 1e-15 + 8.9e-16 * np.abs(t[live])
         live = live[wide & (ft[live] != 0.0)]
         if live.size == 0:
-            return t, ft
+            return t, ft, held_f[at_t, rows]
         c = t[live] - ft[live] * (t[live] - s[live]) / (ft[live] - fs[live])
-        fc = m.log_density(x0[live] + c[:, None] * v[live]) - log_level
-        flip = fc * ft[live] < 0.0
+        xc = x0[live] + c[:, None] * v[live]
+        same = np.all(xc.view(np.int64) == held_x[:, live].view(np.int64), axis=2)
+        fc = held_f[same[1].astype(np.intp), live]
+        new = ~(same[0] | same[1])
+        if np.any(new):
+            fc[new] = evaluate_batch(m.objective, xc[new])
+        gc = _gap(m, fc, log_level)
+        flip = gc * ft[live] < 0.0
         s[live[flip]], fs[live[flip]] = t[live[flip]], ft[live[flip]]
         fs[live[~flip]] *= 0.5  # same side twice: halve the retained end
-        t[live], ft[live] = c, fc
+        t[live], ft[live] = c, gc
+        slot = at_t[live] ^ flip  # c takes the slot of the end it replaces
+        at_t[live], held_x[slot, live], held_f[slot, live] = slot, xc, fc
     raise RuntimeError("level crossing did not converge in 100 steps")
 
 
@@ -153,15 +173,23 @@ def boundary_points(sset: SignificantSet) -> list[np.ndarray]:
 
     Solves the level crossing on every lattice edge whose member ends straddle
     the set (axis by axis, row-major) and keeps |m^(k)(x) * mu - 1| <= 1e-10.
-    The gaps at the edge ends are formed from f in ``m.mesh_values``, not evaluated again.
+    """
+    return list(_boundary_points(sset)[0])
+
+
+def _boundary_points(sset: SignificantSet) -> tuple[np.ndarray, np.ndarray]:
+    """``boundary_points`` as an (n, dim) array, and f at each point.
+
+    The edge ends' f is read from ``m.mesh_values`` and is held by the root
+    solve at the nodes themselves, so f is evaluated only at points between
+    nodes, once each; a node exactly on the level keeps its mesh f.
     """
     if sset.kind is not SetKind.D0:
         raise ValueError("boundary extraction is defined for D0 sets only")
     m, member = sset.source, sset.mesh.lattice_mask
     log_level = -np.log(m.region_measure())
-    inside, gaps = np.zeros(member.shape, dtype=bool), np.zeros(member.shape)
-    inside[member] = sset.mask
-    gaps[member] = m.resolved_tau().log_tau(m.mesh_values(sset.mesh), m.k) - m.log_Z() - log_level
+    inside, f = np.zeros(member.shape, dtype=bool), np.zeros(member.shape)
+    inside[member], f[member] = sset.mask, m.mesh_values(sset.mesh)
     ends = []  # lattice indices of the straddling edges' ends, axis by axis
     for d, step in enumerate(np.eye(member.ndim, dtype=int)):
         both = np.delete(member, -1, axis=d) & np.delete(member, 0, axis=d)
@@ -170,23 +198,29 @@ def boundary_points(sset: SignificantSet) -> list[np.ndarray]:
     ia, ib = map(np.concatenate, zip(*ends))
     a, b = (np.stack([ax[ix[:, j]] for j, ax in enumerate(sset.mesh.axes)], axis=1)
             for ix in (ia, ib))
-    ga, gb = gaps[tuple(ia.T)], gaps[tuple(ib.T)]
-    x = np.where((ga == 0.0)[:, None], a, b)  # exact hits keep their node
+    fa, fb = f[tuple(ia.T)], f[tuple(ib.T)]
+    ga, gb = _gap(m, fa, log_level), _gap(m, fb, log_level)
+    x, fx = np.where((ga == 0.0)[:, None], a, b), np.where(ga == 0.0, fa, fb)  # exact hits
     on_level = (ga == 0.0) | (gb == 0.0)
     solve = ga * gb < 0.0
-    t, gap = brentq(m, log_level, a[solve], (b - a)[solve], 0.0, 1.0, ga[solve], gb[solve])
+    t, gap, fx[solve] = brentq(m, log_level, a[solve], (b - a)[solve],
+                               (0.0, a[solve], fa[solve]), (1.0, b[solve], fb[solve]))
     x[solve] = a[solve] + t[:, None] * (b - a)[solve]
     on_level[solve] = np.abs(np.expm1(gap)) <= 1e-10
-    return list(x[on_level])
+    return x[on_level], fx[on_level]
 
 
 def _gradients(m: NascentMD, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """grad f per row and its norm (a BLAS dot, as np.linalg.norm of one row)."""
     g = gradient(m.objective, pts)
-    gn = np.sqrt(np.vecdot(g, g))
+    return g, np.sqrt(np.vecdot(g, g))
+
+
+def _require_slope(gn: np.ndarray) -> np.ndarray:
+    """The gradient norms, unless one vanishes: NearCriticalPointError."""
     if np.any(gn < 1e-8):
         raise NearCriticalPointError("gradient vanishes; shrink rate undefined")
-    return g, gn
+    return gn
 
 
 def shrink_rate_theoretical(m: NascentMD, x):
@@ -196,7 +230,7 @@ def shrink_rate_theoretical(m: NascentMD, x):
     For exponential tau this is |E^(k)(f) - f(x)| / (k |grad f(x)|).
     """
     pts, single = _as_points(x, m.region.dim)
-    rate = np.abs(descent_rate(m, pts)) / _gradients(m, pts)[1]
+    rate = np.abs(descent_rate(m, pts)) / _require_slope(_gradients(m, pts)[1])
     return float(rate[0]) if single else rate
 
 
@@ -214,34 +248,40 @@ def solve_boundary_move(m: NascentMD, x, delta_k: float):
     if not m.k + delta_k > m.k:
         raise ValueError(f"delta_k = {delta_k} must be positive and change k = {m.k}")
     pts, single = _as_points(x, m.region.dim)
-    t_root, d = _boundary_move(m, pts, m.objective(pts), delta_k)
+    t_root, d = _boundary_move(m, pts, m.objective(pts), *_gradients(m, pts), delta_k)
     return (float(t_root[0]), d[0]) if single else (t_root, d)
 
 
-def _boundary_move(m: NascentMD, pts: np.ndarray, f: np.ndarray, delta_k: float):
-    """``solve_boundary_move`` on the rows of ``pts`` from f there, for a positive
-    ``delta_k`` that changes k."""
-    g, gn = _gradients(m, pts)
-    d = g / gn[:, None]
+def _boundary_move(m: NascentMD, pts: np.ndarray, f: np.ndarray, g: np.ndarray,
+                   gn: np.ndarray, delta_k: float):
+    """``solve_boundary_move`` on the rows of ``pts`` from f, grad f and |grad f|
+    there, for a positive ``delta_k`` that changes k.  The root solve holds each
+    bracket end at the point evaluated for it: ``pts`` itself, the point at t1,
+    or a scan point."""
+    d = g / _require_slope(gn)[:, None]
     m2, tau = m.with_k(m.k + delta_k), m.resolved_tau()
     log_level = -np.log(m.region_measure())
-    lo, g_lo = np.zeros(len(pts)), tau.log_tau(f, m2.k) - m2.log_Z() - log_level
+    lo, g_lo = np.zeros(len(pts)), _gap(m2, f, log_level)
     hi = -2.0 * g_lo / (m2.k * tau.dlog_tau_df(f) * gn)  # the divisor: the gap's slope at 0
-    g_hi = m2.log_density(pts + hi[:, None] * d) - log_level
-    miss = ~(g_lo * g_hi < 0.0)
+    x_lo, f_lo, x_hi = pts.copy(), f.copy(), pts + hi[:, None] * d
+    f_hi = evaluate_batch(m.objective, x_hi)
+    miss = ~(g_lo * _gap(m2, f_hi, log_level) < 0.0)
     if np.any(miss):
         t_max = 10.0 * (np.abs(_descent_rate(m, f[miss])) / gn[miss]) * delta_k
         ts = np.linspace(-t_max, t_max, 65)  # one column per point
-        scan = (pts[miss] + ts[:, :, None] * d[miss]).reshape(-1, pts.shape[1])
-        vals = m2.log_density(scan).reshape(ts.shape) - log_level
+        scan = pts[miss] + ts[:, :, None] * d[miss]
+        f_scan = np.broadcast_to(f[miss], ts.shape).copy()  # t = 0 lands on the point itself
+        fresh = np.any(scan.view(np.int64) != pts[miss].view(np.int64), axis=2)
+        f_scan[fresh] = evaluate_batch(m.objective, scan[fresh])
+        vals = _gap(m2, f_scan, log_level)
         crosses = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
         if not np.all(np.any(crosses, axis=0)):
             raise BracketingError("no level crossing within 10x the predicted move")
         near = np.where(crosses, np.minimum(np.abs(ts[:-1]), np.abs(ts[1:])), np.inf)
         i, cols = np.argmin(near, axis=0), np.arange(ts.shape[1])
-        lo[miss], hi[miss], g_lo[miss], g_hi[miss] = (ts[i, cols], ts[i + 1, cols],
-                                                      vals[i, cols], vals[i + 1, cols])
-    t_root, _ = brentq(m2, log_level, pts, d, lo, hi, g_lo, g_hi)
+        lo[miss], x_lo[miss], f_lo[miss] = ts[i, cols], scan[i, cols], f_scan[i, cols]
+        hi[miss], x_hi[miss], f_hi[miss] = ts[i + 1, cols], scan[i + 1, cols], f_scan[i + 1, cols]
+    t_root, _, _ = brentq(m2, log_level, pts, d, (lo, x_lo, f_lo), (hi, x_hi, f_hi))
     return t_root, d
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -104,20 +105,37 @@ def test_sets_density_concentrates(runner, tmp_path):
     assert peak["9"] > 5 * peak["0"]
 
 
+def _wrap_catalog(monkeypatch, record):
+    """Make the CLI's catalog functions hand each batch of points to ``record``
+    before evaluating f there."""
+    def wrapped(name):
+        obj, region = catalog_get(name)
+
+        def fn(p):
+            record(p)
+            return obj.fn(p)
+        return dataclasses.replace(obj, fn=fn), region
+    monkeypatch.setattr(mdopt.cli, "catalog_get", wrapped)
+
+
 @pytest.fixture
 def f_evals(monkeypatch):
     """The number of points at which the CLI's catalog functions evaluate f."""
     count = [0]
 
-    def counted(name):
-        obj, region = catalog_get(name)
-
-        def fn(p):
-            count[0] += p.shape[0]
-            return obj.fn(p)
-        return dataclasses.replace(obj, fn=fn), region
-    monkeypatch.setattr(mdopt.cli, "catalog_get", counted)
+    def add(p):
+        count[0] += p.shape[0]
+    _wrap_catalog(monkeypatch, add)
     return count
+
+
+@pytest.fixture
+def fn_batches(monkeypatch):
+    """A copy of each batch of points at which the CLI's catalog functions
+    evaluate f (a mesh slab's buffer is reused)."""
+    batches = []
+    _wrap_catalog(monkeypatch, lambda p: batches.append(p.copy()))
+    return batches
 
 
 def test_sets_evaluates_f_only_on_the_density_levels(runner, tmp_path, f_evals,
@@ -132,20 +150,11 @@ def test_sets_evaluates_f_only_on_the_density_levels(runner, tmp_path, f_evals,
 
 
 def test_shrinkrate_evaluates_the_finest_level_and_its_rate_points_once(
-        runner, tmp_path, monkeypatch, level_meshes):
+        runner, tmp_path, fn_batches, level_meshes):
     """log Z, the D0 mask and E log tau are read from the finest level alone, so the
-    256^2 mesh is the one mesh evaluated; f at the boundary points that the rates are
-    written for is evaluated in one batch, which both rates read."""
-    batches = []
-
-    def counted(name):
-        obj, region = catalog_get(name)
-
-        def fn(p):
-            batches.append(p.copy())  # a mesh slab's buffer is reused
-            return obj.fn(p)
-        return dataclasses.replace(obj, fn=fn), region
-    monkeypatch.setattr(mdopt.cli, "catalog_get", counted)
+    256^2 mesh is the one mesh evaluated; f at each boundary point that the rates are
+    written for is evaluated once, by the root solve that found it, and both rates
+    read that f."""
     out = tmp_path / "run"
     result = runner.invoke(main, ["shrinkrate", "--function", "paper2d", "--k", "8",
                                   "--out", str(out)])
@@ -154,7 +163,42 @@ def test_shrinkrate_evaluates_the_finest_level_and_its_rate_points_once(
     rows = read_csv(out / "shrinkrate.csv")
     pts = np.array([[float(r["x0"]), float(r["x1"])] for r in rows])
     assert len(pts) > 0
-    assert sum(b.shape == pts.shape and np.array_equal(b, pts) for b in batches) == 1
+    evaluated = Counter(map(bytes, np.concatenate(fn_batches)))
+    assert all(evaluated[x.tobytes()] == 1 for x in pts)
+
+
+@pytest.mark.parametrize("argv, repeats, points", [
+    (["minimize", "--function", "paper2d"], 0, None),
+    (["minimize", "--function", "rastrigin", "--mc", "20000", "--seed", "3"], 0, None),
+    (["minimize", "--function", "paper1d", "--tau", "rational"], 0, None),
+    (["sets", "--function", "paper2d", "--k", "0,1,4,16"], 0, None),
+    (["sets", "--function", "paper1d", "--k", "0,1,3", "--mc", "3000"], 0, None),
+    (["sets", "--function", "paper2d", "--tau", "rational", "--k", "0,4,16"], 0, None),
+    (["sets", "--function", "paper2d", "--k", "0,1", "--grid", "64", "--profile-res", "48"],
+     0, None),
+    (["shrinkrate", "--function", "paper2d", "--k", "8"], 0, 71_658),
+    (["shrinkrate", "--function", "stability2d", "--k", "8"], 0, 72_598),
+    (["shrinkrate", "--function", "paper1d", "--k", "8"], 0, 1_072),
+    (["shrinkrate", "--function", "ackley", "--k", "8"], 0, None),
+    # three points' scan brackets close on the same crossing of the 1-d level, and
+    # their rows step onto 4 of the same points; a solve holds points per row
+    (["shrinkrate", "--function", "paper1d", "--dk", "16"], 4, None),
+    (["shrinkrate", "--function", "paper1d", "--tau", "rational", "--grid", "256"], 0, None),
+    (["shrinkrate", "--function", "paper1d", "--mc", "2000"], 0, None),
+    (["useq", "--function", "paper2d", "--resolution", "256"], 0, None),
+], ids=lambda v: ("-".join(a.lstrip("-") for a in v if a != "--function")
+                  if isinstance(v, list) else None))
+def test_each_command_evaluates_f_once_per_point(runner, tmp_path, fn_batches, argv,
+                                                 repeats, points):
+    """No row that fn receives during a command repeats an earlier one: the root
+    solves take f at a point they hold, the rates read f from the solve that found
+    their points, and the scan reads f at its own point from the caller.  The
+    ``boundary`` benchmark's shrinkrate commands evaluate exactly ``points`` rows."""
+    result = runner.invoke(main, [*argv, "--out", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    rows = np.concatenate(fn_batches)
+    assert len(rows) - len(np.unique(rows, axis=0)) == repeats
+    assert points is None or len(rows) == points
 
 
 def test_sets_evaluates_its_mc_set_mesh_once(runner, tmp_path, f_evals):
@@ -315,9 +359,9 @@ def test_numerical_failure_exits_3_naming_the_point(runner, tmp_path, monkeypatc
     assert 0.5 < point <= 1.0
 
 
-def test_shrinkrate_computes_gradients_twice(runner, tmp_path, monkeypatch):
-    """One gradient pass for the --grad-min filter and the theoretical rate, one
-    for the empirical rate's search direction."""
+def test_shrinkrate_computes_gradients_once(runner, tmp_path, monkeypatch):
+    """One gradient pass serves the --grad-min filter, the theoretical rate and
+    the empirical rate's search direction."""
     calls = []
     gradient = mdopt.sets.gradient
 
@@ -329,7 +373,7 @@ def test_shrinkrate_computes_gradients_twice(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["shrinkrate", "--function", "paper2d", "--k", "8",
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv, passes", [

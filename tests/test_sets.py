@@ -7,7 +7,7 @@ from mdopt.integrate import IntegratorConfig
 from mdopt.nmd import NascentMD, Rational
 from mdopt.objective import catalog_get, gradient
 from mdopt.sets import (BasinError, BracketingError, MeshMismatchError,
-                        NearCriticalPointError, SetKind, basin_masses,
+                        NearCriticalPointError, SetKind, _boundary_points, basin_masses,
                         boundary_points, brentq, containment_check, descent_rate,
                         equivalence_check_dtau, extract_set,
                         shrink_rate_empirical, shrink_rate_theoretical,
@@ -342,11 +342,25 @@ def test_boundary_solver_evaluation_counts():
     before = sum(calls)
     pts = boundary_points(s)
     assert len(pts) > 0
-    assert (sum(calls) - before) / len(pts) <= 14.0
+    assert (sum(calls) - before) / len(pts) <= 7.0
     before = sum(calls)
     solve_boundary_move(m, np.array(pts), 0.01)
-    assert (sum(calls) - before) / len(pts) <= 10.0
+    assert (sum(calls) - before) / len(pts) <= 7.0
 
+
+
+@pytest.mark.parametrize("name, tau", [("paper2d", None), ("stability2d", None),
+                                       ("paper1d", Rational(p=1.0))])
+def test_boundary_points_come_with_f_at_each_point(name, tau):
+    """The core behind ``boundary_points`` returns f at each point, from the root
+    solve's last step or a node's mesh f: bit for bit what f gives there."""
+    obj, region = catalog_get(name)
+    m = NascentMD(obj, region, k=8.0, **({} if tau is None else {"tau": tau}))
+    s = extract_set(m, SetKind.D0, region.build_grid(m.integrator.resolution))
+    pts, f = _boundary_points(s)
+    assert len(pts) > 0
+    assert np.array_equal(pts, boundary_points(s))
+    assert np.array_equal(f, obj(pts))
 
 
 def test_boundary_points_evaluate_f_at_no_mesh_node():
@@ -458,14 +472,15 @@ def _scan_move(m, pts, d, gn, delta_k):
     m2, log_level = m.with_k(m.k + delta_k), -np.log(m.region_measure())
     t_max = 10.0 * (np.abs(descent_rate(m, pts)) / gn) * delta_k
     ts = np.linspace(-t_max, t_max, 65)
-    vals = m2.log_density((pts + ts[:, :, None] * d).reshape(-1, pts.shape[1]))
-    vals = vals.reshape(ts.shape) - log_level
+    scan = pts + ts[:, :, None] * d
+    f = m.objective(scan.reshape(-1, pts.shape[1])).reshape(ts.shape)
+    vals = m2.resolved_tau().log_tau(f, m2.k) - m2.log_Z() - log_level
     crosses = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
     assert np.all(np.any(crosses, axis=0))
     near = np.where(crosses, np.minimum(np.abs(ts[:-1]), np.abs(ts[1:])), np.inf)
     i, cols = np.argmin(near, axis=0), np.arange(ts.shape[1])
-    return brentq(m2, log_level, pts, d, ts[i, cols], ts[i + 1, cols],
-                  vals[i, cols], vals[i + 1, cols])[0]
+    return brentq(m2, log_level, pts, d, (ts[i, cols], scan[i, cols], f[i, cols]),
+                  (ts[i + 1, cols], scan[i + 1, cols], f[i + 1, cols]))[0]
 
 
 def test_boundary_move_falls_back_to_the_scan():
