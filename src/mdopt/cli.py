@@ -27,7 +27,7 @@ from click.core import ParameterSource
 from . import schedule, sets as sets_mod, useq as useq_mod
 from .integrate import IntegratorConfig, default_config
 from .nmd import Exponential, NascentMD, Rational
-from .objective import UnknownFunctionError, catalog_get, catalog_names, gradient
+from .objective import UnknownFunctionError, catalog_get, catalog_names
 
 
 _ROWS = 4096  # rows formatted and written per block
@@ -285,8 +285,7 @@ def shrinkrate(function, tau, p, grid, mc, seed, out, k, dk, grad_min):
     m = NascentMD(obj, region, tau=tau_kind, k=k, integrator=integ)
     d0 = sets_mod.extract_set(m, sets_mod.SetKind.D0, region.build_grid(integ.resolution))
     pts, f = sets_mod._boundary_points(d0)  # f from the root solve, read by both rates
-    g = gradient(obj, pts)
-    gn = np.sqrt(np.vecdot(g, g))  # BLAS dot, as np.linalg.norm of one row
+    g, gn = sets_mod._gradients(m, pts)
     keep = gn > grad_min
     pts, f, g, gn = pts[keep], f[keep], g[keep], gn[keep]
     descent = sets_mod._descent_rate(m, f)

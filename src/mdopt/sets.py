@@ -120,48 +120,48 @@ def equivalence_check_dtau(m: NascentMD, mesh: GridMesh) -> int:
     return int(np.count_nonzero((cond_a != cond_b) & decisive))
 
 
-def _gap(m: NascentMD, f: np.ndarray, log_level: float) -> np.ndarray:
-    """log m^(k) - log_level from f, formed as ``NascentMD.log_density`` forms it."""
-    return m.resolved_tau().log_tau(f, m.k) - m.log_Z() - log_level
+def _gap(m: NascentMD, f: np.ndarray) -> np.ndarray:
+    """log m^(k) - log(1/mu), the gap to the D0 level, from f as ``log_density`` forms it."""
+    return m.resolved_tau().log_tau(f, m.k) - m.log_Z() + np.log(m.region_measure())
 
 
-def _level_crossing(m: NascentMD, log_level: float, x0, v, lo, hi):
-    """Per row, t in [lo, hi] with log m^(k)(x0 + t v) = log_level, the gap and f there.
+def _level_crossing(m: NascentMD, x0, v, lo, hi):
+    """Per row, (t, gap, point, f) at t in [lo, hi] where m^(k)(x0 + t v) meets 1/mu.
 
-    Each bracket end is a triple (t, point, f at the point) whose gaps have
-    opposite signs; the point is the one the caller evaluated, which x0 + t v
-    need not equal bit for bit.  Illinois false position (Dowell & Jarratt,
-    BIT 11, 1971) steps the rows whose gap is non-zero and bracket wider than
-    brentq's 1e-15 + 8.9e-16 |t|.  Per row it holds the points at t and at s
-    with their f; a step whose point x0 + c v is one of them bit for bit takes
-    that f, and f is evaluated, in one batch, only at the other rows' points.
+    Each end is a triple (t, point, f) whose gaps have opposite signs or a zero; the
+    point is the one the caller evaluated, which x0 + t v need not equal bit for bit.
+    Illinois false position (Dowell & Jarratt, BIT 11, 1971) steps the rows whose gap
+    at t is non-zero and bracket wider than brentq's 1e-15 + 8.9e-16 |t|: on a sign
+    change s takes t's end, and t takes the step's.  A step onto a held end, bit for
+    bit, takes its f (so an end on the level comes back as passed); f is evaluated,
+    in one batch, only at the other rows' steps.
     """
     (s, xs, f_s), (t, xt, f_t) = lo, hi
     s, t = (np.array(np.broadcast_to(e, len(x0)), dtype=float) for e in (s, t))
-    held_x, held_f = np.stack([xs, xt]), np.stack([f_s, f_t])
-    fs, ft = _gap(m, held_f, log_level)  # fs is halved by Illinois, held_f keeps the truth
-    at_t, rows = np.ones(len(t), dtype=np.intp), np.arange(len(t))  # held slot of t's point
-    live = rows
+    xs, f_s, xt, f_t = (np.array(e, dtype=float) for e in (xs, f_s, xt, f_t))
+    fs, ft = _gap(m, f_s), _gap(m, f_t)  # fs is halved by Illinois, f_s keeps the truth
+    live = np.arange(len(t))
     for _ in range(100):
         wide = np.abs(t[live] - s[live]) >= 1e-15 + 8.9e-16 * np.abs(t[live])
         live = live[wide & (ft[live] != 0.0)]
         if live.size == 0:
-            return t, ft, held_f[at_t, rows]
+            return t, ft, xt, f_t
         c = t[live] - ft[live] * (t[live] - s[live]) / (ft[live] - fs[live])
         xc = x0[live] + c[:, None] * v[live]
-        same = np.all(xc.view(np.int64) == held_x[:, live].view(np.int64), axis=2)
-        fc = held_f[same[1].astype(np.intp), live]
-        new = ~(same[0] | same[1])
+        on_s, on_t = (np.all(xc.view(np.int64) == x[live].view(np.int64), axis=1)
+                      for x in (xs, xt))
+        fc = np.where(on_t, f_t[live], f_s[live])
+        new = ~(on_s | on_t)
         if np.any(new):
             fc[new] = evaluate_batch(m.objective, xc[new])
-        gc = _gap(m, fc, log_level)
+        gc = _gap(m, fc)
         flip = gc * ft[live] < 0.0
-        s[live[flip]], fs[live[flip]] = t[live[flip]], ft[live[flip]]
+        j = live[flip]
+        s[j], fs[j], xs[j], f_s[j] = t[j], ft[j], xt[j], f_t[j]
         fs[live[~flip]] *= 0.5  # same side twice: halve the retained end
-        t[live], ft[live] = c, gc
-        slot = at_t[live] ^ flip  # c takes the slot of the end it replaces
-        at_t[live], held_x[slot, live], held_f[slot, live] = slot, xc, fc
-    raise RuntimeError("level crossing did not converge in 100 steps")
+        t[live], ft[live], xt[live], f_t[live] = c, gc, xc, fc
+    raise RuntimeError(f"level crossing at k = {m.k:g} did not converge in 100 steps "
+                       f"on the line from x = {x0[live[0]]}")
 
 
 # the benchmark tracer counts and times root solves under this name
@@ -180,14 +180,13 @@ def boundary_points(sset: SignificantSet) -> list[np.ndarray]:
 def _boundary_points(sset: SignificantSet) -> tuple[np.ndarray, np.ndarray]:
     """``boundary_points`` as an (n, dim) array, and f at each point.
 
-    The edge ends' f is read from ``m.mesh_values`` and is held by the root
-    solve at the nodes themselves, so f is evaluated only at points between
-    nodes, once each; a node exactly on the level keeps its mesh f.
+    Each straddling edge whose end gaps have opposite signs or a zero is solved
+    from its nodes with their f from ``m.mesh_values``, so f is evaluated only
+    between nodes, once per point; a node on the level keeps its mesh f.
     """
     if sset.kind is not SetKind.D0:
         raise ValueError("boundary extraction is defined for D0 sets only")
     m, member = sset.source, sset.mesh.lattice_mask
-    log_level = -np.log(m.region_measure())
     inside, f = np.zeros(member.shape, dtype=bool), np.zeros(member.shape)
     inside[member], f[member] = sset.mask, m.mesh_values(sset.mesh)
     ends = []  # lattice indices of the straddling edges' ends, axis by axis
@@ -199,14 +198,9 @@ def _boundary_points(sset: SignificantSet) -> tuple[np.ndarray, np.ndarray]:
     a, b = (np.stack([ax[ix[:, j]] for j, ax in enumerate(sset.mesh.axes)], axis=1)
             for ix in (ia, ib))
     fa, fb = f[tuple(ia.T)], f[tuple(ib.T)]
-    ga, gb = _gap(m, fa, log_level), _gap(m, fb, log_level)
-    x, fx = np.where((ga == 0.0)[:, None], a, b), np.where(ga == 0.0, fa, fb)  # exact hits
-    on_level = (ga == 0.0) | (gb == 0.0)
-    solve = ga * gb < 0.0
-    t, gap, fx[solve] = brentq(m, log_level, a[solve], (b - a)[solve],
-                               (0.0, a[solve], fa[solve]), (1.0, b[solve], fb[solve]))
-    x[solve] = a[solve] + t[:, None] * (b - a)[solve]
-    on_level[solve] = np.abs(np.expm1(gap)) <= 1e-10
+    e = np.sign(_gap(m, fa)) * np.sign(_gap(m, fb)) <= 0.0  # opposite signs, or a zero
+    _, gap, x, fx = brentq(m, a[e], (b - a)[e], (0.0, a[e], fa[e]), (1.0, b[e], fb[e]))
+    on_level = np.abs(np.expm1(gap)) <= 1e-10
     return x[on_level], fx[on_level]
 
 
@@ -216,10 +210,11 @@ def _gradients(m: NascentMD, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, np.sqrt(np.vecdot(g, g))
 
 
-def _require_slope(gn: np.ndarray) -> np.ndarray:
-    """The gradient norms, unless one vanishes: NearCriticalPointError."""
+def _require_slope(m: NascentMD, pts: np.ndarray, gn: np.ndarray) -> np.ndarray:
+    """The gradient norms at ``pts``, unless one vanishes: NearCriticalPointError."""
     if np.any(gn < 1e-8):
-        raise NearCriticalPointError("gradient vanishes; shrink rate undefined")
+        raise NearCriticalPointError(f"gradient vanishes at x = {pts[np.argmax(gn < 1e-8)]} "
+                                     f"(k = {m.k:g}); shrink rate undefined")
     return gn
 
 
@@ -230,7 +225,7 @@ def shrink_rate_theoretical(m: NascentMD, x):
     For exponential tau this is |E^(k)(f) - f(x)| / (k |grad f(x)|).
     """
     pts, single = _as_points(x, m.region.dim)
-    rate = np.abs(descent_rate(m, pts)) / _require_slope(_gradients(m, pts)[1])
+    rate = np.abs(descent_rate(m, pts)) / _require_slope(m, pts, _gradients(m, pts)[1])
     return float(rate[0]) if single else rate
 
 
@@ -257,15 +252,14 @@ def _boundary_move(m: NascentMD, pts: np.ndarray, f: np.ndarray, g: np.ndarray,
     """``solve_boundary_move`` on the rows of ``pts`` from f, grad f and |grad f|
     there, for a positive ``delta_k`` that changes k.  The root solve holds each
     bracket end at the point evaluated for it: ``pts`` itself, the point at t1,
-    or a scan point."""
-    d = g / _require_slope(gn)[:, None]
+    or a scan point.  A failure names the first failing point and k + delta_k."""
     m2, tau = m.with_k(m.k + delta_k), m.resolved_tau()
-    log_level = -np.log(m.region_measure())
-    lo, g_lo = np.zeros(len(pts)), _gap(m2, f, log_level)
+    d = g / _require_slope(m2, pts, gn)[:, None]
+    lo, g_lo = np.zeros(len(pts)), _gap(m2, f)
     hi = -2.0 * g_lo / (m2.k * tau.dlog_tau_df(f) * gn)  # the divisor: the gap's slope at 0
     x_lo, f_lo, x_hi = pts.copy(), f.copy(), pts + hi[:, None] * d
     f_hi = evaluate_batch(m.objective, x_hi)
-    miss = ~(g_lo * _gap(m2, f_hi, log_level) < 0.0)
+    miss = ~(g_lo * _gap(m2, f_hi) < 0.0)
     if np.any(miss):
         t_max = 10.0 * (np.abs(_descent_rate(m, f[miss])) / gn[miss]) * delta_k
         ts = np.linspace(-t_max, t_max, 65)  # one column per point
@@ -273,16 +267,17 @@ def _boundary_move(m: NascentMD, pts: np.ndarray, f: np.ndarray, g: np.ndarray,
         f_scan = np.broadcast_to(f[miss], ts.shape).copy()  # t = 0 lands on the point itself
         fresh = np.any(scan.view(np.int64) != pts[miss].view(np.int64), axis=2)
         f_scan[fresh] = evaluate_batch(m.objective, scan[fresh])
-        vals = _gap(m2, f_scan, log_level)
+        vals = _gap(m2, f_scan)
         crosses = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
-        if not np.all(np.any(crosses, axis=0)):
-            raise BracketingError("no level crossing within 10x the predicted move")
+        found = np.any(crosses, axis=0)
+        if not np.all(found):
+            raise BracketingError(f"no level crossing at k = {m2.k:g} within 10x the "
+                                  f"predicted move from x = {pts[miss][np.argmin(found)]}")
         near = np.where(crosses, np.minimum(np.abs(ts[:-1]), np.abs(ts[1:])), np.inf)
         i, cols = np.argmin(near, axis=0), np.arange(ts.shape[1])
         lo[miss], x_lo[miss], f_lo[miss] = ts[i, cols], scan[i, cols], f_scan[i, cols]
         hi[miss], x_hi[miss], f_hi[miss] = ts[i + 1, cols], scan[i + 1, cols], f_scan[i + 1, cols]
-    t_root, _, _ = brentq(m2, log_level, pts, d, (lo, x_lo, f_lo), (hi, x_hi, f_hi))
-    return t_root, d
+    return brentq(m2, pts, d, (lo, x_lo, f_lo), (hi, x_hi, f_hi))[0], d
 
 
 def shrink_rate_empirical(m: NascentMD, x, delta_k: float):

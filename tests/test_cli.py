@@ -17,7 +17,7 @@ import mdopt.cli
 import mdopt.sets
 from mdopt.cli import _HOLE, _ROWS, _rle, _write_csv, _write_json, main
 from mdopt.integrate import IntegratorConfig, default_config
-from mdopt.nmd import NascentMD
+from mdopt.nmd import Exponential, NascentMD, Rational
 from mdopt.objective import Objective, catalog_get
 from mdopt.region import box
 
@@ -361,19 +361,49 @@ def test_numerical_failure_exits_3_naming_the_point(runner, tmp_path, monkeypatc
 
 def test_shrinkrate_computes_gradients_once(runner, tmp_path, monkeypatch):
     """One gradient pass serves the --grad-min filter, the theoretical rate and
-    the empirical rate's search direction."""
+    the empirical rate's search direction; the CLI takes it from ``sets``."""
     calls = []
     gradient = mdopt.sets.gradient
 
     def counting(*args, **kwargs):
         calls.append(1)
         return gradient(*args, **kwargs)
-    for module in (mdopt.cli, mdopt.sets):
-        monkeypatch.setattr(module, "gradient", counting)
+    monkeypatch.setattr(mdopt.sets, "gradient", counting)
     result = runner.invoke(main, ["shrinkrate", "--function", "paper2d", "--k", "8",
                                   "--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--function", "paper2d", "--k", "8"],
+    ["--function", "stability2d", "--k", "8"],
+    ["--function", "ackley", "--k", "8"],
+    ["--function", "paper1d", "--dk", "16"],
+    ["--function", "paper1d", "--tau", "rational", "--grid", "256"],
+], ids=lambda v: "-".join(a.lstrip("-") for a in v if a != "--function"))
+def test_shrinkrate_writes_the_public_rates(runner, tmp_path, argv):
+    """The command hands f and the gradient at its boundary points to the rates' private
+    cores; the columns it writes are, bit for bit, what ``shrink_rate_theoretical``,
+    ``shrink_rate_empirical`` and ``descent_rate`` give at the written points (paper1d
+    at --dk 16 roots some rows from the scan fallback)."""
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["shrinkrate", *argv, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    cfg = json.loads((out / "config.json").read_text())
+    obj, region = catalog_get(cfg["function"])
+    tau = Rational(p=cfg["p"]) if cfg["tau"] == "rational" else Exponential()
+    integ = (default_config(region.dim, seed=cfg["seed"]) if cfg["grid"] is None
+             else IntegratorConfig(kind="grid", resolution=cfg["grid"]))
+    m = NascentMD(obj, region, tau=tau, k=cfg["k"], integrator=integ)
+    rows = read_csv(out / "shrinkrate.csv")
+    assert len(rows) > 0
+    pts = np.array([[float(r[f"x{j}"]) for j in range(region.dim)] for r in rows])
+    col = {name: np.array([float(r[name]) for r in rows])
+           for name in ("theoretical", "empirical", "descent_rate")}
+    assert np.array_equal(col["theoretical"], mdopt.sets.shrink_rate_theoretical(m, pts))
+    assert np.array_equal(col["empirical"], mdopt.sets.shrink_rate_empirical(m, pts, cfg["dk"]))
+    assert np.array_equal(col["descent_rate"], mdopt.sets.descent_rate(m, pts))
 
 
 @pytest.mark.parametrize("argv, passes", [

@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+import mdopt.sets as sets_mod
 from mdopt.integrate import IntegratorConfig
 from mdopt.nmd import NascentMD, Rational
-from mdopt.objective import catalog_get, gradient
+from mdopt.objective import Objective, catalog_get, gradient
+from mdopt.region import box
 from mdopt.sets import (BasinError, BracketingError, MeshMismatchError,
-                        NearCriticalPointError, SetKind, _boundary_points, basin_masses,
-                        boundary_points, brentq, containment_check, descent_rate,
-                        equivalence_check_dtau, extract_set,
+                        NearCriticalPointError, SetKind, SignificantSet, _boundary_points,
+                        basin_masses, boundary_points, brentq, containment_check,
+                        descent_rate, equivalence_check_dtau, extract_set,
                         shrink_rate_empirical, shrink_rate_theoretical,
                         solve_boundary_move)
 
@@ -157,7 +159,8 @@ def test_shrink_rate_near_critical(paper1d_md):
     obj, _ = catalog_get("quadratic")
     _, region = catalog_get("quadratic")
     m = NascentMD(obj, region, k=4.0, integrator=IntegratorConfig(kind="grid", resolution=128))
-    with pytest.raises(NearCriticalPointError):
+    with pytest.raises(NearCriticalPointError, match=r"^gradient vanishes at x = \[0\. 0\.\] "
+                                                     r"\(k = 4\); shrink rate undefined$"):
         shrink_rate_theoretical(m, np.zeros(2))
 
 
@@ -326,7 +329,7 @@ def test_rates_on_a_batch_equal_single_points(name, tau):
 def test_rates_reject_a_batch_with_a_critical_point():
     obj, region = catalog_get("quadratic")
     m = NascentMD(obj, region, k=4.0, integrator=IntegratorConfig(kind="grid", resolution=128))
-    with pytest.raises(NearCriticalPointError):
+    with pytest.raises(NearCriticalPointError, match=r"at x = \[0\. 0\.\] \(k = 4\)"):
         shrink_rate_theoretical(m, np.array([[0.3, 0.2], [0.0, 0.0]]))
 
 
@@ -479,7 +482,7 @@ def _scan_move(m, pts, d, gn, delta_k):
     assert np.all(np.any(crosses, axis=0))
     near = np.where(crosses, np.minimum(np.abs(ts[:-1]), np.abs(ts[1:])), np.inf)
     i, cols = np.argmin(near, axis=0), np.arange(ts.shape[1])
-    return brentq(m2, log_level, pts, d, (ts[i, cols], scan[i, cols], f[i, cols]),
+    return brentq(m2, pts, d, (ts[i, cols], scan[i, cols], f[i, cols]),
                   (ts[i + 1, cols], scan[i + 1, cols], f[i + 1, cols]))[0]
 
 
@@ -502,7 +505,68 @@ def test_boundary_move_falls_back_to_the_scan():
 
 
 def test_boundary_move_without_a_crossing_raises():
-    """paper2d at k = 8, dk = 4: on some row neither the Newton bracket nor the scan crosses."""
+    """paper2d at k = 8, dk = 4: on some row neither the Newton bracket nor the scan
+    crosses.  The error names k + dk and the first such row, to numpy's 8 decimals."""
     m, pts, _ = _steep_boundary_points("paper2d", 8.0)
-    with pytest.raises(BracketingError):
+    with pytest.raises(BracketingError, match=r"^no level crossing at k = 12 within 10x the "
+                                              r"predicted move from x = \[") as err:
         solve_boundary_move(m, pts, 4.0)
+    named = np.array(str(err.value).split("[")[1].rstrip("]").split(), dtype=float)
+    assert np.any(np.all(np.abs(pts - named) <= 1e-8, axis=1))
+
+
+def _identity_level(monkeypatch, inside):
+    """f(x) = x on [0, 1] at 8 nodes, the binary-exact (2i + 1)/16, with the D0 gap
+    faked as 9/16 - f, so the node 9/16 lies exactly on the level; a D0 set whose
+    mask is ``inside`` of the nodes, and the list that records every f call."""
+    calls = []
+
+    def fn(p):
+        calls.append(p.copy())
+        return p[:, 0]
+    region = box(0.0, 1.0)
+    m = NascentMD(Objective(name="identity", dim=1, fn=fn), region, k=1.0,
+                  integrator=IntegratorConfig(kind="grid", resolution=8))
+    mesh = region.build_grid(8)
+    f = m.mesh_values(mesh)
+    monkeypatch.setattr(sets_mod, "_gap", lambda m, f, *_: 0.5625 - f)
+    calls.clear()
+    sset = SignificantSet(kind=SetKind.D0, k=m.k, mesh=mesh, mask=inside(f), measure=0.0,
+                          threshold=0.0, source=m)
+    return sset, calls
+
+
+@pytest.mark.parametrize("inside", [lambda f: f <= 0.5625, lambda f: f >= 0.5625],
+                         ids=["a-end", "b-end"])
+def test_boundary_points_keep_a_node_on_the_level(monkeypatch, inside):
+    """The one straddling edge has its a end (mask f <= 9/16) or its b end (f >= 9/16)
+    exactly on the level: that node comes back with its mesh f, and f is not evaluated."""
+    sset, calls = _identity_level(monkeypatch, inside)
+    pts, f = _boundary_points(sset)
+    assert pts.tolist() == [[0.5625]] and f.tolist() == [0.5625]
+    assert calls == []
+
+
+def test_level_crossing_returns_an_end_on_the_level(monkeypatch):
+    """A row whose lo end has gap 0 steps onto that end, and a row whose hi end does stops
+    at once; each returns the end's t, point and f as passed, without calling f."""
+    sset, calls = _identity_level(monkeypatch, lambda f: f <= 0.5625)
+    x0, v = np.array([[0.5625], [0.4375]]), np.array([[0.125], [0.125]])
+    lo = (0.0, x0, np.array([0.5625, 0.4375]))
+    hi = (1.0, np.array([[0.6875], [0.5625]]), np.array([0.6875, 0.5625]))
+    t, gap, x, f = brentq(sset.source, x0, v, lo, hi)
+    assert t.tolist() == [0.0, 1.0] and gap.tolist() == [0.0, 0.0]
+    assert x.tolist() == [[0.5625], [0.5625]] and f.tolist() == [0.5625, 0.5625]
+    assert calls == []
+
+
+def test_level_crossing_that_does_not_converge_names_its_line_and_k(monkeypatch):
+    """A lo-end gap of -3e299 keeps every false-position step on the hi end for 100
+    halvings; the error names k and the row's x0."""
+    sset, _ = _identity_level(monkeypatch, lambda f: f <= 0.5625)
+    monkeypatch.setattr(sets_mod, "_gap",
+                        lambda m, f, *_: np.where(f < 0.3, 1e300, 1.0) * (f - 0.3))
+    x0, v = np.array([[0.0]]), np.array([[1.0]])
+    with pytest.raises(RuntimeError, match=r"^level crossing at k = 1 did not converge in 100 "
+                                           r"steps on the line from x = \[0\.\]$"):
+        brentq(sset.source, x0, v, (0.0, x0, np.zeros(1)), (1.0, x0 + v, np.ones(1)))
