@@ -2,8 +2,9 @@
 
 tau is a positive, decreasing transform of f (exponential e^{-f} or the
 rational 1/(f - L + p)), so m^(k) concentrates on the global minimizers as k
-grows.  Each tau kind owns ``log_tau(f, k)`` (k log tau in one pass),
-``dlog_tau_df(f)`` and ``resolved(f)``, which fixes a data-dependent shift once.
+grows.  Each tau kind owns ``log_tau(f, k)`` (k log tau in one pass), its inverse
+``f_at(log_tau)``, ``dlog_tau_df(f)`` and ``resolved(f)``, which fixes a
+data-dependent shift once.
 Everything is evaluated in log space on the two levels of ``integrate.levels``,
 held as frozen ``DensityLevel`` records (points or mesh, weight, f, and log tau at
 the level's min and max f): m^(k) depends on a node only through f, and a grid level
@@ -32,8 +33,8 @@ of m^(k) at every larger k, where the clipped nodes stay clipped.  A larger k st
 from the last cut, a smaller one from the whole level.
 Dot products sum chunks of at most 8,192 nodes (``region._dot``), so no output
 follows the BLAS thread count.
-``expectation(h)`` evaluates h, and checks ``DomainError``, block by block on the
-support.  k must be finite and >= 0.
+``expectation(h)``, E h with no power or shift of its own, evaluates h block by block on
+the support.  k must be finite and >= 0.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class InvalidShiftError(ValueError):
     """Rational tau hit f(x) - L + p <= 0."""
 
 
-class DomainError(ValueError):
-    """h^nu undefined: h <= 0 somewhere with non-integer nu."""
-
-
 @dataclass(frozen=True)
 class Exponential:
     """tau(x) = exp(-f(x))."""
@@ -68,6 +65,9 @@ class Exponential:
 
     def log_tau(self, f, k: float = 1.0):
         return f * -k
+
+    def f_at(self, log_tau):
+        return -log_tau
 
     def dlog_tau_df(self, f) -> float:
         """d log tau / df, which is -1 everywhere."""
@@ -110,6 +110,11 @@ class Rational:
         """k log tau on an array f, the log taken and scaled in place: ``k * -log(arg)``."""
         arg = self._arg(f)
         return np.multiply(np.log(arg, out=arg), -k, out=arg)
+
+    def f_at(self, log_tau):
+        """The f where log tau is ``log_tau``; +inf, without a warning, where exp overflows."""
+        with np.errstate(over="ignore"):
+            return np.exp(-log_tau) + self.L - self.p
 
     def dlog_tau_df(self, f):
         return -1.0 / self._arg(f)
@@ -399,27 +404,14 @@ class NascentMD:
             cache[self.k] = Moments(f=f, fc2=fc2, c=c, x=x)
         return cache[self.k]
 
-    def expectation(self, h: Callable[[np.ndarray], np.ndarray] | None = None,
-                    nu: float = 1.0, shift=None) -> Estimate:
-        """E^(k) of h^nu, optionally with the integration variable shifted.
+    def expectation(self, h: Callable[[np.ndarray], np.ndarray] | None = None) -> Estimate:
+        """E^(k) of h, ``h=None`` meaning the objective itself (its node values are cached).
 
-        ``h=None`` means the objective itself (its node values are cached).  h must be
-        row-wise, like ``Objective.fn``: it is handed the nodes block by block.
+        h must be row-wise, like ``Objective.fn``: it is handed the nodes block by block.
         """
-        if h is None and shift is None:
-            return self._estimates(lambda f, *_: self._power(f, nu))[0]
-        off = np.zeros(self.region.dim) if shift is None else np.asarray(shift, float)
-        fn = h if h is not None else (lambda p: evaluate_batch(self.objective, p))
-        return self._estimates(
-            lambda f, points: self._power(np.asarray(fn(points + off), float), nu))[0]
-
-    @staticmethod
-    def _power(vals: np.ndarray, nu: float) -> np.ndarray:
-        if nu == 1.0:
-            return vals
-        if not float(nu).is_integer() and np.any(vals <= 0.0):
-            raise DomainError("h <= 0 somewhere with non-integer exponent")
-        return vals ** nu
+        if h is None:
+            return self._estimates(lambda f, *_: f)[0]
+        return self._estimates(lambda f, points: np.asarray(h(points), float))[0]
 
     def expect_f(self) -> Estimate:
         return self.moments().f

@@ -6,9 +6,10 @@ Three set families, realized as boolean masks on a shared grid mesh:
 * ``Dtau`` — superlevel set  tau(x) >= E^(k)(tau)
 * ``D0``   — where the density is at least the uniform level 1/mu(Omega)
 
-Each family shrinks monotonically in k from the whole region down to the
-global minimizer set.  The boundary of ``D0`` supports a closed-form shrink
-rate, checked here against a root-finding measurement.
+log tau decreases strictly in f, so at each k every family is one sublevel set
+{f <= t}.  Each shrinks monotonically in k from the whole region down to the global
+minimizer set.  The boundary of ``D0``, a level set of f, supports a closed-form
+shrink rate, checked here against a root-finding measurement.
 """
 
 from __future__ import annotations
@@ -65,30 +66,22 @@ class BasinReport:
 
 
 def extract_set(m: NascentMD, kind: SetKind, mesh: GridMesh) -> SignificantSet:
-    """Mask of the set's defining inequality on the mesh nodes.
-
-    Inequalities are inclusive; threshold ties are members, so comparisons
-    carry a machine-precision slack (exact ties such as m^(0) = 1/mu land a
-    few ulps off after the log-domain round trip).  f is read from
-    ``m.mesh_values(mesh)``, which evaluates a mesh once for the density family.
-    """
+    """{f <= level} on the mesh nodes, f from ``m.mesh_values(mesh)`` (a mesh is evaluated
+    once for the density family): level E f + tie (Df), tau's inverse at log E tau - tie
+    (Dtau), or ``_level`` (D0).  Ties are members, the tie a machine-precision slack (exact
+    ties such as m^(0) = 1/mu land a few ulps off after the log-domain round trip).
+    ``threshold`` is E f, E tau or 1/mu."""
     kind = SetKind(kind)
-    f, tau = m.mesh_values(mesh), m.resolved_tau()
     if kind is SetKind.DF:
         thr = m.expect_f().value
-        tie = 1e-12 * max(1.0, abs(thr))
-        mask = f <= thr + tie
+        level = thr + 1e-12 * max(1.0, abs(thr))
     elif kind is SetKind.DTAU:
         log_thr = m.log_expect_tau().value
-        tie = 1e-12 * max(1.0, abs(log_thr))
-        mask = tau.log_tau(f) >= log_thr - tie
+        level = m.resolved_tau().f_at(log_thr - 1e-12 * max(1.0, abs(log_thr)))
         thr = float(np.exp(log_thr))
     else:
-        mu = m.region_measure()
-        thr = 1.0 / mu
-        log_thr = -np.log(mu)
-        tie = 1e-12 * max(1.0, abs(log_thr), abs(m.log_Z()))
-        mask = tau.log_tau(f, m.k) - m.log_Z() >= log_thr - tie
+        level, thr = _level(m, slack=True), 1.0 / m.region_measure()
+    mask = m.mesh_values(mesh) <= level
     return SignificantSet(
         kind=kind, k=m.k, mesh=mesh, mask=mask,
         measure=float(mesh.cell_volume * np.count_nonzero(mask)),
@@ -120,32 +113,39 @@ def equivalence_check_dtau(m: NascentMD, mesh: GridMesh) -> int:
     return int(np.count_nonzero((cond_a != cond_b) & decisive))
 
 
-def _gap(m: NascentMD, f: np.ndarray) -> np.ndarray:
-    """log m^(k) - log(1/mu), the gap to the D0 level, from f as ``log_density`` forms it."""
-    return m.resolved_tau().log_tau(f, m.k) - m.log_Z() + np.log(m.region_measure())
+def _level(m: NascentMD, slack: bool = False) -> float:
+    """The f-level of D0 at m.k, tau's inverse at (log Z - log mu) / k, where m^(k) = 1/mu;
+    with ``slack``, lowered in log tau by ``extract_set``'s tie slack.  D0 is {f <= level},
+    the whole region at k = 0, where the level is +inf."""
+    if m.k == 0.0:
+        return np.inf
+    log_mu, log_Z = np.log(m.region_measure()), m.log_Z()
+    tie = 1e-12 * max(1.0, abs(log_mu), abs(log_Z)) if slack else 0.0
+    with np.errstate(over="ignore"):  # a subnormal k sends log tau to -inf, f to +inf
+        return m.resolved_tau().f_at((log_Z - log_mu - tie) / m.k)
 
 
-def _level_crossing(m: NascentMD, x0, v, lo, hi):
-    """Per row, (t, gap, point, f) at t in [lo, hi] where m^(k)(x0 + t v) meets 1/mu.
+def _level_crossing(m: NascentMD, level: float, x0, v, lo, hi):
+    """Per row, (t, point, f) at t in [lo, hi] where f(x0 + t v) meets ``level``.
 
-    Each end is a triple (t, point, f) whose gaps have opposite signs or a zero; the
-    point is the one the caller evaluated, which x0 + t v need not equal bit for bit.
-    Illinois false position (Dowell & Jarratt, BIT 11, 1971) steps the rows whose gap
-    at t is non-zero and bracket wider than brentq's 1e-15 + 8.9e-16 |t|: on a sign
-    change s takes t's end, and t takes the step's.  A step onto a held end, bit for
-    bit, takes its f (so an end on the level comes back as passed); f is evaluated,
-    in one batch, only at the other rows' steps.
+    Each end is a triple (t, point, f) whose gaps f - level have opposite signs or a
+    zero; the point is the one the caller evaluated, which x0 + t v need not equal bit
+    for bit.  Illinois false position (Dowell & Jarratt, BIT 11, 1971) steps the rows
+    whose gap at t is non-zero and bracket wider than brentq's 1e-15 + 8.9e-16 |t|: on
+    a sign change s takes t's end, and t takes the step's.  A step onto a held end, bit
+    for bit, takes its f (so an end on the level comes back as passed); f (m.objective)
+    is evaluated, in one batch, only at the other rows' steps.
     """
     (s, xs, f_s), (t, xt, f_t) = lo, hi
     s, t = (np.array(np.broadcast_to(e, len(x0)), dtype=float) for e in (s, t))
     xs, f_s, xt, f_t = (np.array(e, dtype=float) for e in (xs, f_s, xt, f_t))
-    fs, ft = _gap(m, f_s), _gap(m, f_t)  # fs is halved by Illinois, f_s keeps the truth
+    fs, ft = f_s - level, f_t - level  # fs is halved by Illinois, f_s keeps the truth
     live = np.arange(len(t))
     for _ in range(100):
         wide = np.abs(t[live] - s[live]) >= 1e-15 + 8.9e-16 * np.abs(t[live])
         live = live[wide & (ft[live] != 0.0)]
         if live.size == 0:
-            return t, ft, xt, f_t
+            return t, xt, f_t
         c = t[live] - ft[live] * (t[live] - s[live]) / (ft[live] - fs[live])
         xc = x0[live] + c[:, None] * v[live]
         on_s, on_t = (np.all(xc.view(np.int64) == x[live].view(np.int64), axis=1)
@@ -154,7 +154,7 @@ def _level_crossing(m: NascentMD, x0, v, lo, hi):
         new = ~(on_s | on_t)
         if np.any(new):
             fc[new] = evaluate_batch(m.objective, xc[new])
-        gc = _gap(m, fc)
+        gc = fc - level
         flip = gc * ft[live] < 0.0
         j = live[flip]
         s[j], fs[j], xs[j], f_s[j] = t[j], ft[j], xt[j], f_t[j]
@@ -171,8 +171,8 @@ brentq = _level_crossing
 def boundary_points(sset: SignificantSet) -> list[np.ndarray]:
     """Discrete boundary of D0, refined onto the exact density level set.
 
-    Solves the level crossing on every lattice edge whose member ends straddle
-    the set (axis by axis, row-major) and keeps |m^(k)(x) * mu - 1| <= 1e-10.
+    Solves the crossing of D0's f-level on every lattice edge whose member ends
+    straddle the set (axis by axis, row-major) and keeps |m^(k)(x) * mu - 1| <= 1e-10.
     """
     return list(_boundary_points(sset)[0])
 
@@ -180,9 +180,9 @@ def boundary_points(sset: SignificantSet) -> list[np.ndarray]:
 def _boundary_points(sset: SignificantSet) -> tuple[np.ndarray, np.ndarray]:
     """``boundary_points`` as an (n, dim) array, and f at each point.
 
-    Each straddling edge whose end gaps have opposite signs or a zero is solved
-    from its nodes with their f from ``m.mesh_values``, so f is evaluated only
-    between nodes, once per point; a node on the level keeps its mesh f.
+    Each straddling edge whose ends' f - level have opposite signs or a zero is
+    solved from its nodes with their f from ``m.mesh_values``, so f is evaluated
+    only between nodes, once per point; a node on the level keeps its mesh f.
     """
     if sset.kind is not SetKind.D0:
         raise ValueError("boundary extraction is defined for D0 sets only")
@@ -197,10 +197,11 @@ def _boundary_points(sset: SignificantSet) -> tuple[np.ndarray, np.ndarray]:
     ia, ib = map(np.concatenate, zip(*ends))
     a, b = (np.stack([ax[ix[:, j]] for j, ax in enumerate(sset.mesh.axes)], axis=1)
             for ix in (ia, ib))
-    fa, fb = f[tuple(ia.T)], f[tuple(ib.T)]
-    e = np.sign(_gap(m, fa)) * np.sign(_gap(m, fb)) <= 0.0  # opposite signs, or a zero
-    _, gap, x, fx = brentq(m, a[e], (b - a)[e], (0.0, a[e], fa[e]), (1.0, b[e], fb[e]))
-    on_level = np.abs(np.expm1(gap)) <= 1e-10
+    fa, fb, level = f[tuple(ia.T)], f[tuple(ib.T)], _level(m)
+    e = np.sign(fa - level) * np.sign(fb - level) <= 0.0  # opposite signs, or a zero
+    _, x, fx = brentq(m, level, a[e], (b - a)[e], (0.0, a[e], fa[e]), (1.0, b[e], fb[e]))
+    log_gap = m.resolved_tau().log_tau(fx, m.k) - m.log_Z() + np.log(m.region_measure())
+    on_level = np.abs(np.expm1(log_gap)) <= 1e-10
     return x[on_level], fx[on_level]
 
 
@@ -235,7 +236,7 @@ def solve_boundary_move(m: NascentMD, x, delta_k: float):
 
     The level set of the density moves along the objective gradient to first
     order, so the root is searched on the line through x with direction
-    d = grad f / |grad f|.  Twice the Newton step of the gap at t = 0, from f
+    d = grad f / |grad f|.  Twice the Newton step of f - level at t = 0, from f
     and |grad f| at x, gives t1; a row whose gap changes sign on [0, t1] is
     solved there.  Any other row falls back to a 65-point scan over 10x the
     predicted move on both sides, which brackets the sign change nearest t = 0.
@@ -253,13 +254,13 @@ def _boundary_move(m: NascentMD, pts: np.ndarray, f: np.ndarray, g: np.ndarray,
     there, for a positive ``delta_k`` that changes k.  The root solve holds each
     bracket end at the point evaluated for it: ``pts`` itself, the point at t1,
     or a scan point.  A failure names the first failing point and k + delta_k."""
-    m2, tau = m.with_k(m.k + delta_k), m.resolved_tau()
-    d = g / _require_slope(m2, pts, gn)[:, None]
-    lo, g_lo = np.zeros(len(pts)), _gap(m2, f)
-    hi = -2.0 * g_lo / (m2.k * tau.dlog_tau_df(f) * gn)  # the divisor: the gap's slope at 0
+    m2 = m.with_k(m.k + delta_k)
+    level, d = _level(m2), g / _require_slope(m2, pts, gn)[:, None]
+    lo, g_lo = np.zeros(len(pts)), f - level
+    hi = -2.0 * g_lo / gn  # |grad f|: the gap's slope at 0
     x_lo, f_lo, x_hi = pts.copy(), f.copy(), pts + hi[:, None] * d
     f_hi = evaluate_batch(m.objective, x_hi)
-    miss = ~(g_lo * _gap(m2, f_hi) < 0.0)
+    miss = ~(g_lo * (f_hi - level) < 0.0)
     if np.any(miss):
         t_max = 10.0 * (np.abs(_descent_rate(m, f[miss])) / gn[miss]) * delta_k
         ts = np.linspace(-t_max, t_max, 65)  # one column per point
@@ -267,7 +268,7 @@ def _boundary_move(m: NascentMD, pts: np.ndarray, f: np.ndarray, g: np.ndarray,
         f_scan = np.broadcast_to(f[miss], ts.shape).copy()  # t = 0 lands on the point itself
         fresh = np.any(scan.view(np.int64) != pts[miss].view(np.int64), axis=2)
         f_scan[fresh] = evaluate_batch(m.objective, scan[fresh])
-        vals = _gap(m2, f_scan)
+        vals = f_scan - level
         crosses = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
         found = np.any(crosses, axis=0)
         if not np.all(found):
@@ -277,7 +278,7 @@ def _boundary_move(m: NascentMD, pts: np.ndarray, f: np.ndarray, g: np.ndarray,
         i, cols = np.argmin(near, axis=0), np.arange(ts.shape[1])
         lo[miss], x_lo[miss], f_lo[miss] = ts[i, cols], scan[i, cols], f_scan[i, cols]
         hi[miss], x_hi[miss], f_hi[miss] = ts[i + 1, cols], scan[i + 1, cols], f_scan[i + 1, cols]
-    return brentq(m2, pts, d, (lo, x_lo, f_lo), (hi, x_hi, f_hi))[0], d
+    return brentq(m2, level, pts, d, (lo, x_lo, f_lo), (hi, x_hi, f_hi))[0], d
 
 
 def shrink_rate_empirical(m: NascentMD, x, delta_k: float):
@@ -291,8 +292,12 @@ def descent_rate(m: NascentMD, x):
     """Limiting objective decrease per unit k as the D0 boundary moves inward,
     at a point or each row of a batch: (E^(k)(log tau) - log tau(x)) / (k |d log tau/df|).
 
-    Exponential tau: (f(x) - E^(k)(f)) / k.
+    Exponential tau: (f(x) - E^(k)(f)) / k.  At k = 0, m^(0) is uniform and D0 has
+    no boundary: ValueError.
     """
+    if m.k == 0.0:
+        raise ValueError("descent_rate needs k > 0: at k = 0 the density is uniform "
+                         "and D0 has no boundary")
     pts, single = _as_points(x, m.region.dim)
     rate = _descent_rate(m, m.objective(pts))
     return float(rate[0]) if single else rate

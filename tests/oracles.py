@@ -71,6 +71,23 @@ def midpoint_1d(fn, a: float, b: float, n: int = 10**7) -> float:
     return float(np.mean(fn(x)) * (b - a))
 
 
+def log_space_set_masks(f, k: float, ef: float, log_e_tau: float, log_Z: float,
+                        mu: float, L: float | None = None, p: float | None = None) -> dict:
+    """The three significant-set masks on node values f as inequalities in log tau,
+    with their tie slacks: Df f <= E f, Dtau log tau >= log E tau, and D0
+    k log tau - log Z >= -log mu.  tau is exp(-f), or 1/(f - L + p) when L is given;
+    k log tau is formed as the density engine forms it, log(f - L + p) * -k."""
+    def log_tau(k):
+        return f * -k if L is None else np.log(f - L + p) * -k
+    log_thr = -np.log(mu)
+    return {
+        "Df": f <= ef + 1e-12 * max(1.0, abs(ef)),
+        "Dtau": log_tau(1.0) >= log_e_tau - 1e-12 * max(1.0, abs(log_e_tau)),
+        "D0": (log_tau(k) - log_Z
+               >= log_thr - 1e-12 * max(1.0, abs(log_thr), abs(log_Z))),
+    }
+
+
 def _paper1d(x):
     return np.cos(x ** 2) + x / 5.0 + 1.0
 

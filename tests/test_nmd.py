@@ -9,7 +9,7 @@ from scipy.special import softmax
 
 from mdopt import nmd
 from mdopt.integrate import IntegratorConfig, integrate, logsumexp
-from mdopt.nmd import DomainError, Exponential, InvalidShiftError, NascentMD, Rational
+from mdopt.nmd import Exponential, InvalidShiftError, NascentMD, Rational
 from mdopt.objective import Objective, catalog_get
 from mdopt.region import GridMesh, box
 from mdopt.schedule import ContinuationConfig, run_continuation
@@ -57,6 +57,21 @@ def test_log_tau_scales_by_k_bit_for_bit(f, k, p):
         assert tau.log_tau(f, k).tobytes() == (k * tau.log_tau(f)).tobytes()
     with pytest.raises(InvalidShiftError):
         Rational(p=p, L=float(np.max(f)) + 2.0 * p).log_tau(f, k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(f=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+       gap=st.floats(1e-6, 1e3), p=st.floats(1e-3, 10.0))
+def test_f_at_inverts_log_tau(f, gap, p):
+    """f_at(log_tau(f)) is f, bit for bit for the exponential kind and within 8 ulps
+    of the largest of |f|, |L|, p and f - L + p for the rational kind, whose L puts
+    the least f - L + p at ``gap``."""
+    f = np.array(f)
+    tau = Exponential()
+    assert tau.f_at(tau.log_tau(f)).tobytes() == f.tobytes()
+    tau = Rational(p=p, L=float(np.min(f)) + p - gap)
+    scale = np.maximum(np.maximum(np.abs(f), abs(tau.L)), np.maximum(p, f - tau.L + p))
+    assert np.all(np.abs(tau.f_at(tau.log_tau(f)) - f) <= 8.0 * np.spacing(scale))
 
 
 @pytest.mark.parametrize("tau", [Exponential(), Rational(p=0.5, L=-1.0)])
@@ -141,21 +156,6 @@ def test_expectation_constant():
 def test_expectation_matches_dense_oracle(paper1d_md, k):
     e = paper1d_md.with_k(k).expect_f()
     assert abs(e.value - oracles.PAPER1D_EF[k]) <= e.error + 1e-8
-
-
-def test_expectation_shift_argument():
-    obj, region = catalog_get("paper1d")
-    m = NascentMD(obj, region, k=0.0, integrator=GRID_1D)
-    # with k=0 and unit shift, E(h(shift + t)) is the average of h over [1, 6]
-    e = m.expectation(h=lambda p: p[:, 0], shift=[1.0])
-    assert e.value == pytest.approx(3.5, abs=1e-9)
-
-
-def test_expectation_domain_error():
-    obj, region = catalog_get("paper1d")
-    m = NascentMD(obj, region, k=1.0, integrator=GRID_1D)
-    with pytest.raises(DomainError):
-        m.expectation(h=lambda p: p[:, 0] - 10.0, nu=0.5)
 
 
 def test_variance_constant_zero():

@@ -115,6 +115,29 @@ def test_equivalence_dtau_paper2d():
     assert equivalence_check_dtau(m, region.build_grid(256)) == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tau", [None, Rational()], ids=["exponential", "rational"])
+@pytest.mark.parametrize("name", ["paper1d", "paper2d", "stability2d", "rastrigin", "ackley",
+                                  "doublewell"])
+def test_each_set_is_one_f_threshold_with_the_log_space_bits(name, tau):
+    """Every family's {f <= level} mask on the finest level's mesh has the bits of its
+    inequality in log tau (``oracles.log_space_set_masks``), from k = 0, where D0 is
+    everything, through k = 1e-300, where a rational tau's inverse overflows to +inf."""
+    obj, region = catalog_get(name)
+    m0 = NascentMD(obj, region, tau=tau, k=0.0)
+    mesh = m0.levels()[-1].mesh
+    f, rt = m0.mesh_values(mesh), m0.resolved_tau()
+    shift = {} if tau is None else dict(L=rt.L, p=rt.p)
+    for k in (0.0, 1e-300, 1e-12, 1.0, 4.0, 16.0, 64.0):
+        m = m0.with_k(k)
+        want = oracles.log_space_set_masks(f, k, m.expect_f().value, m.log_expect_tau().value,
+                                           m.log_Z(), m.region_measure(), **shift)
+        for kind in SetKind:
+            assert np.array_equal(extract_set(m, kind, mesh).mask, want[kind.value]), (kind, k)
+        if k == 0.0:
+            assert np.all(want["D0"])
+
+
 def test_boundary_points_k0_empty(paper1d_md, paper1d_mesh):
     s = extract_set(paper1d_md.with_k(0.0), SetKind.D0, paper1d_mesh)
     assert boundary_points(s) == []
@@ -204,6 +227,16 @@ def test_boundary_move_needs_a_dk_that_changes_k(paper1d_md, dk):
     divide a zero move by delta_k; it is rejected before any root is sought."""
     with pytest.raises(ValueError, match="delta_k"):
         solve_boundary_move(paper1d_md.with_k(8.0), np.array([1.0]), dk)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rates_need_k_above_zero(paper1d_md):
+    """At k = 0 the density is uniform and D0 has no boundary: the public rates raise
+    instead of returning inf."""
+    m = paper1d_md.with_k(0.0)
+    for rate in (descent_rate, shrink_rate_theoretical):
+        with pytest.raises(ValueError, match=r"^descent_rate needs k > 0: at k = 0 "):
+            rate(m, [1.0])
 
 
 def test_descent_rate_sign(paper1d_md):
@@ -472,24 +505,25 @@ def _steep_boundary_points(name, k):
 def _scan_move(m, pts, d, gn, delta_k):
     """The boundary move from a 65-point scan over 10x the predicted move on both
     sides alone, rooted in the bracket of the sign change nearest t = 0."""
-    m2, log_level = m.with_k(m.k + delta_k), -np.log(m.region_measure())
+    m2 = m.with_k(m.k + delta_k)
+    level = sets_mod._level(m2)
     t_max = 10.0 * (np.abs(descent_rate(m, pts)) / gn) * delta_k
     ts = np.linspace(-t_max, t_max, 65)
     scan = pts + ts[:, :, None] * d
     f = m.objective(scan.reshape(-1, pts.shape[1])).reshape(ts.shape)
-    vals = m2.resolved_tau().log_tau(f, m2.k) - m2.log_Z() - log_level
+    vals = f - level
     crosses = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
     assert np.all(np.any(crosses, axis=0))
     near = np.where(crosses, np.minimum(np.abs(ts[:-1]), np.abs(ts[1:])), np.inf)
     i, cols = np.argmin(near, axis=0), np.arange(ts.shape[1])
-    return brentq(m2, pts, d, (ts[i, cols], scan[i, cols], f[i, cols]),
+    return brentq(m2, level, pts, d, (ts[i, cols], scan[i, cols], f[i, cols]),
                   (ts[i + 1, cols], scan[i + 1, cols], f[i + 1, cols]))[0]
 
 
 def test_boundary_move_falls_back_to_the_scan():
     """paper1d at k = 8, dk = 16: twice the Newton step from t = 0 brackets no
-    crossing on some rows; those rows get the scan's root, bit for bit, and
-    every row lands on the level."""
+    crossing of the f-level of m^(k+dk) on some rows; those rows get the scan's
+    root, bit for bit, and every row lands on the density level."""
     m, pts, gn = _steep_boundary_points("paper1d", 8.0)
     dk, log_level = 16.0, -np.log(m.region_measure())
     m2 = m.with_k(m.k + dk)
@@ -497,9 +531,10 @@ def test_boundary_move_falls_back_to_the_scan():
     gap = m2.log_density(pts + t[:, None] * d) - log_level
     assert np.all(np.abs(np.expm1(gap)) <= 1e-10)
     assert np.array_equal(t, [solve_boundary_move(m, x, dk)[0] for x in pts])
-    g0 = m2.log_density(pts) - log_level
-    t1 = -2.0 * g0 / (m2.k * m.resolved_tau().dlog_tau_df(m.objective(pts)) * gn)
-    miss = g0 * (m2.log_density(pts + t1[:, None] * d) - log_level) >= 0.0
+    level = sets_mod._level(m2)
+    g0 = m.objective(pts) - level
+    t1 = -2.0 * g0 / gn
+    miss = g0 * (m.objective(pts + t1[:, None] * d) - level) >= 0.0
     assert 0 < np.count_nonzero(miss) < len(pts)
     assert np.array_equal(t[miss], _scan_move(m, pts[miss], d[miss], gn[miss], dk))
 
@@ -515,21 +550,20 @@ def test_boundary_move_without_a_crossing_raises():
     assert np.any(np.all(np.abs(pts - named) <= 1e-8, axis=1))
 
 
-def _identity_level(monkeypatch, inside):
-    """f(x) = x on [0, 1] at 8 nodes, the binary-exact (2i + 1)/16, with the D0 gap
-    faked as 9/16 - f, so the node 9/16 lies exactly on the level; a D0 set whose
-    mask is ``inside`` of the nodes, and the list that records every f call."""
+def _identity_level(inside):
+    """f(x) = x on [0, 1] at 8 nodes, the binary-exact (2i + 1)/16, under m^(0), which
+    is 1/mu everywhere; a D0 set whose mask is ``inside`` of the nodes, and the list
+    that records every f call."""
     calls = []
 
     def fn(p):
         calls.append(p.copy())
         return p[:, 0]
     region = box(0.0, 1.0)
-    m = NascentMD(Objective(name="identity", dim=1, fn=fn), region, k=1.0,
+    m = NascentMD(Objective(name="identity", dim=1, fn=fn), region, k=0.0,
                   integrator=IntegratorConfig(kind="grid", resolution=8))
     mesh = region.build_grid(8)
     f = m.mesh_values(mesh)
-    monkeypatch.setattr(sets_mod, "_gap", lambda m, f, *_: 0.5625 - f)
     calls.clear()
     sset = SignificantSet(kind=SetKind.D0, k=m.k, mesh=mesh, mask=inside(f), measure=0.0,
                           threshold=0.0, source=m)
@@ -539,34 +573,36 @@ def _identity_level(monkeypatch, inside):
 @pytest.mark.parametrize("inside", [lambda f: f <= 0.5625, lambda f: f >= 0.5625],
                          ids=["a-end", "b-end"])
 def test_boundary_points_keep_a_node_on_the_level(monkeypatch, inside):
-    """The one straddling edge has its a end (mask f <= 9/16) or its b end (f >= 9/16)
-    exactly on the level: that node comes back with its mesh f, and f is not evaluated."""
-    sset, calls = _identity_level(monkeypatch, inside)
+    """With the D0 f-level faked as 9/16, the one straddling edge has its a end (mask
+    f <= 9/16) or its b end (f >= 9/16) exactly on it: that node comes back with its
+    mesh f, and f is not evaluated.  At k = 0 the node passes the density check."""
+    sset, calls = _identity_level(inside)
+    monkeypatch.setattr(sets_mod, "_level", lambda m, slack=False: 0.5625)
     pts, f = _boundary_points(sset)
     assert pts.tolist() == [[0.5625]] and f.tolist() == [0.5625]
     assert calls == []
 
 
-def test_level_crossing_returns_an_end_on_the_level(monkeypatch):
-    """A row whose lo end has gap 0 steps onto that end, and a row whose hi end does stops
-    at once; each returns the end's t, point and f as passed, without calling f."""
-    sset, calls = _identity_level(monkeypatch, lambda f: f <= 0.5625)
+def test_level_crossing_returns_an_end_on_the_level():
+    """A row whose lo end has f on the level 9/16 steps onto that end, and a row whose hi
+    end does stops at once; each returns the end's t, point and f as passed, without
+    calling f."""
+    sset, calls = _identity_level(lambda f: f <= 0.5625)
     x0, v = np.array([[0.5625], [0.4375]]), np.array([[0.125], [0.125]])
     lo = (0.0, x0, np.array([0.5625, 0.4375]))
     hi = (1.0, np.array([[0.6875], [0.5625]]), np.array([0.6875, 0.5625]))
-    t, gap, x, f = brentq(sset.source, x0, v, lo, hi)
-    assert t.tolist() == [0.0, 1.0] and gap.tolist() == [0.0, 0.0]
+    t, x, f = brentq(sset.source, 0.5625, x0, v, lo, hi)
+    assert t.tolist() == [0.0, 1.0]
     assert x.tolist() == [[0.5625], [0.5625]] and f.tolist() == [0.5625, 0.5625]
     assert calls == []
 
 
-def test_level_crossing_that_does_not_converge_names_its_line_and_k(monkeypatch):
-    """A lo-end gap of -3e299 keeps every false-position step on the hi end for 100
-    halvings; the error names k and the row's x0."""
-    sset, _ = _identity_level(monkeypatch, lambda f: f <= 0.5625)
-    monkeypatch.setattr(sets_mod, "_gap",
-                        lambda m, f, *_: np.where(f < 0.3, 1e300, 1.0) * (f - 0.3))
+def test_level_crossing_that_does_not_converge_names_its_line_and_k():
+    """A lo end held with f = -3e299 against the level 0.3 keeps every false-position
+    step on the hi end for 100 halvings; the error names k and the row's x0."""
+    sset, _ = _identity_level(lambda f: f <= 0.5625)
     x0, v = np.array([[0.0]]), np.array([[1.0]])
-    with pytest.raises(RuntimeError, match=r"^level crossing at k = 1 did not converge in 100 "
+    with pytest.raises(RuntimeError, match=r"^level crossing at k = 0 did not converge in 100 "
                                            r"steps on the line from x = \[0\.\]$"):
-        brentq(sset.source, x0, v, (0.0, x0, np.zeros(1)), (1.0, x0 + v, np.ones(1)))
+        brentq(sset.source, 0.3, x0, v, (0.0, x0, np.array([-3e299])),
+               (1.0, x0 + v, np.ones(1)))
