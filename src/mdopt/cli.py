@@ -5,9 +5,12 @@ resolved parameters next to the outputs, so a run is reproducible from its
 output directory alone.  Floats are written with 17 significant digits;
 identical config and seed give byte-identical files.  One writer,
 ``_write_csv``, writes every CSV in blocks of rows and formats each distinct
-float once per block, with the same bytes as formatting every cell.  ``_write_json``
-writes JSON as ``json.dump(..., indent=2, sort_keys=True)`` does, but each integer
-array (``masks.json``'s run lengths) from one ``%d`` template, not number by number.
+float once per block, with the same bytes as formatting every cell.  A block with
+at least ``_VECTOR_MIN`` distinct floats goes through ``_g17``, an exact vectorized
+formatter whose bytes are those of ``format(v, ".17g")``; ``%`` formats smaller
+blocks and the values ``_g17`` cannot prove.  ``_write_json`` writes JSON as
+``json.dump(..., indent=2, sort_keys=True)`` does, but each integer array
+(``masks.json``'s run lengths) from one ``%d`` template, not number by number.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure (``error: <command>:
 <message>`` on stderr).
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,32 +35,191 @@ from .objective import UnknownFunctionError, catalog_get, catalog_names
 
 
 _ROWS = 4096  # rows formatted and written per block
+# distinct floats in a block from which _g17 formats them rather than %: it beats %
+# from about 128 values on a 2-CPU x86-64 host, but its first call builds its
+# tables (about 2 ms)
+_VECTOR_MIN = 512
+_WIDTH = 24  # bytes of the longest %.17g text, "-2.2250738585072014e-308"
 _HOLE = "\x00ndarray\x00"  # where _write_json's stdlib text leaves out an array
 
+# _g17 scales |x| by 10^e for e = 16 - X, X = floor(log10|x|) give or take one
+_SCALES = range(16 - 281, 16 + 282)
+# byte offsets in the 32-byte row that _g17 lays each value out from: 17 digits,
+# ".0-e", the exponent's sign and three digits, then NUL
+_DIGIT0, _DOT, _ZERO, _MINUS, _EXP_E, _EXP_SIGN, _NUL = 3, 20, 21, 22, 23, 24, 28
 
-def _cells(col: np.ndarray) -> list:
-    """One block of a column as strings: each distinct float64 bit pattern
-    formatted once with 17 significant digits, other values with ``str``.
-    Deduplicating bits, not values, keeps ``-0.0`` apart from ``0.0``."""
-    if col.dtype.kind != "f":
-        return list(map(str, col.tolist()))
-    bits, inverse = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
-    text = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")
-    return np.array(text, dtype=object)[inverse].tolist()
+
+def _g17_layout(exponent: int | None, digits: int, exp_digits: int = 2) -> bytes:
+    """Source-byte offsets of one unsigned %.17g shape, padded with NUL to ``_WIDTH``:
+    fixed notation at decimal ``exponent`` (None: d.ddde±XX with ``exp_digits``
+    exponent digits) with ``digits`` significant digits."""
+    run = list(range(_DIGIT0, _DIGIT0 + digits))
+    if exponent is None:
+        out = run[:1] + [_DOT] * (digits > 1) + run[1:] + [_EXP_E, _EXP_SIGN]
+        out += [_EXP_SIGN + 1, _EXP_SIGN + 2, _EXP_SIGN + 3][-exp_digits:]
+    elif exponent >= 0:  # the integer digits, zeros included, then any fraction
+        whole = exponent + 1
+        out = run[:whole] + [_ZERO] * (whole - digits) + [_DOT] * (digits > whole) + run[whole:]
+    else:
+        out = [_ZERO, _DOT] + [_ZERO] * (-exponent - 1) + run
+    return bytes(out + [_NUL] * (_WIDTH - len(out)))
+
+
+@functools.cache
+def _g17_tables() -> tuple:
+    """_g17's lookup tables, built on its first call from Python ints.
+
+    10^e for e in ``_SCALES`` as a double-double hi + lo (relative error below 2^-105),
+    with hi also split in Dekker's 26-bit halves; every 4-digit group as a
+    little-endian word of ASCII digits and its count of trailing zeros; each decimal
+    exponent in [-300, 300) as a word of its sign and three digits; and the layout of
+    every shape: fixed notation (exponent -4..16, 1..17 digits), then exponent
+    notation (1..17 digits, 2 or 3 exponent digits), all unsigned, then all signed."""
+    hi, lo = [], []
+    for e in _SCALES:
+        if e >= 0:
+            p = 10 ** e
+            hi.append(float(p))
+            lo.append(float(p - int(hi[-1])))
+        else:  # 2^k // 10^-e has at least 117 bits
+            k = 117 + (-e * 3322 + 999) // 1000
+            q = (1 << k) // 10 ** -e
+            hi.append(math.ldexp(float(q), -k))
+            lo.append(math.ldexp(float(q - int(float(q))), -k))
+    hi, lo = np.array(hi), np.array(lo)
+    split = hi * 134217729.0
+    hi_h = split - (split - hi)
+    ascii4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+                      axis=-1).reshape(10000, 4)
+    i = np.arange(10000)
+    group_tz = sum(i % 10 ** j == 0 for j in range(1, 5))
+    e = np.arange(-300, 300)
+    sign = np.where(e < 0, ord("-"), ord("+")).astype(np.uint8)
+    exp_word = np.concatenate([sign[:, None], ascii4[np.abs(e), 1:]], axis=1)
+    layout = [_g17_layout(x, d) for x in range(-4, 17) for d in range(1, 18)]
+    layout += [_g17_layout(None, d, ed) for d in range(1, 18) for ed in (2, 3)]
+    layout = np.frombuffer(b"".join(layout), dtype=np.uint8).reshape(-1, _WIDTH)
+    signed = np.concatenate([np.full((len(layout), 1), _MINUS, np.uint8), layout[:, :-1]], axis=1)
+    return (hi, hi_h, hi - hi_h, lo, ascii4.view("<u4").ravel(), group_tz,
+            exp_word.view("<u4").ravel(), np.concatenate([layout, signed]).astype(np.intp))
+
+
+def _g17_percent(x: np.ndarray) -> np.ndarray:
+    """``('%.17g' % v).encode()`` for each v of float64 ``x``, as the rows of a
+    (len(x), ``_WIDTH``) uint8 array padded with NUL."""
+    text = ("%.17g\n" * len(x) % tuple(x.tolist())).split("\n")[:-1]
+    return np.array(text, dtype=f"S{_WIDTH}").view(np.uint8).reshape(len(x), _WIDTH)
+
+
+def _g17_digits(x: np.ndarray) -> tuple:
+    """(n, X, ok) for each v of float64 ``x``: X = floor(log10|v|) and the 17 digits
+    n = |v|·10^(16-X) rounded to an integer, where ``ok``.
+
+    |v| times 10^(16-X) as a double-double is exact to within 1e-14 there: Dekker's
+    TwoProduct gives |v|·hi exactly as the double h plus a remainder, and |v|·lo adds
+    the rest.  ``ok`` is False for zeros, inf and nan; for |v| outside [1e-280, 1e280],
+    where lo leaves the normal range; for a log10 that misses the decade (n outside
+    [10^16, 10^17), which includes a carry to 10^17: that needs v within 5e-18 below
+    a power of ten and a log10 an ulp low there); and for fractions within 1e-9 of 1/2,
+    which hold every exact tie that rounds half to even."""
+    hi, hi_h, hi_l, lo = _g17_tables()[:4]
+    a = np.abs(x)
+    ok = (a >= 1e-280) & (a <= 1e280)
+    a[~ok] = 1.0
+    exponent = np.floor(np.log10(a)).astype(np.int64)
+    i = (16 - _SCALES.start) - exponent
+    h = a * hi[i]
+    split = a * 134217729.0
+    a_h = split - (split - a)
+    a_l = a - a_h
+    bh, bl = hi_h[i], hi_l[i]
+    frac = ((a_h * bh - h) + a_h * bl + a_l * bh) + a_l * bl  # a·hi - h, exactly
+    frac += a * lo[i]
+    whole = np.floor(frac)
+    frac -= whole
+    n = h.astype(np.int64) + whole.astype(np.int64)  # h >= 2^53 is an integer
+    ok &= (n >= 10 ** 16) & (np.abs(frac - 0.5) > 1e-9)
+    n += frac > 0.5
+    ok &= n < 10 ** 17
+    return n, exponent, ok
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """``_g17_percent(x)``, the bytes of ``'%.17g' % v`` for each v, vectorized: the
+    digits of ``_g17_digits`` laid out by shape (sign, fixed or exponent notation, X,
+    significant digits), and the rows it cannot prove formatted with %."""
+    group, group_tz, exp_word, layout = _g17_tables()[4:]
+    n, exponent, ok = _g17_digits(x)
+    head = n // 10 ** 8  # the first 9 digits
+    n -= head * 10 ** 8
+    d0 = head // 10 ** 8
+    head -= d0 * 10 ** 8
+    g = (head // 10 ** 4, head % 10 ** 4, n // 10 ** 4, n % 10 ** 4)
+    src = np.empty((len(x), 8), dtype="<u4")  # the 32-byte rows, as words
+    src[:, 0] = (d0 + ord("0")) << 24
+    for j in range(4):
+        src[:, j + 1] = group[g[j]]
+    src[:, 5] = np.frombuffer(b".0-e", dtype="<u4")[0]
+    src[:, 6] = exp_word[exponent + 300]
+    src[:, 7] = 0
+    zeros = group_tz[g[3]] + (g[3] == 0) * (group_tz[g[2]] + (g[2] == 0) * (
+        group_tz[g[1]] + (g[1] == 0) * group_tz[g[0]]))
+    fixed = (exponent >= -4) & (exponent < 17)
+    shape = np.where(fixed, (exponent + 4) * 17 + 16 - zeros,
+                     21 * 17 + (16 - zeros) * 2 + (np.abs(exponent) >= 100))
+    shape[np.signbit(x)] += len(layout) // 2
+    out = np.empty((len(x), _WIDTH), dtype=np.uint8)
+    for start in range(0, len(x), 1024):  # the byte offsets of 1024 rows take 192 KiB
+        rows = slice(start, start + 1024)
+        index = layout[shape[rows]]
+        index += np.arange(32 * start, 32 * start + 32 * len(index), 32)[:, None]
+        src.view(np.uint8).ravel().take(index, out=out[rows], mode="clip")
+    bad = np.flatnonzero(~ok)
+    out[bad] = _g17_percent(x[bad])
+    return out
+
+
+def _block(cols: list) -> bytes:
+    """One block of rows as CSV bytes.  Each column's cells are the NUL-padded rows
+    of a byte array, floats from their distinct bit patterns (so ``-0.0`` stays apart
+    from ``0.0``), all formatted in one call.  They fill a line array between
+    commas, ending in CRLF, and the padding is dropped, so no cell may hold a NUL."""
+    rows = len(cols[0])
+    keys = [np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
+            if col.dtype.kind == "f" else None for col in cols]
+    distinct = np.concatenate([np.empty(0, np.int64)]
+                              + [key[0] for key in keys if key is not None]).view(np.float64)
+    text = (_g17 if len(distinct) >= _VECTOR_MIN else _g17_percent)(distinct)
+    fields, start = [], 0
+    for col, key in zip(cols, keys):
+        if key is None:
+            cells = np.array([s.encode() for s in map(str, col.tolist())])
+            fields.append((cells.view(np.uint8).reshape(rows, -1), np.arange(rows)))
+        else:
+            bits, inverse = key
+            cells = text[start:start + len(bits)]
+            start += len(bits)
+            fields.append((cells[:, :np.count_nonzero(cells.any(axis=0))], inverse))
+    lines = np.full((rows, sum(c.shape[1] + 1 for c, _ in fields) + 1), ord(","), np.uint8)
+    at = 0
+    for cells, inverse in fields:  # "clip" takes into the strided out without a buffer
+        cells.take(inverse, axis=0, out=lines[:, at:at + cells.shape[1]], mode="clip")
+        at += cells.shape[1] + 1
+    lines[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return lines.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, columns: dict):
-    """Write equal-length columns as CSV: floats with 17 significant digits,
-    other values with ``str``, CRLF line ends (``csv.writer``'s bytes for
-    values that need no quoting).  Rows go out in blocks of ``_ROWS``, so
-    only one block's strings are held in memory."""
+    """Write equal-length columns as CSV: floats as ``format(v, ".17g")``, other values
+    with ``str``, CRLF line ends (``csv.writer``'s bytes for values that need no
+    quoting).  Rows go out in blocks of ``_ROWS``, so only one block's bytes are held
+    in memory."""
     cols = [np.asarray(col) for col in columns.values()]
     n = len(cols[0]) if cols else 0
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(columns).encode() + b"\r\n")
         for start in range(0, n, _ROWS):
-            cells = [_cells(col[start:start + _ROWS]) for col in cols]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            fh.write(_block([col[start:start + _ROWS] for col in cols]))
 
 
 def _array_template(shape: tuple, indent: int) -> str:

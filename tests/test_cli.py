@@ -15,7 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 import mdopt.cli
 import mdopt.sets
-from mdopt.cli import _HOLE, _ROWS, _rle, _write_csv, _write_json, main
+from mdopt.cli import (_HOLE, _ROWS, _VECTOR_MIN, _WIDTH, _g17, _rle, _write_csv, _write_json,
+                       main)
 from mdopt.integrate import IntegratorConfig, default_config
 from mdopt.nmd import Exponential, NascentMD, Rational
 from mdopt.objective import Objective, catalog_get
@@ -176,13 +177,19 @@ def test_shrinkrate_evaluates_the_finest_level_and_its_rate_points_once(
     (["sets", "--function", "paper2d", "--tau", "rational", "--k", "0,4,16"], 0, None),
     (["sets", "--function", "paper2d", "--k", "0,1", "--grid", "64", "--profile-res", "48"],
      0, None),
-    (["shrinkrate", "--function", "paper2d", "--k", "8"], 0, 71_652),
-    (["shrinkrate", "--function", "stability2d", "--k", "8"], 0, 72_624),
-    (["shrinkrate", "--function", "paper1d", "--k", "8"], 0, 1_070),
+    # a row that pins a count takes its id from the command words alone, so that a
+    # change that moves the count keeps the test's name
+    pytest.param(["shrinkrate", "--function", "paper2d", "--k", "8"], 0, 71_652,
+                 id="shrinkrate-paper2d-k-8"),
+    pytest.param(["shrinkrate", "--function", "stability2d", "--k", "8"], 0, 72_624,
+                 id="shrinkrate-stability2d-k-8"),
+    pytest.param(["shrinkrate", "--function", "paper1d", "--k", "8"], 0, 1_070,
+                 id="shrinkrate-paper1d-k-8"),
     (["shrinkrate", "--function", "ackley", "--k", "8"], 0, None),
     # three points' scan brackets close on the same crossing of the 1-d level, and
     # their rows step onto 4 of the same points; a solve holds points per row
-    (["shrinkrate", "--function", "paper1d", "--dk", "16"], 4, None),
+    pytest.param(["shrinkrate", "--function", "paper1d", "--dk", "16"], 4, None,
+                 id="shrinkrate-paper1d-dk-16"),
     (["shrinkrate", "--function", "paper1d", "--tau", "rational", "--grid", "256"], 0, None),
     (["shrinkrate", "--function", "paper1d", "--mc", "2000"], 0, None),
     (["useq", "--function", "paper2d", "--resolution", "256"], 0, None),
@@ -609,14 +616,18 @@ _SPECIAL = [0.0, -0.0, float(np.copysign(np.nan, -1.0)), np.nan, np.inf, -np.inf
        seed=st.integers(0, 2 ** 32 - 1))
 def test_write_csv_matches_csv_writer_across_blocks(tmp_path_factory, n, floats, words, seed):
     """Block by block, with values repeating inside and across blocks, the
-    writer's bytes equal csv.writer's with format(v, ".17g") and str cells."""
+    writer's bytes equal csv.writer's with format(v, ".17g") and str cells.  A
+    column of random 64-bit patterns gives a full block at least _VECTOR_MIN
+    distinct floats, which the vectorized formatter writes, and a short one fewer."""
     rng = np.random.default_rng(seed)
     pool = np.array(_SPECIAL + floats)
     f64 = pool[rng.integers(len(pool), size=n)]
     f64[:len(_SPECIAL)] = _SPECIAL[:n]  # 0.0 and -0.0 in the first block
     with np.errstate(over="ignore"):  # float32 overflows to inf, a value like any other
         f32 = f64.astype(np.float32)
-    columns = {"f64": f64, "f32": f32,
+    bits = rng.integers(-2 ** 63, 2 ** 63, size=n, dtype=np.int64).view(np.float64)
+    assert n < _ROWS or len(np.unique(bits[:_ROWS])) >= _VECTOR_MIN
+    columns = {"f64": f64, "f32": f32, "bits": bits,
                "i": rng.integers(-3, 3, size=n) * 2 ** 40, "b": rng.random(n) < 0.5,
                "s": [words[i] for i in rng.integers(len(words), size=n)], "r": range(n)}
     path = tmp_path_factory.mktemp("csv")
@@ -630,6 +641,19 @@ def test_write_csv_matches_csv_writer_across_blocks(tmp_path_factory, n, floats,
         w.writerow(list(columns))
         w.writerows(zip(*cells))
     assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()
+
+
+def test_g17_matches_percent_formatting():
+    """The vectorized formatter writes the bytes of '%.17g' % v for every power of ten
+    from 1e-300 to 1e299 and both its neighbours, a value that rounds up a decade,
+    exact ties that round half to even (one up, one down), the smallest subnormal,
+    the largest double, signed zeros, infinities and nan."""
+    tens = np.array([float(f"1e{e}") for e in range(-300, 300)])
+    x = np.concatenate([
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), -tens,
+        [99999999999999999.0, (2 ** 52 + 3) / 8, 2.0 ** -25, 5e-324, np.finfo(float).max,
+         0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]])
+    assert _g17(x).view(f"S{_WIDTH}").ravel().tolist() == [b"%.17g" % v for v in x.tolist()]
 
 
 def _listed(payload):
